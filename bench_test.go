@@ -245,29 +245,17 @@ func BenchmarkCoverVector(b *testing.B) {
 }
 
 // BenchmarkFDSearch measures a complete A* FD-modification search at the
-// n=10k workload, swept over the parallel engine's worker counts and,
-// at Workers 4, over the partition cache. The searcher (conflict
+// n=10k workload, swept over the worker counts. The searcher (conflict
 // analysis, difference sets, heuristic) is built once: the sweep isolates
 // the search loop the Workers knob parallelizes. Results are bit-identical
-// across the entire sweep; only wall-clock and refinement effort differ —
-// the cache=on runs report their hit rate and refinement steps per search
-// as custom metrics.
+// across the sweep; only wall-clock time differs. Each run reports its
+// cover-query refinement steps per search as a custom metric.
 func BenchmarkFDSearch(b *testing.B) {
 	in, sigma := benchWorkload(b, 10000)
-	type cfg struct {
-		workers int
-		noCache bool
-	}
-	cfgs := []cfg{{1, false}, {2, false}, {4, false}, {4, true}, {8, false}}
-	for _, c := range cfgs {
-		name := fmt.Sprintf("workers=%d", c.workers)
-		if c.workers == 4 {
-			name = fmt.Sprintf("workers=%d/cache=%v", c.workers, !c.noCache)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opt := search.DefaultOptions()
-			opt.Workers = c.workers
-			opt.NoPartitionCache = c.noCache
+			opt.Workers = workers
 			s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), opt)
 			tau := s.DeltaPOriginal() / 10
 			b.ResetTimer()
@@ -277,13 +265,8 @@ func BenchmarkFDSearch(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if c.workers > 1 {
-				st := s.CoverCacheStats()
-				b.ReportMetric(float64(st.RefineSteps)/float64(b.N), "refine-steps/op")
-				if !c.noCache {
-					b.ReportMetric(100*st.HitRate(), "cache-hit-%")
-				}
-			}
+			st := s.CoverCacheStats()
+			b.ReportMetric(float64(st.RefineSteps)/float64(b.N), "refine-steps/op")
 		})
 	}
 }
@@ -313,16 +296,12 @@ func benchBlockWorkload(b *testing.B, n int) (*relatrust.Instance, fd.Set) {
 	return in, fd.Set{fd.MustNew(relation.NewAttrSet(0, 1), 2)}
 }
 
-// BenchmarkComponentSweep measures a complete A* search at n=100k with
-// the conflict-hypergraph decomposition on versus off, Workers fixed at 4,
-// on two workload shapes: the census workload (whose FDs connect all
-// tuples into one component — the decomposition's worst case, where only
-// the relevant-attribute memo helps) and a blocked workload that splits
-// into tens of thousands of small components (its best case). Results are
-// bit-identical either way — the decomposition only changes how each
-// per-state cover query is evaluated (per-component deltas against
-// memoized projections instead of one monolithic two-pass scan) — so the
-// comparison isolates the cover-query work the decomposition removes.
+// BenchmarkComponentSweep measures a complete A* search at n=100k,
+// Workers fixed at 4, on two workload shapes: the census workload (whose
+// FDs connect all tuples into one component — the decomposition's worst
+// case, where only the relevant-attribute memo helps) and a blocked
+// workload that splits into tens of thousands of small components (its
+// best case).
 func BenchmarkComponentSweep(b *testing.B) {
 	cin, csigma := benchWorkload(b, 100000)
 	bin, bsigma := benchBlockWorkload(b, 100000)
@@ -332,77 +311,64 @@ func BenchmarkComponentSweep(b *testing.B) {
 		sigma fd.Set
 	}{{"census", cin, csigma}, {"blocked", bin, bsigma}}
 	for _, w := range workloads {
-		for _, decomp := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/decomp=%v", w.name, decomp), func(b *testing.B) {
-				opt := search.DefaultOptions()
-				opt.Workers = 4
-				opt.NoDecomposition = !decomp
-				s := search.NewSearcher(conflict.New(w.in, w.sigma), weights.NewDistinctCount(w.in), opt)
-				dp := s.DeltaPOriginal()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// The census search is a single-τ Find (a full-spectrum
-					// sweep there takes minutes); the blocked workload's
-					// frontier is cheap enough to sweep end to end.
-					var err error
-					if w.name == "census" {
-						_, err = s.Find(context.Background(), dp/10)
-					} else {
-						_, err = s.FindRange(context.Background(), 0, dp)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := s.CoverCacheStats()
-				b.ReportMetric(float64(st.RefineSteps)/float64(b.N), "refine-steps/op")
-				if decomp {
-					cs := s.ComponentStats()
-					b.ReportMetric(float64(cs.Components), "components")
-					b.ReportMetric(float64(cs.LargestComponent), "largest-component-tuples")
-					b.ReportMetric(float64(cs.ParallelEvals)/float64(b.N), "parallel-evals/op")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkComponentSweepXL runs the decomposed search on the blocked
-// workload at n=1,000,000 — a scale at which the monolithic per-state
-// cover query (a two-pass scan over every violation cluster) makes the
-// sweep impractical on the benchmark box. Gated behind
-// RELATRUST_BENCH_XL=1; the point of the benchmark is that the decomposed
-// sweep *completes*, and its headline numbers are recorded in
-// BENCH_components.json.
-func BenchmarkComponentSweepXL(b *testing.B) {
-	if os.Getenv("RELATRUST_BENCH_XL") == "" {
-		b.Skip("set RELATRUST_BENCH_XL=1 to run the 1M-tuple sweep")
-	}
-	in, sigma := benchBlockWorkload(b, 1000000)
-	for _, decomp := range []bool{false, true} {
-		b.Run(fmt.Sprintf("decomp=%v", decomp), func(b *testing.B) {
+		b.Run(w.name, func(b *testing.B) {
 			opt := search.DefaultOptions()
 			opt.Workers = 4
-			opt.NoDecomposition = !decomp
-			s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), opt)
+			s := search.NewSearcher(conflict.New(w.in, w.sigma), weights.NewDistinctCount(w.in), opt)
 			dp := s.DeltaPOriginal()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.FindRange(context.Background(), 0, dp); err != nil {
+				// The census search is a single-τ Find (a full-spectrum
+				// sweep there takes minutes); the blocked workload's
+				// frontier is cheap enough to sweep end to end.
+				var err error
+				if w.name == "census" {
+					_, err = s.Find(context.Background(), dp/10)
+				} else {
+					_, err = s.FindRange(context.Background(), 0, dp)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			st := s.CoverCacheStats()
 			b.ReportMetric(float64(st.RefineSteps)/float64(b.N), "refine-steps/op")
-			if decomp {
-				cs := s.ComponentStats()
-				b.ReportMetric(float64(cs.Components), "components")
-				b.ReportMetric(float64(cs.LargestComponent), "largest-component-tuples")
-			}
+			cs := s.ComponentStats()
+			b.ReportMetric(float64(cs.Components), "components")
+			b.ReportMetric(float64(cs.LargestComponent), "largest-component-tuples")
+			b.ReportMetric(float64(cs.ParallelEvals)/float64(b.N), "parallel-evals/op")
 		})
 	}
+}
+
+// BenchmarkComponentSweepXL runs the search on the blocked workload at
+// n=1,000,000 — a scale at which a monolithic per-state cover query (a
+// two-pass scan over every violation cluster) would make the sweep
+// impractical. Gated behind RELATRUST_BENCH_XL=1; the point of the
+// benchmark is that the sweep *completes*, and its headline numbers are
+// recorded in BENCH_components.json.
+func BenchmarkComponentSweepXL(b *testing.B) {
+	if os.Getenv("RELATRUST_BENCH_XL") == "" {
+		b.Skip("set RELATRUST_BENCH_XL=1 to run the 1M-tuple sweep")
+	}
+	in, sigma := benchBlockWorkload(b, 1000000)
+	opt := search.DefaultOptions()
+	opt.Workers = 4
+	s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), opt)
+	dp := s.DeltaPOriginal()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.FindRange(context.Background(), 0, dp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := s.CoverCacheStats()
+	b.ReportMetric(float64(st.RefineSteps)/float64(b.N), "refine-steps/op")
+	cs := s.ComponentStats()
+	b.ReportMetric(float64(cs.Components), "components")
+	b.ReportMetric(float64(cs.LargestComponent), "largest-component-tuples")
 }
 
 // BenchmarkSessionReuse measures acquiring a warm analysis from a session

@@ -48,14 +48,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tau       = fs.Int("tau", -1, "cell-change budget; -1 sweeps the whole trust spectrum")
 		weighting = fs.String("weights", "distinct-count", "FD-modification weighting: attr-count | distinct-count | entropy")
 		bestFirst = fs.Bool("best-first", false, "use best-first search instead of A*")
-		workers   = fs.Int("workers", 0, "parallel evaluation workers for the FD search (0 = GOMAXPROCS, 1 = sequential)")
-		noCache   = fs.Bool("no-cover-cache", false, "disable the parallel search engine's per-worker partition cache (results are identical either way)")
-		noDecomp  = fs.Bool("no-decomposition", false, "disable conflict-hypergraph decomposition: run every cover query monolithically (results are identical either way)")
+		workers   = fs.Int("workers", 0, "parallel evaluation workers for the FD search (0 = GOMAXPROCS, 1 = inline on one goroutine)")
 		seed      = fs.Int64("seed", 1, "seed for the randomized data-repair order")
 		outPath   = fs.String("o", "", "write the repaired data of the last printed repair to this CSV file")
 		showData  = fs.Bool("show-cells", false, "list every changed cell per repair")
 		maxShown  = fs.Int("max-cells", 20, "changed cells to list per repair with -show-cells")
-		progress  = fs.Bool("progress", false, "report sweep progress (τ levels, states visited, cache hit rate) on stderr")
+		progress  = fs.Bool("progress", false, "report sweep progress (τ levels, states visited, conflict components) on stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -75,8 +73,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		weighting: *weighting,
 		bestFirst: *bestFirst,
 		workers:   *workers,
-		noCache:   *noCache,
-		noDecomp:  *noDecomp,
 		seed:      *seed,
 		outPath:   *outPath,
 		showData:  *showData,
@@ -95,7 +91,7 @@ type cliConfig struct {
 	dataPath, fdSpec, weighting, outPath string
 	tau, workers, maxShown               int
 	seed                                 int64
-	bestFirst, noCache, noDecomp         bool
+	bestFirst                            bool
 	showData, progress                   bool
 }
 
@@ -125,12 +121,10 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 		return err
 	}
 	opt := relatrust.Options{
-		Weights:          w,
-		BestFirst:        cli.bestFirst,
-		Seed:             cli.seed,
-		Workers:          cli.workers,
-		NoPartitionCache: cli.noCache,
-		NoDecomposition:  cli.noDecomp,
+		Weights:   w,
+		BestFirst: cli.bestFirst,
+		Seed:      cli.seed,
+		Workers:   cli.workers,
 	}
 	if cli.progress {
 		opt.Progress = progressReporter(stderr)
@@ -223,8 +217,8 @@ func progressReporter(w io.Writer) func(relatrust.ProgressEvent) {
 		case relatrust.ProgressTauStarted:
 			fmt.Fprintf(w, "progress: continuing under τ=%d\n", ev.Tau)
 		case relatrust.ProgressSweepFinished:
-			fmt.Fprintf(w, "progress: sweep finished (%d states visited, cover-cache hit rate %.0f%%, %d conflict components, largest %d tuples)\n",
-				ev.Visited, 100*ev.CacheHitRate, ev.Components, ev.LargestComponent)
+			fmt.Fprintf(w, "progress: sweep finished (%d states visited, %d conflict components, largest %d tuples)\n",
+				ev.Visited, ev.Components, ev.LargestComponent)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package main
 
 // Tests for the CLI flag plumbing through the testable run() entry point:
 // exit codes, stdout/stderr content, and the search knobs (workers,
-// best-first, no-cover-cache, progress) actually reaching the facade.
+// best-first, progress) actually reaching the facade.
 
 import (
 	"context"
@@ -100,9 +100,9 @@ func TestSweepOutput(t *testing.T) {
 }
 
 // TestSearchKnobs: every engine knob must plumb through to the facade and
-// leave the printed spectrum identical — the parallel engine, best-first
-// search, and the disabled partition cache are all pinned to produce the
-// same frontier on this fixture.
+// leave the printed spectrum identical — the inline and parallel worker
+// counts and best-first search are all pinned to produce the same
+// frontier on this fixture.
 func TestSearchKnobs(t *testing.T) {
 	data := writeFixture(t)
 	base := []string{"-data", data, "-fds", citiesFDs, "-seed", "1"}
@@ -110,7 +110,6 @@ func TestSearchKnobs(t *testing.T) {
 	variants := [][]string{
 		{"-workers", "1"},
 		{"-workers", "4"},
-		{"-workers", "4", "-no-cover-cache"},
 		{"-best-first"},
 	}
 	for _, extra := range variants {

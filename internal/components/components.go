@@ -2,7 +2,7 @@
 // instance into connected components and evaluates vertex-cover queries
 // per component, so the repair search pays per state only for the
 // components an extension vector actually touches — and can fan that work
-// across the parallel engine's workers — instead of re-walking every
+// across the search's evaluation workers — instead of re-walking every
 // violation cluster of the instance.
 //
 // # Decomposition model
@@ -46,7 +46,7 @@
 // # Concurrency
 //
 // A Decomposition is immutable after Decompose. An Evaluator may be shared
-// by any number of goroutines (the parallel engine's workers, concurrent
+// by any number of goroutines (the search's evaluation workers, concurrent
 // searchers over the same session root): memo tables are striped by
 // component, values are pure functions of the projected query, and callers
 // supply their own forked conflict.Analysis for the partition scratch.
@@ -267,7 +267,7 @@ type Counters struct {
 	// base response without partition work.
 	MemoHits int64
 	// Parallel counts per-component evaluations dispatched through the
-	// parallel engine's cross-component fan-out.
+	// search's cross-component fan-out.
 	Parallel int64
 }
 
@@ -328,7 +328,7 @@ func (e *Evaluator) Counters() Counters {
 }
 
 // CountParallel records n per-component evaluations dispatched across
-// workers (called by the parallel engine's fan-out).
+// workers (called by the search's fan-out).
 func (e *Evaluator) CountParallel(n int) { e.parallel.Add(int64(n)) }
 
 // Affected returns the components containing a cluster of some FD whose

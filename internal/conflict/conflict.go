@@ -22,25 +22,18 @@
 // # Concurrency model
 //
 // An Analysis is single-goroutine: cover queries run against per-Analysis
-// epoch-versioned scratch. Concurrent evaluation (the parallel A* engine in
-// internal/search) uses Fork: a forked Analysis shares the instance, its
-// immutable code columns and dictionary, and the cluster arenas — all
-// read-only after New — while owning private partitioner scratch, matched
-// marks, and cover buffers, so queries on different forks never touch the
-// same mutable memory. Queries are deterministic: any fork returns
-// bit-identical covers for the same extension vector. Release returns a
-// fork's scratch to a pool shared by every fork of the same analysis, so a
-// search run that repeatedly forks (one fork per worker, per search)
-// allocates the scratch only once.
-//
-// A fork may additionally enable a partition cache (EnableCoverCache):
-// refined full-cluster partitions are memoized by (cluster,
-// extension-set) and child queries refine incrementally from their parent
-// set's snapshot — see cache.go for the design and the epoch rules that
-// keep fork recycling sound. Results are bit-identical with the cache on
-// or off. The session engine (internal/session) pools whole analyses the
-// same way across repair sessions: roots cached per FD set, forks handed
-// out and recycled.
+// epoch-versioned scratch. Concurrent evaluation (the A* evaluation
+// workers in internal/search) uses Fork: a forked Analysis shares the
+// instance, its immutable code columns and dictionary, and the cluster
+// arenas — all read-only after New — while owning private partitioner
+// scratch, matched marks, and cover buffers, so queries on different
+// forks never touch the same mutable memory. Queries are deterministic:
+// any fork returns bit-identical covers for the same extension vector.
+// Release returns a fork's scratch to a pool shared by every fork of the
+// same analysis, so a search run that repeatedly forks (one fork per
+// worker, per search) allocates the scratch only once. The session engine
+// (internal/session) pools whole analyses the same way across repair
+// sessions: roots cached per FD set, forks handed out and recycled.
 package conflict
 
 import (
@@ -52,6 +45,41 @@ import (
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
 )
+
+// CoverStats counts cover-query refinement effort.
+type CoverStats struct {
+	// Queries counts cluster-refinement requests issued by cover, matching
+	// and edge-sampling passes.
+	Queries int64
+	// Hits and ParentHits are always 0; they remain for callers that
+	// still read them.
+	Hits, ParentHits int64
+	// RefineSteps counts single-attribute refinement passes executed.
+	RefineSteps int64
+}
+
+// Add returns the field-wise sum, for aggregating per-worker stats.
+func (s CoverStats) Add(o CoverStats) CoverStats {
+	s.Queries += o.Queries
+	s.Hits += o.Hits
+	s.ParentHits += o.ParentHits
+	s.RefineSteps += o.RefineSteps
+	return s
+}
+
+// Sub returns the field-wise difference, for the effort between two
+// snapshots.
+func (s CoverStats) Sub(o CoverStats) CoverStats {
+	s.Queries -= o.Queries
+	s.Hits -= o.Hits
+	s.ParentHits -= o.ParentHits
+	s.RefineSteps -= o.RefineSteps
+	return s
+}
+
+// CoverStats returns the refinement-effort counters accumulated since New,
+// Fork or the last Release.
+func (a *Analysis) CoverStats() CoverStats { return a.stats }
 
 // Edge is one conflict-graph edge: a violating tuple pair (T1 < T2).
 type Edge struct {
@@ -88,15 +116,7 @@ type Analysis struct {
 	seedScratch  []int32
 	coverScratch []int32
 	matchedList  []int32 // endpoints of the pass-1 matching, in pair order
-
-	// pcache, when enabled, memoizes refined full-cluster partitions
-	// keyed by (cluster, extension-set); filtTuples/filtOffsets hold the
-	// lazily matched-filtered view handed to the match/cover passes. See
-	// cache.go.
-	pcache      *partCache
-	stats       CoverStats
-	filtTuples  []int32
-	filtOffsets []int32
+	stats        CoverStats
 
 	// forkPool recycles released forks across the forks of one analysis,
 	// so repeated Fork/Release cycles (one per search run) reuse the
@@ -238,13 +258,10 @@ func (a *Analysis) Fork() *Analysis {
 
 // Release returns an analysis obtained from Fork to the shared pool for
 // reuse by a later Fork. The caller must not use the analysis afterwards.
-// The partition cache and its statistics are dropped: a recycled fork is
-// handed out in the same state as a fresh one — caching is strictly
-// opt-in via EnableCoverCache, never inherited from a previous owner's
-// recycling history.
+// Its cover statistics are reset, so a recycled fork is handed out in the
+// same state as a fresh one.
 func (a *Analysis) Release() {
 	a.protected = nil
-	a.pcache = nil
 	a.stats = CoverStats{}
 	a.forkPool.Put(a)
 }
@@ -386,16 +403,8 @@ func (a *Analysis) PermanentMatching() int {
 // disjoint, so processing order never affects which tuples end up matched
 // or covered. The result aliases per-analysis scratch and stays valid
 // across Split calls.
-//
-// With the partition cache enabled the full cluster's refinement is served
-// from (or stored into) the cache and the matched filter is applied
-// afterwards; group order within the cluster can differ from the uncached
-// path, which by the disjointness argument above never changes any result.
 func (a *Analysis) refineGroups(fi, ci int, y relation.AttrSet) relation.Partition {
 	a.stats.Queries++
-	if a.pcache != nil && !y.IsEmpty() {
-		return a.filterUnmarked(a.cachedRefine(fi, ci, y))
-	}
 	seed := a.seedScratch[:0]
 	for _, t := range a.clusters[fi][ci] {
 		if a.matched[t] != a.epoch {

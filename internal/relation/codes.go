@@ -258,22 +258,6 @@ func (p *Partitioner) BeginAll() {
 	}
 }
 
-// BeginFrom loads an existing partition as the current one (copied; pt may
-// alias any earlier result), so subsequent Refine calls refine it
-// incrementally. This is the entry point of the cover-query partition
-// cache: a snapshot of a parent state's refined partition is reloaded and
-// refined by the one attribute the child state appends, instead of
-// re-refining the original group by the whole extension set from scratch.
-func (p *Partitioner) BeginFrom(pt Partition) {
-	if cap(p.cur.tuples) < len(pt.Tuples) {
-		p.cur.tuples = make([]int32, len(pt.Tuples))
-	} else {
-		p.cur.tuples = p.cur.tuples[:len(pt.Tuples)]
-	}
-	copy(p.cur.tuples, pt.Tuples)
-	p.cur.offsets = append(p.cur.offsets[:0], pt.Offsets...)
-}
-
 // Refine splits every group of the current partition by attribute a.
 // Subgroups appear in first-encounter order of a's codes within their
 // parent group and preserve relative tuple order (stable).

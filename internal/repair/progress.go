@@ -16,7 +16,7 @@ const (
 	// producing a further point).
 	ProgressTauStarted
 	// ProgressSweepFinished fires once when the sweep ends normally; it
-	// carries the whole sweep's effort and the partition-cache hit rate.
+	// carries the whole sweep's effort and the conflict decomposition.
 	ProgressSweepFinished
 )
 
@@ -33,15 +33,11 @@ type ProgressEvent struct {
 	// Visited and Generated report the FD-search effort accumulated so far
 	// (final totals on ProgressSweepFinished).
 	Visited, Generated int
-	// CacheHitRate is the parallel engine's partition-cache hit rate in
-	// [0, 1], meaningful on ProgressSweepFinished; 0 while only the
-	// sequential engine has run or the cache is disabled.
-	CacheHitRate float64
 	// Components and LargestComponent describe the conflict-hypergraph
 	// decomposition of the analyzed instance (component count and biggest
 	// component's tuple count); ComponentsParallel counts per-component
 	// cover evaluations dispatched across the worker pool. Meaningful on
-	// ProgressSweepFinished; zero when decomposition is disabled.
+	// ProgressSweepFinished.
 	Components         int
 	LargestComponent   int
 	ComponentsParallel int64

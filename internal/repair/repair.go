@@ -64,8 +64,8 @@ type Config struct {
 	Generation int64
 	// Progress, when non-nil, observes sweep milestones: range sweeps
 	// (StreamRange) report τ levels starting and finishing, search effort,
-	// and the partition-cache hit rate; single-τ runs (Run) report start
-	// and finish only. Callbacks run synchronously on the sweeping
+	// and the conflict decomposition; single-τ runs (Run) report start and
+	// finish only. Callbacks run synchronously on the sweeping
 	// goroutine — which means concurrently across goroutines when sessions
 	// sharing one Config sweep in parallel (RunSamplingParallel).
 	Progress func(ProgressEvent)
@@ -107,7 +107,7 @@ func NewSession(in *relation.Instance, sigma fd.Set, cfg Config) (*Session, erro
 		return nil, fmt.Errorf("repair: %w", err)
 	}
 	an := eng.Acquire(sigma)
-	if !cfg.Search.NoDecomposition && cfg.Search.Decomp == nil {
+	if cfg.Search.Decomp == nil {
 		// One decomposition per engine root, shared by every session over
 		// it — repeated sweeps reuse the per-component memo.
 		cfg.Search.Decomp = eng.CoverEvaluator(sigma)
@@ -178,8 +178,7 @@ func (s *Session) Run(ctx context.Context, tau int) (*Repair, error) {
 	s.progress(ProgressEvent{
 		Kind: ProgressSweepFinished, Tau: tau,
 		Visited: final.Visited, Generated: final.Generated,
-		CacheHitRate: s.Searcher.CoverCacheStats().HitRate(),
-		Components:   cs.Components, LargestComponent: cs.LargestComponent,
+		Components: cs.Components, LargestComponent: cs.LargestComponent,
 		ComponentsParallel: cs.ParallelEvals,
 	})
 	return r, nil
@@ -244,8 +243,7 @@ func (s *Session) StreamRange(ctx context.Context, tauLow, tauHigh int, yield fu
 	s.progress(ProgressEvent{
 		Kind: ProgressSweepFinished, Tau: tau,
 		Visited: final.Visited, Generated: final.Generated,
-		CacheHitRate: s.Searcher.CoverCacheStats().HitRate(),
-		Components:   cs.Components, LargestComponent: cs.LargestComponent,
+		Components: cs.Components, LargestComponent: cs.LargestComponent,
 		ComponentsParallel: cs.ParallelEvals,
 	})
 	return nil

@@ -38,8 +38,8 @@ func sameRepair(a, b *Repair) bool {
 // TestStreamRangeMatchesRunRange pins the streaming facade's central
 // guarantee at the repair layer: StreamRange yields repairs identical in
 // content and order to the batch RunRange — same Σ′, extension vectors,
-// τ bookkeeping, δP, and changed cells — on randomized instances, for the
-// sequential and the parallel engine.
+// τ bookkeeping, δP, and changed cells — on randomized instances, with one
+// search worker and with several.
 func TestStreamRangeMatchesRunRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 16; trial++ {

@@ -39,35 +39,17 @@ type Options struct {
 	// MatchSampleCap bounds the vertex-disjoint matching sample behind
 	// the knapsack half of the heuristic. Default 2000.
 	MatchSampleCap int
-	// Workers sets the number of parallel evaluation workers: successor
-	// scoring, the goal-test cover query, and open-list re-estimation fan
-	// out across this many goroutines, each owning a forked
-	// conflict.Analysis and a private cost cache. 1 runs the sequential
-	// engine; <= 0 selects GOMAXPROCS. Results are bit-identical for every
-	// worker count.
+	// Workers sets the number of evaluation workers: successor scoring,
+	// the goal-test cover query, and open-list re-estimation fan out across
+	// this many goroutines, each owning a forked conflict.Analysis and a
+	// private cost cache. 1 evaluates inline on the calling goroutine;
+	// <= 0 selects GOMAXPROCS. Results are bit-identical for every worker
+	// count.
 	Workers int
-	// NoPartitionCache disables the per-worker partition cache of the
-	// parallel engine. By default each worker's forked analysis memoizes
-	// refined cluster partitions keyed by (cluster, extension-set) and
-	// refines a child state's cover query incrementally from its parent's
-	// snapshot; results are bit-identical either way (the cache is a
-	// pure-function memo), so the knob exists for memory-constrained runs
-	// and for measuring the cache's effect.
-	NoPartitionCache bool
-	// NoDecomposition disables conflict-hypergraph decomposition: every
-	// goal-test cover query walks the whole instance monolithically, as the
-	// engine did before internal/components existed. By default the searcher
-	// decomposes the conflict graph into connected components once and
-	// answers each query from per-component responses (memoized, and fanned
-	// across the workers when enough components are affected); results are
-	// bit-identical either way, so the knob exists for measuring the
-	// decomposition's effect and as an escape hatch.
-	NoDecomposition bool
 	// Decomp supplies a pre-built component evaluator sharing this
 	// searcher's analysis root (the session engine caches one per root, so
 	// repeated sweeps skip the Decompose pass). Nil means the searcher
-	// builds its own unless NoDecomposition is set. Ignored when
-	// NoDecomposition is set.
+	// builds its own.
 	Decomp *components.Evaluator
 }
 
@@ -121,7 +103,7 @@ type Result struct {
 // Searcher itself is not safe for concurrent use (it shares the analysis'
 // scratch space); with Options.Workers > 1 each search call internally
 // fans evaluations out over forked analyses while keeping results
-// bit-identical to the sequential engine.
+// bit-identical to Workers: 1.
 type Searcher struct {
 	An    *conflict.Analysis
 	W     weights.Func
@@ -132,12 +114,11 @@ type Searcher struct {
 	h     *heuristic
 	costs *costCache
 
-	// decomp answers goal-test cover queries component-wise; nil when
-	// Options.NoDecomposition reverts to the monolithic path.
+	// decomp answers every goal-test cover query component-wise.
 	decomp *components.Evaluator
 
-	// coverStats accumulates the workers' partition-cache counters across
-	// the parallel runs of this searcher (see CoverCacheStats).
+	// coverStats accumulates the workers' cover-query refinement counters
+	// across the runs of this searcher (see CoverCacheStats).
 	coverStats conflict.CoverStats
 
 	// lastStats is the final effort of the most recent run (see LastStats).
@@ -174,31 +155,17 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		width:      width,
 		matchDiffs: matchDiffs(an, opt.MatchSampleCap),
 	}
-	if !opt.NoDecomposition {
-		if opt.Decomp != nil {
-			s.decomp = opt.Decomp
-		} else {
-			s.decomp = components.NewEvaluator(an)
-		}
+	s.decomp = opt.Decomp
+	if s.decomp == nil {
+		s.decomp = components.NewEvaluator(an)
 	}
 	return s
-}
-
-// coverSize answers the goal-test cover query for one state: through the
-// component evaluator when decomposition is on, monolithically otherwise.
-// Bit-identical either way.
-func (s *Searcher) coverSize(st State) int {
-	if s.decomp != nil {
-		return s.decomp.CoverSize(s.An, st)
-	}
-	return s.An.CoverSize(st)
 }
 
 // ComponentStats reports the conflict-hypergraph decomposition driving the
 // goal-test cover queries: the component count and largest component of
 // the analyzed instance, and how many per-component evaluations were
-// dispatched across the worker pool so far. Zero-valued when
-// Options.NoDecomposition is set.
+// dispatched across the worker pool so far.
 type ComponentStats struct {
 	Components       int
 	LargestComponent int
@@ -208,9 +175,6 @@ type ComponentStats struct {
 // ComponentStats returns the searcher's decomposition shape and the
 // cumulative cross-component fan-out effort (see ComponentStats type).
 func (s *Searcher) ComponentStats() ComponentStats {
-	if s.decomp == nil {
-		return ComponentStats{}
-	}
 	d := s.decomp.Decomposition()
 	return ComponentStats{
 		Components:       d.Components(),
@@ -225,7 +189,7 @@ func (s *Searcher) Alpha() int { return s.alpha }
 // DeltaPOriginal returns δP(Σ, I) for the unmodified FD set — the natural
 // upper end of the τ range and the denominator of the relative threshold
 // τr used throughout the experiments.
-func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.An.CoverSize(nil) }
+func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.decomp.CoverSize(s.An, nil) }
 
 // DiffSetCount reports how many distinct difference sets were collected.
 func (s *Searcher) DiffSetCount() int { return len(s.ds) }
@@ -236,13 +200,9 @@ func (s *Searcher) DiffSetCount() int { return len(s.ds) }
 // effort after the last result was already delivered with a snapshot.
 func (s *Searcher) LastStats() Stats { return s.lastStats }
 
-// CoverCacheStats returns the aggregated cover-query refinement counters
-// of the parallel engine's workers, summed over every search run on this
-// searcher since construction. With the partition cache enabled, Hits and
-// ParentHits measure how many cluster refinements were answered from (or
-// incrementally off) cached parent-state partitions; RefineSteps is the
-// work that remained. Zero-valued while only the sequential engine has
-// run.
+// CoverCacheStats returns the cover-query refinement counters of the
+// evaluation workers, summed over every search run on this searcher since
+// construction, at every worker count.
 func (s *Searcher) CoverCacheStats() conflict.CoverStats { return s.coverStats }
 
 // FeasibilityFloor returns the smallest τ for which any repair can exist:
@@ -334,17 +294,6 @@ func (s *Searcher) FindRangeStream(ctx context.Context, tauLow, tauHigh int, emi
 	return err
 }
 
-// run is the shared engine: a single-τ search is a range search whose first
-// goal ends it. The emit hook, when non-nil, streams finalized results (see
-// FindRangeStream). Workers > 1 selects the pipelined parallel engine,
-// which returns results bit-identical to the sequential one (see runPar).
-func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) ([]*Result, error) {
-	if s.Opt.Workers > 1 {
-		return s.runPar(ctx, tauLow, tauHigh, emit)
-	}
-	return s.runSeq(ctx, tauLow, tauHigh, emit)
-}
-
 // resultSink collects the goals of one run and streams them to an optional
 // emit hook with a one-goal lag: the most recent goal stays held because a
 // later goal of equal cost supersedes it (the Definition 4 tie-break by
@@ -382,141 +331,34 @@ func (k *resultSink) flush(upTo int) error {
 	return nil
 }
 
-// runSeq is the sequential engine: everything happens on the calling
-// goroutine against the searcher's own analysis and cost cache.
-func (s *Searcher) runSeq(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) ([]*Result, error) {
-	start := time.Now()
-	stats := Stats{}
-	defer func() { s.lastStats = stats }()
-	tau := tauHigh
-	sigma := s.An.Sigma
-	width := s.An.In.Schema.Width()
-
-	// Permanent conflicts put a hard floor under δP of every relaxation:
-	// below it there is no goal anywhere in the space, so don't search.
-	if tau < s.floor {
-		return nil, nil
-	}
-
-	gcOf := func(st State, cost float64, tau int) float64 {
-		if s.Opt.BestFirst {
-			return cost
-		}
-		stats.GCCalls++
-		return s.h.gc(st, s.ds, tau)
-	}
-
-	sink := resultSink{emit: emit}
-	pq := &openList{}
-	heap.Init(pq)
-	seq := 0
-	root := Root(len(sigma))
-	rootCost := s.costs.StateCost(root)
-	heap.Push(pq, &node{state: root, cost: rootCost, gc: gcOf(root, rootCost, tau), seq: seq})
-	var childBuf []State
-
-	for pq.Len() > 0 && tau >= tauLow {
-		if ctx.Err() != nil {
-			stats.Duration = time.Since(start)
-			return nil, context.Cause(ctx)
-		}
-		if stats.Visited >= s.Opt.MaxVisited {
-			stats.Duration = time.Since(start)
-			return nil, &MaxVisitedError{Stats: stats}
-		}
-		n := heap.Pop(pq).(*node)
-		stats.Visited++
-		coverSize := s.coverSize(n.state)
-		if coverSize*s.alpha <= tau {
-			stats.Duration = time.Since(start)
-			r := &Result{
-				State:     n.state,
-				Sigma:     n.state.Apply(sigma),
-				Cost:      n.cost,
-				CoverSize: coverSize,
-				DeltaP:    coverSize * s.alpha,
-				Stats:     stats,
-			}
-			// Definition 4 breaks dist_c ties by the smaller data distance:
-			// a later goal with equal cost has strictly smaller δP (τ was
-			// tightened below the previous goal's δP before it was found),
-			// so it supersedes the previous result instead of joining it —
-			// the sink holds the tail back until it is final.
-			if err := sink.add(r); err != nil {
-				return nil, err
-			}
-			// Demand strictly fewer data changes for the next repair
-			// (Algorithm 6, line 10) and re-estimate the open list under
-			// the tightened τ.
-			tau = coverSize*s.alpha - 1
-			if tau < tauLow || tau < s.floor {
-				break
-			}
-			rebuilt := (*pq)[:0]
-			for _, m := range *pq {
-				m.gc = gcOf(m.state, m.cost, tau)
-				if !math.IsInf(m.gc, 1) {
-					m.index = len(rebuilt)
-					rebuilt = append(rebuilt, m)
-				}
-			}
-			*pq = rebuilt
-			heap.Init(pq)
-		}
-		childBuf = n.state.Children(width, sigma, childBuf[:0])
-		for _, c := range childBuf {
-			stats.Generated++
-			cost := s.costs.StateCost(c)
-			gc := gcOf(c, cost, tau)
-			if math.IsInf(gc, 1) {
-				continue // no goal state can descend from c within τ
-			}
-			seq++
-			heap.Push(pq, &node{state: c, cost: cost, gc: gc, seq: seq})
-		}
-	}
-	stats.Duration = time.Since(start)
-	// A cancel that raced the final iterations must not be reported as
-	// success: callers streaming partial results rely on the Canceled
-	// verdict to know the frontier is incomplete.
-	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
-	}
-	// Stamp the full-run stats on the results not yet delivered (all of
-	// them in batch mode); already-emitted results keep their documented
-	// effort-so-far snapshots.
-	for _, r := range sink.results[sink.emitted:] {
-		r.Stats = stats
-	}
-	if err := sink.finish(); err != nil {
-		return nil, err
-	}
-	return sink.results, nil
-}
-
-// runPar is the parallel engine behind Options.Workers: the same A* loop
-// as runSeq, with the three expensive per-iteration evaluations fanned out
-// over an evalPool (see pool.go):
+// run is the A* loop of Algorithms 2 and 6: a single-τ search is a range
+// search whose first goal ends it, and the emit hook, when non-nil,
+// streams finalized results (see FindRangeStream). The three expensive
+// per-iteration evaluations go through an evalPool (see pool.go):
 //
-//   - the popped state's goal-test CoverSize runs on one worker, usually
-//     prefetched one iteration early — while the children of the previous
-//     pop were still being scored — by speculating that the current heap
-//     top wins the next pop (cover queries do not depend on τ, so only a
-//     child overtaking the top invalidates the prefetch);
-//   - the popped state's children are batch-scored (StateCost + gc) across
-//     the workers, speculatively under the current τ, and re-scored in the
-//     rare case a goal tightens τ underneath them;
+//   - the popped state's goal-test cover query, usually prefetched one
+//     iteration early — while the children of the previous pop were still
+//     being scored — by speculating that the current heap top wins the
+//     next pop (cover queries do not depend on τ, so only a child
+//     overtaking the top invalidates the prefetch);
+//   - the popped state's children are batch-scored (StateCost + gc),
+//     speculatively under the current τ, and re-scored in the rare case a
+//     goal tightens τ underneath them;
 //   - after a goal, the open-list re-estimation fans out in chunks.
 //
+// With Workers: 1 the pool is inline: a task runs on this goroutine only
+// when its result is waited for, so the discarded speculation above never
+// runs and the loop does no work beyond the plain sequential A*.
+//
 // Determinism: scores land in generation order regardless of worker finish
-// order, children receive exactly the seq tie-breakers runSeq would assign,
-// the re-estimation compaction visits nodes in heap-array order, and every
+// order, children receive seq tie-breakers in generation order, the
+// re-estimation compaction visits nodes in heap-array order, and every
 // worker computes bit-identical floats (forked analyses share the immutable
 // clusters; cost caches memoize one deterministic weights.Func). The pop
-// sequence — and therefore results, goal order, and stats — matches runSeq
-// exactly. Stats count logical evaluations: discarded speculative work is
-// not reported, so effort numbers stay comparable across worker counts.
-func (s *Searcher) runPar(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) ([]*Result, error) {
+// sequence — and therefore results, goal order, and stats — is the same
+// for every worker count. Stats count logical evaluations: discarded
+// speculative work is not reported.
+func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) ([]*Result, error) {
 	start := time.Now()
 	stats := Stats{}
 	defer func() { s.lastStats = stats }()
@@ -542,13 +384,11 @@ func (s *Searcher) runPar(ctx context.Context, tauLow, tauHigh int, emit func(*R
 	heap.Init(pq)
 	seq := 0
 	root := Root(len(sigma))
-	rootCost := s.costs.StateCost(root)
-	rootGC := rootCost
 	if !s.Opt.BestFirst {
 		stats.GCCalls++
-		rootGC = s.h.gc(root, s.ds, tau)
 	}
-	heap.Push(pq, &node{state: root, cost: rootCost, gc: rootGC, seq: seq})
+	rootScore := pool.startScore([]State{root}, tau, nil).wait()[0]
+	heap.Push(pq, &node{state: root, cost: rootScore.cost, gc: rootScore.gc, seq: seq})
 
 	var childBuf []State
 	var scoreBuf []childScore
@@ -607,20 +447,26 @@ func (s *Searcher) runPar(ctx context.Context, tauLow, tauHigh int, emit func(*R
 				DeltaP:    coverSize * s.alpha,
 				Stats:     stats,
 			}
-			// Same tie-break-by-data-distance replacement as runSeq.
+			// Definition 4 breaks dist_c ties by the smaller data distance:
+			// a later goal with equal cost has strictly smaller δP (τ was
+			// tightened below the previous goal's δP before it was found),
+			// so it supersedes the previous result instead of joining it —
+			// the sink holds the tail back until it is final.
 			if err := sink.add(r); err != nil {
 				batch.discard()
 				prefetch.discard()
 				return nil, err
 			}
+			// Demand strictly fewer data changes for the next repair
+			// (Algorithm 6, line 10).
 			tau = coverSize*s.alpha - 1
 			if tau < tauLow || tau < s.floor {
 				batch.discard()
 				break
 			}
 			// τ tightened underneath the speculative child scores: drop
-			// them, fan out the open-list re-estimation, and re-score the
-			// children under the new τ.
+			// them, re-estimate the open list, and re-score the children
+			// under the new τ.
 			batch.discard()
 			if !s.Opt.BestFirst {
 				stats.GCCalls += pq.Len() + len(childBuf)
@@ -652,15 +498,18 @@ func (s *Searcher) runPar(ctx context.Context, tauLow, tauHigh int, emit func(*R
 	}
 	prefetch.discard()
 	stats.Duration = time.Since(start)
-	// Same as runSeq: a cancel racing the final iterations wins over a
-	// completed-looking sweep, and only unemitted results get the final
-	// stats stamp.
+	// A cancel that raced the final iterations must not be reported as
+	// success: callers streaming partial results rely on the Canceled
+	// verdict to know the frontier is incomplete.
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
 	if err := pool.err(); err != nil {
 		return nil, err
 	}
+	// Stamp the full-run stats on the results not yet delivered (all of
+	// them in batch mode); already-emitted results keep their documented
+	// effort-so-far snapshots.
 	for _, r := range sink.results[sink.emitted:] {
 		r.Stats = stats
 	}

@@ -82,41 +82,49 @@ func TestPaperTau0(t *testing.T) {
 }
 
 // TestAStarMatchesBestFirst: best-first search is exhaustive by cost, so it
-// returns the true minimum-cost goal; A* with an admissible heuristic must
-// match that cost on random instances across a range of τ.
+// returns the true minimum-cost goal; A* must match that cost on random
+// instances across a range of τ, under every weighting the server ships.
 func TestAStarMatchesBestFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		width := 4 + rng.Intn(2)
 		in := testkit.RandomInstance(rng, 8+rng.Intn(6), width, 2)
 		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
+		for _, w := range []weights.Func{
+			weights.AttrCount{}, weights.NewDistinctCount(in), weights.NewEntropy(in), weights.NewMDL(in),
+		} {
+			checkAStarMatchesBestFirst(t, trial, in, sigma, w)
+		}
+	}
+}
 
-		aStar := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
-		bFirst := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{BestFirst: true})
-		dp := aStar.DeltaPOriginal()
-		for _, tau := range []int{0, 1, dp / 2, dp} {
-			r1, err := aStar.Find(context.Background(), tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := bFirst.Find(context.Background(), tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (r1 == nil) != (r2 == nil) {
-				t.Fatalf("trial %d τ=%d: A*=%v best-first=%v disagree on feasibility\nΣ=%v\n%s",
-					trial, tau, r1, r2, sigma, in)
-			}
-			if r1 == nil {
-				continue
-			}
-			if math.Abs(r1.Cost-r2.Cost) > 1e-9 {
-				t.Fatalf("trial %d τ=%d: A* cost %v ≠ best-first cost %v (states %s vs %s)\nΣ=%v\n%s",
-					trial, tau, r1.Cost, r2.Cost, r1.State, r2.State, sigma, in)
-			}
-			if r1.DeltaP > tau {
-				t.Fatalf("trial %d: goal violates τ: δP=%d τ=%d", trial, r1.DeltaP, tau)
-			}
+func checkAStarMatchesBestFirst(t *testing.T, trial int, in *relation.Instance, sigma fd.Set, w weights.Func) {
+	t.Helper()
+	aStar := NewSearcher(conflict.New(in, sigma), w, Options{})
+	bFirst := NewSearcher(conflict.New(in, sigma), w, Options{BestFirst: true})
+	dp := aStar.DeltaPOriginal()
+	for _, tau := range []int{0, 1, dp / 2, dp} {
+		r1, err := aStar.Find(context.Background(), tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := bFirst.Find(context.Background(), tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (r1 == nil) != (r2 == nil) {
+			t.Fatalf("trial %d %s τ=%d: A*=%v best-first=%v disagree on feasibility\nΣ=%v\n%s",
+				trial, w.Name(), tau, r1, r2, sigma, in)
+		}
+		if r1 == nil {
+			continue
+		}
+		if math.Abs(r1.Cost-r2.Cost) > 1e-9 {
+			t.Fatalf("trial %d %s τ=%d: A* cost %v ≠ best-first cost %v (states %s vs %s)\nΣ=%v\n%s",
+				trial, w.Name(), tau, r1.Cost, r2.Cost, r1.State, r2.State, sigma, in)
+		}
+		if r1.DeltaP > tau {
+			t.Fatalf("trial %d %s: goal violates τ: δP=%d τ=%d", trial, w.Name(), r1.DeltaP, tau)
 		}
 	}
 }

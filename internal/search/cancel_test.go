@@ -15,8 +15,8 @@ import (
 
 // TestStreamMatchesBatch pins the streaming contract on randomized
 // instances: FindRangeStream must emit exactly the results FindRange
-// returns — same states, bit-identical costs, same order — for both the
-// sequential and the parallel engine, and every result except the final
+// returns — same states, bit-identical costs, same order — at Workers 1
+// and 4, and every result except the final
 // one must arrive before the search finishes (the final one carries the
 // run's complete stats).
 func TestStreamMatchesBatch(t *testing.T) {
@@ -64,8 +64,8 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestFindCancelledBeforeStart: a pre-cancelled context aborts both
-// engines before any state is popped, with errors.Is(err,
+// TestFindCancelledBeforeStart: a pre-cancelled context aborts the search
+// at Workers 1 and 4 before any state is popped, with errors.Is(err,
 // context.Canceled).
 func TestFindCancelledBeforeStart(t *testing.T) {
 	in, sigma := testkit.Paper4x4()

@@ -62,59 +62,49 @@ func decompShapes(rng *rand.Rand) []struct {
 }
 
 // TestDecompositionMatchesMonolithic is the search-layer bit-identity
-// matrix: Workers {1, 4} × decomposition {on, off} × {Find, FindRange}
-// over connected, many-small-components, and violation-free instances.
-// The monolithic sequential run is the oracle; every other cell must
-// reproduce its repairs — states, bit-identical costs, cover sizes, goal
-// order, and effort stats.
+// matrix: Workers {1, 4} × {Find, FindRange} over connected,
+// many-small-components, and violation-free instances. The sequential
+// reference, whose goal tests are monolithic cover queries, is the
+// oracle; the engine's component-decomposed cover queries must reproduce
+// its repairs — states, bit-identical costs, cover sizes, goal order, and
+// effort stats.
 func TestDecompositionMatchesMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, sh := range decompShapes(rng) {
 		t.Run(sh.name, func(t *testing.T) {
 			w := weights.NewDistinctCount(sh.in)
-			oracle := NewSearcher(conflict.New(sh.in, sh.sigma), w,
-				Options{Workers: 1, NoDecomposition: true})
-			dp := oracle.DeltaPOriginal()
-			oracleRange, err := oracle.FindRange(context.Background(), 0, dp)
-			if err != nil {
-				t.Fatal(err)
+			ref := NewSearcher(conflict.New(sh.in, sh.sigma), w, Options{})
+			dp := ref.DeltaPOriginal()
+			if mono := ref.Alpha() * ref.An.CoverSize(nil); dp != mono {
+				t.Fatalf("DeltaPOriginal %d, monolithic %d", dp, mono)
 			}
+			refRange := reference(ref, 0, dp)
 
 			for _, workers := range []int{1, 4} {
-				for _, noDecomp := range []bool{false, true} {
-					label := fmt.Sprintf("workers=%d decomp=%v", workers, !noDecomp)
-					s := NewSearcher(conflict.New(sh.in, sh.sigma), w,
-						Options{Workers: workers, NoDecomposition: noDecomp})
-					got, err := s.FindRange(context.Background(), 0, dp)
+				label := fmt.Sprintf("workers=%d", workers)
+				s := NewSearcher(conflict.New(sh.in, sh.sigma), w, Options{Workers: workers})
+				got, err := s.FindRange(context.Background(), 0, dp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSameResults(t, "FindRange "+label, refRange, got)
+
+				for _, tau := range []int{0, dp / 2, dp} {
+					want := referenceFind(ref, tau)
+					r, err := s.Find(context.Background(), tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkSameResults(t, "FindRange "+label, oracleRange, got)
+					if (want == nil) != (r == nil) {
+						t.Fatalf("τ=%d %s: reference %v, engine %v disagree on feasibility", tau, label, want, r)
+					}
+					if want != nil {
+						checkSameResults(t, "Find "+label, []*Result{want}, []*Result{r})
+					}
+				}
 
-					for _, tau := range []int{0, dp / 2, dp} {
-						want, err := oracle.Find(context.Background(), tau)
-						if err != nil {
-							t.Fatal(err)
-						}
-						r, err := s.Find(context.Background(), tau)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if (want == nil) != (r == nil) {
-							t.Fatalf("τ=%d %s: oracle %v, candidate %v disagree on feasibility", tau, label, want, r)
-						}
-						if want != nil {
-							checkSameResults(t, "Find "+label, []*Result{want}, []*Result{r})
-						}
-					}
-
-					cs := s.ComponentStats()
-					if noDecomp && cs != (ComponentStats{}) {
-						t.Fatalf("%s: NoDecomposition searcher reports component stats %+v", label, cs)
-					}
-					if !noDecomp && sh.name != "singleton-only" && cs.Components == 0 {
-						t.Fatalf("%s: decomposed searcher reports zero components", label)
-					}
+				if sh.name != "singleton-only" && s.ComponentStats().Components == 0 {
+					t.Fatalf("%s: searcher reports zero components", label)
 				}
 			}
 		})
@@ -123,8 +113,8 @@ func TestDecompositionMatchesMonolithic(t *testing.T) {
 
 // TestDecompositionFanout forces the cross-component fan-out path (many
 // affected components, several workers) and pins both the bit-identity of
-// the results and that parallel per-component evaluations were actually
-// dispatched.
+// the results against the sequential reference and that parallel
+// per-component evaluations were actually dispatched.
 func TestDecompositionFanout(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	in := relation.NewInstance(relation.MustSchema("Blk", "A", "B", "C", "D"))
@@ -143,12 +133,9 @@ func TestDecompositionFanout(t *testing.T) {
 	sigma := fd.Set{fd.MustNew(relation.NewAttrSet(0, 1), 2)}
 	w := weights.AttrCount{}
 
-	oracle := NewSearcher(conflict.New(in, sigma), w, Options{Workers: 1, NoDecomposition: true})
-	dp := oracle.DeltaPOriginal()
-	want, err := oracle.FindRange(context.Background(), 0, dp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := NewSearcher(conflict.New(in, sigma), w, Options{})
+	dp := ref.DeltaPOriginal()
+	want := reference(ref, 0, dp)
 
 	s := NewSearcher(conflict.New(in, sigma), w, Options{Workers: 4})
 	if c := s.ComponentStats().Components; c < 2*coverChunkMin {

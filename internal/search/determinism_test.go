@@ -17,7 +17,7 @@ import (
 func checkSameResults(t *testing.T, label string, seq, par []*Result) {
 	t.Helper()
 	if len(seq) != len(par) {
-		t.Fatalf("%s: sequential found %d repairs, parallel %d", label, len(seq), len(par))
+		t.Fatalf("%s: reference found %d repairs, engine %d", label, len(seq), len(par))
 	}
 	for i := range seq {
 		a, b := seq[i], par[i]
@@ -42,13 +42,12 @@ func checkSameResults(t *testing.T, label string, seq, par []*Result) {
 	}
 }
 
-// TestParallelMatchesSequential pins the parallel engine's central
-// guarantee on randomized instances: Find and FindRange under the
-// parallel engine return results — states, bit-identical costs, cover
-// sizes, goal order, and effort stats — identical to Workers: 1, for
-// every worker count in {2, 4, 8}, for both A* and best-first, under both
-// uniform and data-dependent weightings, with the per-worker partition
-// cache enabled (the default) and disabled.
+// TestParallelMatchesSequential pins the engine's central guarantee on
+// randomized instances: Find and FindRange return results — states,
+// bit-identical costs, cover sizes, goal order, and effort stats —
+// identical to the sequential reference (see reference_test.go) for every
+// worker count in {1, 2, 4, 8}, for both A* and best-first, under the
+// attr-count, distinct-count and entropy weightings.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 24; trial++ {
@@ -61,88 +60,43 @@ func TestParallelMatchesSequential(t *testing.T) {
 		} else if trial%3 == 2 {
 			w = weights.NewEntropy(in)
 		}
-		workers := []int{2, 4, 8}[trial%3]
 		for _, heuristic := range []bool{true, false} {
-			for _, noCache := range []bool{false, true} {
-				label := fmt.Sprintf("workers=%d cache=%v", workers, !noCache)
-				seqS := NewSearcher(conflict.New(in, sigma), w, Options{BestFirst: !heuristic, Workers: 1})
-				parS := NewSearcher(conflict.New(in, sigma), w,
-					Options{BestFirst: !heuristic, Workers: workers, NoPartitionCache: noCache})
-				dp := seqS.DeltaPOriginal()
-
-				seqRange, err := seqS.FindRange(context.Background(), 0, dp)
+			ref := NewSearcher(conflict.New(in, sigma), w, Options{BestFirst: !heuristic})
+			dp := ref.DeltaPOriginal()
+			refRange := reference(ref, 0, dp)
+			taus := []int{0, 1, dp / 2, dp}
+			refFind := make([]*Result, len(taus))
+			for i, tau := range taus {
+				refFind[i] = referenceFind(ref, tau)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				label := fmt.Sprintf("trial %d %s workers=%d A*=%v", trial, w.Name(), workers, heuristic)
+				s := NewSearcher(conflict.New(in, sigma), w, Options{BestFirst: !heuristic, Workers: workers})
+				got, err := s.FindRange(context.Background(), 0, dp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parRange, err := parS.FindRange(context.Background(), 0, dp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSameResults(t, "FindRange "+label, seqRange, parRange)
+				checkSameResults(t, "FindRange "+label, refRange, got)
 
-				for _, tau := range []int{0, 1, dp / 2, dp} {
-					r1, err := seqS.Find(context.Background(), tau)
+				for i, tau := range taus {
+					r, err := s.Find(context.Background(), tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					r2, err := parS.Find(context.Background(), tau)
-					if err != nil {
-						t.Fatal(err)
+					if (refFind[i] == nil) != (r == nil) {
+						t.Fatalf("%s τ=%d: reference %v, engine %v disagree on feasibility", label, tau, refFind[i], r)
 					}
-					if (r1 == nil) != (r2 == nil) {
-						t.Fatalf("trial %d τ=%d %s: sequential %v, parallel %v disagree on feasibility", trial, tau, label, r1, r2)
+					if r != nil {
+						checkSameResults(t, "Find "+label, []*Result{refFind[i]}, []*Result{r})
 					}
-					if r1 == nil {
-						continue
-					}
-					checkSameResults(t, "Find "+label, []*Result{r1}, []*Result{r2})
 				}
 			}
 		}
 	}
 }
 
-// TestPartitionCacheReducesRefinement pins the cache's reason to exist:
-// at Workers 4 the same searches must execute strictly fewer
-// single-attribute refinement passes with the partition cache on than
-// off, with a non-trivial share of cover queries answered from cached
-// (exact or parent) partitions — while returning identical repairs.
-func TestPartitionCacheReducesRefinement(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	in := testkit.RandomInstance(rng, 60, 6, 2)
-	sigma := testkit.RandomFDs(rng, 6, 2, 2)
-
-	run := func(noCache bool) ([]*Result, conflict.CoverStats) {
-		s := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in),
-			Options{Workers: 4, NoPartitionCache: noCache})
-		res, err := s.FindRange(context.Background(), 0, s.DeltaPOriginal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, s.CoverCacheStats()
-	}
-	off, offStats := run(true)
-	on, onStats := run(false)
-	checkSameResults(t, "cache on vs off", off, on)
-
-	if offStats.Hits != 0 || offStats.ParentHits != 0 {
-		t.Fatalf("cache-off run reported hits: %+v", offStats)
-	}
-	if onStats.Hits+onStats.ParentHits == 0 {
-		t.Fatalf("cache-on run never hit: %+v", onStats)
-	}
-	if onStats.RefineSteps >= offStats.RefineSteps {
-		t.Fatalf("cache did not reduce refinement: on %d steps, off %d steps (on stats %+v)",
-			onStats.RefineSteps, offStats.RefineSteps, onStats)
-	}
-	t.Logf("refine steps: off=%d on=%d (%.1f%% saved), hit rate %.1f%% (%d exact, %d parent, %d miss)",
-		offStats.RefineSteps, onStats.RefineSteps,
-		100*float64(offStats.RefineSteps-onStats.RefineSteps)/float64(offStats.RefineSteps),
-		100*onStats.HitRate(), onStats.Hits, onStats.ParentHits, onStats.Misses)
-}
-
-// TestParallelMaxVisitedGuard: the parallel engine must abort on the same
-// visit budget as the sequential one.
+// TestParallelMaxVisitedGuard: a parallel search must abort on the same
+// visit budget as Workers: 1.
 func TestParallelMaxVisitedGuard(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
 	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{BestFirst: true, MaxVisited: 1, Workers: 4})

@@ -3,35 +3,40 @@ package search
 import (
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
-	"relatrust/internal/components"
 	"relatrust/internal/conflict"
 	"relatrust/internal/relation"
 	"relatrust/internal/weights"
 )
 
-// This file implements the parallel evaluation engine behind
-// Options.Workers: a pool of worker goroutines, each owning a forked
-// conflict.Analysis (shared immutable clusters, private cover scratch), a
-// private costCache, and a private heuristic, so CoverSize and gc(S) run
-// lock-free. The engine parallelizes the three hot sections of the A* loop:
+// This file implements the evaluation pool behind Options.Workers. With
+// more than one worker, the pool runs worker goroutines, each owning a
+// forked conflict.Analysis (shared immutable clusters, private cover
+// scratch), a private costCache, and a private heuristic, so cover queries
+// and gc(S) run lock-free. It parallelizes the three hot sections of the
+// A* loop:
 //
 //  1. the children of a popped state are batch-scored (StateCost + gc)
 //     across the workers before being pushed;
-//  2. the goal-test CoverSize of the popped state runs on one worker while
-//     child scoring is still in flight — including, via a speculative
-//     prefetch of the predicted next pop, while the children of the
-//     previous pop are still being scored;
+//  2. the goal-test cover query of the popped state runs while child
+//     scoring is still in flight — including, via a speculative prefetch
+//     of the predicted next pop, while the children of the previous pop
+//     are still being scored — and fans out across the workers when it
+//     touches many conflict components;
 //  3. after a goal tightens τ, the open-list re-estimation fans out across
 //     the workers.
+//
+// With one worker the pool is inline: it starts no goroutine, its worker
+// is the searcher's own analysis, heuristic and cost cache, and a task
+// runs on the coordinator only when its handle is waited — a discarded
+// task never runs.
 //
 // Determinism: workers only compute pure functions of (state, τ) — cover
 // queries on forked analyses and gc under memoized deterministic weights
 // return bit-identical values on every worker — and the coordinator commits
-// results in generation order with the same seq tie-breakers the sequential
-// loop would assign, so which worker finishes first never influences the
-// search. See runPar in astar.go.
+// results in generation order with the same seq tie-breakers at every
+// worker count, so which worker finishes first never influences the
+// search. See run in astar.go.
 
 // lockedWeights makes one weights.Func usable from every worker: the
 // underlying implementations memoize into unsynchronized maps, so all
@@ -50,12 +55,12 @@ func newLockedWeights(w weights.Func) *lockedWeights {
 // Weight implements weights.Func.
 func (l *lockedWeights) Weight(y relation.AttrSet) float64 {
 	l.mu.Lock()
+	defer l.mu.Unlock() // a panicking weighting must not wedge the other workers
 	v, ok := l.cache[y]
 	if !ok {
 		v = l.w.Weight(y)
 		l.cache[y] = v
 	}
-	l.mu.Unlock()
 	return v
 }
 
@@ -67,6 +72,7 @@ type worker struct {
 	an    *conflict.Analysis
 	h     *heuristic
 	costs *costCache
+	cover conflict.CoverStats // refinement effort of this pool's tasks
 }
 
 // evalPool runs evaluation tasks for one search call. Tasks are closures
@@ -75,36 +81,31 @@ type worker struct {
 type evalPool struct {
 	searcher *Searcher
 	workers  []*worker
-	tasks    chan func(*worker)
+	tasks    chan func(*worker) // nil for the inline pool
 	wg       sync.WaitGroup
 
 	panicMu  sync.Mutex
 	panicErr error // first worker panic, as a *PanicError
 }
 
-// newEvalPool forks the searcher's analysis once per worker and starts the
-// worker goroutines. n must be >= 1.
+// newEvalPool builds the pool for n >= 1 workers. One worker makes the
+// inline pool over the searcher's own state; more fork the searcher's
+// analysis once per worker and start the worker goroutines.
 func newEvalPool(s *Searcher, n int) *evalPool {
-	p := &evalPool{
-		searcher: s,
-		workers:  make([]*worker, n),
-		tasks:    make(chan func(*worker), 4*n),
+	p := &evalPool{searcher: s}
+	if n == 1 {
+		p.workers = []*worker{{an: s.An, h: s.h, costs: s.costs}}
+		return p
 	}
+	p.workers = make([]*worker, n)
+	// The buffer lets the coordinator queue a pop's cover query, its
+	// prefetch and a child batch without blocking on busy workers.
+	p.tasks = make(chan func(*worker), 4*n)
 	lw := newLockedWeights(s.W)
 	for i := range p.workers {
 		costs := &costCache{w: lw}
-		an := s.An.Fork()
-		// Each worker's fork carries its own partition cache — no locks,
-		// dropped again when the fork is released. Both branches reset the
-		// fork's cover stats, so close() aggregates this pool's effort
-		// only.
-		if s.Opt.NoPartitionCache {
-			an.DisableCoverCache()
-		} else {
-			an.EnableCoverCache()
-		}
 		p.workers[i] = &worker{
-			an:    an,
+			an:    s.An.Fork(),
 			h:     s.h.fork(costs),
 			costs: costs,
 		}
@@ -127,8 +128,10 @@ func newEvalPool(s *Searcher, n int) *evalPool {
 // later panics are dropped. The worker keeps draining tasks afterwards —
 // submitters still block on their completion signals, and every task
 // completes its slot via defer, so wait() never deadlocks on a panicked
-// task.
+// task. The task's cover-query refinement effort is added to the worker's
+// counters.
 func (p *evalPool) run(w *worker, task func(*worker)) {
+	before := w.an.CoverStats()
 	defer func() {
 		if r := recover(); r != nil {
 			p.panicMu.Lock()
@@ -137,6 +140,7 @@ func (p *evalPool) run(w *worker, task func(*worker)) {
 			}
 			p.panicMu.Unlock()
 		}
+		w.cover = w.cover.Add(w.an.CoverStats().Sub(before))
 	}()
 	task(w)
 }
@@ -152,133 +156,136 @@ func (p *evalPool) err() error {
 // workers' cover-query counters into the searcher, and returns the forked
 // analyses to the shared pool.
 func (p *evalPool) close() {
-	close(p.tasks)
-	p.wg.Wait()
+	if p.tasks != nil {
+		close(p.tasks)
+		p.wg.Wait()
+	}
 	// After a panic the forks' private scratch may be mid-update; dropping
 	// them instead of releasing keeps the shared analysis pool clean, so
 	// the session stays usable for the next sweep.
 	poisoned := p.err() != nil
 	for _, w := range p.workers {
-		if poisoned {
-			continue
+		p.searcher.coverStats = p.searcher.coverStats.Add(w.cover)
+		if p.tasks != nil && !poisoned {
+			w.an.Release()
 		}
-		p.searcher.coverStats = p.searcher.coverStats.Add(w.an.CoverStats())
-		w.an.Release()
 	}
 }
 
-// coverTask is one in-flight CoverSize query.
+// batch tracks a group of submitted tasks. Worker goroutines never cancel
+// a task — they must not outlive the buffers a task reads — so discard
+// waits for them; the inline pool holds its tasks in lazy until wait runs
+// them on the coordinator, and discard drops them unrun.
+type batch struct {
+	p    *evalPool
+	wg   sync.WaitGroup
+	lazy []func(*worker)
+}
+
+// submit queues the task on the workers, or on the batch for an inline
+// pool.
+func (b *batch) submit(task func(*worker)) {
+	if b.p.tasks == nil {
+		b.lazy = append(b.lazy, task)
+		return
+	}
+	b.wg.Add(1)
+	b.p.tasks <- func(w *worker) {
+		defer b.wg.Done()
+		task(w)
+	}
+}
+
+// wait runs the batch's lazy tasks and blocks until every task has run.
+func (b *batch) wait() {
+	for _, task := range b.lazy {
+		b.p.run(b.p.workers[0], task)
+	}
+	b.lazy = nil
+	b.wg.Wait()
+}
+
+// discard drops the tasks that have not run and waits for the rest.
+func (b *batch) discard() {
+	b.lazy = nil
+	b.wg.Wait()
+}
+
+// coverTask is one in-flight cover query.
 type coverTask struct {
-	forNode *node // the open-list node this query was started for, if any
-	ch      chan int
+	batch
+	forNode *node        // the open-list node this query was started for, if any
+	size    int          // the answer of a single-task query; -1 until it completes
+	chunks  []coverChunk // the per-chunk delta sums of a fanned-out query
 }
 
-// startCover submits a CoverSize query for the state and returns without
-// waiting. forNode tags speculative prefetches with the predicted node so
-// the coordinator can match them against the actual next pop. With
-// decomposition on, queries touching many components fan out across the
-// workers (see startCoverDecomposed); otherwise one worker answers.
-func (p *evalPool) startCover(st State, forNode *node) *coverTask {
-	t := &coverTask{forNode: forNode, ch: make(chan int, 1)}
-	if ev := p.searcher.decomp; ev != nil {
-		p.startCoverDecomposed(ev, st, t)
-		return t
-	}
-	p.tasks <- func(w *worker) {
-		// The deferred send keeps wait() from deadlocking when CoverSize
-		// panics; the coordinator sees the pool error before trusting the
-		// zero result.
-		size := -1
-		defer func() { t.ch <- size }()
-		size = w.an.CoverSize(st)
-	}
-	return t
+// coverChunk is one fan-out chunk's share of a decomposed cover query.
+type coverChunk struct {
+	dLen2, dPairs int64
+	ok            bool
 }
 
 // coverChunkMin is the minimum number of affected components worth a
 // fan-out chunk; below 2× this, one worker answers the whole query.
 const coverChunkMin = 8
 
-// coverFanout gathers the per-chunk delta sums of one decomposed cover
-// query. The sums are integers, so the combined result is independent of
-// chunk completion order; the last chunk to finish — successful or not —
-// sends on the task channel, so wait() never deadlocks even when a chunk
-// panics (the coordinator checks the pool error before trusting -1).
-type coverFanout struct {
-	t       *coverTask
-	ev      *components.Evaluator
-	pending atomic.Int32
-	dLen2   atomic.Int64
-	dPairs  atomic.Int64
-	failed  atomic.Bool
-}
-
-func (f *coverFanout) finish(ok bool, dLen2, dPairs int64) {
-	if ok {
-		f.dLen2.Add(dLen2)
-		f.dPairs.Add(dPairs)
-	} else {
-		f.failed.Store(true)
+// startCover submits a cover query for the state through the component
+// evaluator and returns without waiting. forNode tags speculative
+// prefetches with the predicted node so the coordinator can match them
+// against the actual next pop. With several workers and enough affected
+// components, the components are chunked across the pool (cross-component
+// parallelism per pop); smaller queries run as one task, where the
+// per-component memo usually answers most of the work anyway.
+func (p *evalPool) startCover(st State, forNode *node) *coverTask {
+	t := &coverTask{batch: batch{p: p}, forNode: forNode, size: -1}
+	ev := p.searcher.decomp
+	var comps []int32
+	if len(p.workers) > 1 {
+		comps = ev.Affected(st)
 	}
-	if f.pending.Add(-1) != 0 {
-		return
+	if len(comps) < 2*coverChunkMin {
+		t.submit(func(w *worker) { t.size = ev.CoverSize(w.an, st) })
+		return t
 	}
-	if f.failed.Load() {
-		f.t.ch <- -1
-		return
-	}
-	f.t.ch <- f.ev.Combine(f.dLen2.Load(), f.dPairs.Load())
-}
-
-// startCoverDecomposed answers one cover query through the component
-// evaluator: enough affected components and workers → the components are
-// chunked across the pool (cross-component parallelism per pop); small
-// queries run on one worker, where the per-component memo usually answers
-// most of the work anyway.
-func (p *evalPool) startCoverDecomposed(ev *components.Evaluator, st State, t *coverTask) {
-	comps := ev.Affected(st)
-	if len(p.workers) < 2 || len(comps) < 2*coverChunkMin {
-		p.tasks <- func(w *worker) {
-			size := -1
-			defer func() { t.ch <- size }()
-			size = ev.CoverSize(w.an, st)
-		}
-		return
-	}
-	chunks := len(p.workers)
-	if max := (len(comps) + coverChunkMin - 1) / coverChunkMin; chunks > max {
-		chunks = max
-	}
+	n := min(len(p.workers), (len(comps)+coverChunkMin-1)/coverChunkMin)
 	ev.CountParallel(len(comps))
-	f := &coverFanout{t: t, ev: ev}
-	f.pending.Store(int32(chunks))
-	per := (len(comps) + chunks - 1) / chunks
-	for i := 0; i < chunks; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > len(comps) {
-			hi = len(comps)
-		}
-		chunk := comps[lo:hi]
-		p.tasks <- func(w *worker) {
-			ok := false
-			var dLen2, dPairs int64
-			defer func() { f.finish(ok, dLen2, dPairs) }()
-			dLen2, dPairs = ev.EvalDelta(w.an, chunk, st)
-			ok = true
-		}
+	t.chunks = make([]coverChunk, n)
+	per := (len(comps) + n - 1) / n
+	for i := range t.chunks {
+		c := &t.chunks[i]
+		part := comps[i*per : min((i+1)*per, len(comps))]
+		t.submit(func(w *worker) {
+			c.dLen2, c.dPairs = ev.EvalDelta(w.an, part, st)
+			c.ok = true
+		})
 	}
+	return t
 }
 
-// wait blocks until the query finishes and returns the cover size.
-func (t *coverTask) wait() int { return <-t.ch }
+// wait blocks until the query finishes and returns the cover size, or -1
+// if a task panicked. The chunk sums are integers, so the combined result
+// is independent of chunk completion order.
+func (t *coverTask) wait() int {
+	t.batch.wait()
+	if t.chunks == nil {
+		return t.size
+	}
+	var dLen2, dPairs int64
+	for _, c := range t.chunks {
+		if !c.ok {
+			return -1
+		}
+		dLen2 += c.dLen2
+		dPairs += c.dPairs
+	}
+	return t.p.searcher.decomp.Combine(dLen2, dPairs)
+}
 
-// discard waits for the query to finish and drops the result. Tasks are
-// never cancelled — workers must not outlive the buffers a task reads — so
-// a mispredicted prefetch is simply drained.
+// discard drops the query's result (a mispredicted prefetch, or an early
+// exit).
 func (t *coverTask) discard() {
 	if t != nil {
-		<-t.ch
+		t.batch.discard()
 	}
 }
 
@@ -292,9 +299,8 @@ type childScore struct {
 // at the index of their state, so gathering preserves generation order no
 // matter which worker finished first.
 type scoreBatch struct {
-	states []State
+	batch
 	scores []childScore
-	wg     sync.WaitGroup
 }
 
 // startScore submits one evaluation task per child under the given τ. The
@@ -305,46 +311,34 @@ func (p *evalPool) startScore(states []State, tau int, dst []childScore) *scoreB
 	if cap(dst) < len(states) {
 		dst = make([]childScore, len(states))
 	}
-	b := &scoreBatch{states: states, scores: dst[:len(states)]}
-	b.wg.Add(len(states))
+	b := &scoreBatch{batch: batch{p: p}, scores: dst[:len(states)]}
 	heuristicOn := !p.searcher.Opt.BestFirst
 	ds := p.searcher.ds
-	for i := range states {
-		i := i
-		p.tasks <- func(w *worker) {
-			defer b.wg.Done()
-			cost := w.costs.StateCost(b.states[i])
+	for i, st := range states {
+		b.submit(func(w *worker) {
+			cost := w.costs.StateCost(st)
 			gc := cost
 			if heuristicOn {
-				gc = w.h.gc(b.states[i], ds, tau)
+				gc = w.h.gc(st, ds, tau)
 			}
 			b.scores[i] = childScore{cost: cost, gc: gc}
-		}
+		})
 	}
 	return b
 }
 
 // wait blocks until every child of the batch is scored.
 func (b *scoreBatch) wait() []childScore {
-	b.wg.Wait()
+	b.batch.wait()
 	return b.scores
 }
 
-// discard waits for the batch and drops the scores (used when a goal
-// tightened τ underneath a speculative evaluation, or on early exit).
-func (b *scoreBatch) discard() {
-	if b != nil {
-		b.wg.Wait()
-	}
-}
-
 // reestimate recomputes gc for every open-list node under the tightened τ,
-// fanning the nodes out across the workers in contiguous chunks. Nodes keep
-// their slice positions, so the caller's sequential compaction pass visits
-// them in exactly the order the sequential engine would.
+// in contiguous chunks across the workers. Nodes keep their slice
+// positions, so the caller's compaction pass visits them in the same order
+// at every worker count.
 func (p *evalPool) reestimate(nodes []*node, tau int) {
-	heuristicOn := !p.searcher.Opt.BestFirst
-	if !heuristicOn {
+	if p.searcher.Opt.BestFirst {
 		for _, m := range nodes {
 			m.gc = m.cost
 		}
@@ -355,20 +349,14 @@ func (p *evalPool) reestimate(nodes []*node, tau int) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	var wg sync.WaitGroup
+	b := &batch{p: p}
 	for lo := 0; lo < len(nodes); lo += chunk {
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		part := nodes[lo:hi]
-		wg.Add(1)
-		p.tasks <- func(w *worker) {
-			defer wg.Done()
+		part := nodes[lo:min(lo+chunk, len(nodes))]
+		b.submit(func(w *worker) {
 			for _, m := range part {
 				m.gc = w.h.gc(m.state, ds, tau)
 			}
-		}
+		})
 	}
-	wg.Wait()
+	b.wait()
 }

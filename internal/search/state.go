@@ -6,45 +6,41 @@
 //
 // # Concurrency model
 //
-// With Options.Workers > 1 the engine evaluates concurrently while
-// exploring identically: each worker goroutine owns a conflict.Analysis
-// fork (shared immutable clusters and code columns, private cover
-// scratch), a private cost cache over one mutex-guarded weighting, and a
-// private heuristic, so per-state CoverSize and gc run lock-free. Each
-// fork also carries a private partition cache (unless
-// Options.NoPartitionCache): cover queries memoize refined cluster
-// partitions by (cluster, extension-set), and — because the coordinator
-// pops a parent before scoring its children, and a child extends exactly
-// one position by one attribute under the single-parent rule — a child's
-// query usually refines one step off the parent's hot snapshot instead of
-// from scratch. The coordinator fans out (1) successor scoring for each
+// One A* loop serves every worker count; its evaluations go through an
+// evaluation pool. With Options.Workers > 1 each worker goroutine owns a
+// conflict.Analysis fork (shared immutable clusters and code columns,
+// private cover scratch), a private cost cache over one mutex-guarded
+// weighting, and a private heuristic, so per-state cover queries and gc
+// run lock-free. The coordinator fans out (1) successor scoring for each
 // popped state, (2) the goal-test cover query — prefetched for the
 // predicted next pop while the previous pop's children are still being
-// scored — and (3) open-list re-estimation after a goal tightens τ.
+// scored — and (3) open-list re-estimation after a goal tightens τ. With
+// Workers: 1 the pool is inline: no goroutine starts, the searcher's own
+// analysis and caches answer, and each evaluation runs only when the loop
+// waits for it, so speculation that would be discarded never runs.
 //
 // Determinism guarantee: results are bit-identical for every worker count.
 // Workers compute pure functions of (state, τ); the coordinator alone
-// touches the open list, commits child scores in generation order with the
-// sequential engine's seq tie-breakers, and discards (never reuses)
+// touches the open list, commits child scores in generation order with
+// seq tie-breakers in generation order, and discards (never reuses)
 // speculative work invalidated by a goal. Find, FindRange, goal order,
-// costs, cover sizes, and effort stats all match Workers: 1 exactly.
+// costs, cover sizes, and effort stats match Workers: 1 exactly.
 //
 // # Component-decomposed cover queries
 //
-// Unless Options.NoDecomposition is set, the per-state goal-test cover
-// query is evaluated through a components.Evaluator (see
-// internal/components): the conflict hypergraph is split into connected
-// components once per analysis, each query computes per-component cover
-// deltas — memoized by the extension's projection onto the component's
-// relevant attributes — and the global answer is merged as
-// min(Σ len2_c, 2·Σ pairs_c), which equals the monolithic two-pass
-// result exactly (cluster epochs never cross components). Queries that
-// touch many components are chunked across the worker pool; the merge
-// sums integers, so it is order-independent and the determinism
-// guarantee above extends across the decomposition knob: frontiers are
-// bit-identical with decomposition on or off, at every worker count.
-// Options.Decomp lets a session engine share one evaluator (its memo
-// warms across sweeps) between searchers over the same root analysis.
+// Every goal-test cover query is evaluated through a components.Evaluator
+// (see internal/components): the conflict hypergraph is split into
+// connected components once per analysis, each query computes
+// per-component cover deltas — memoized by the extension's projection
+// onto the component's relevant attributes — and the global answer is
+// merged as min(Σ len2_c, 2·Σ pairs_c), which equals the monolithic
+// two-pass conflict.Analysis.CoverSize exactly (cluster epochs never
+// cross components). Queries that touch many components are chunked
+// across the worker pool; the merge sums integers, so it is
+// order-independent. The test suite pins the engine against a sequential
+// reference loop whose goal tests are monolithic. Options.Decomp lets a
+// session engine share one evaluator (its memo warms across sweeps)
+// between searchers over the same root analysis.
 //
 // # Cancellation and errors
 //

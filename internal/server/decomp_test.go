@@ -8,22 +8,23 @@ import (
 	"testing"
 )
 
-// TestRepairStreamDecompositionByteIdentical pins the decomposition at the
-// wire: the NDJSON frontier stream of a decomposed sweep is byte-identical
-// to a no_decomposition sweep of the same request, and the subsequent
-// /statz and /metrics expose the component counters of the last finished
-// (decomposed) sweep.
+// TestRepairStreamDecompositionByteIdentical pins the retired engine
+// knobs at the wire: a request carrying no_decomposition and
+// no_partition_cache is accepted and streams a frontier byte-identical to
+// the same request without them, and the subsequent /statz and /metrics
+// expose the component counters of the last finished sweep.
 func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	registerCities(t, ts.URL)
 
-	sweep := func(noDecomp bool) string {
+	sweep := func(retired bool) string {
 		resp := postJSON(t, ts.URL+"/v1/repair", RepairRequest{
-			Dataset:         "cities",
-			FDs:             multiFDs,
-			Workers:         4,
-			NoDecomposition: noDecomp,
-			IncludeChanges:  true,
+			Dataset:          "cities",
+			FDs:              multiFDs,
+			Workers:          4,
+			NoDecomposition:  retired,
+			NoPartitionCache: retired,
+			IncludeChanges:   true,
 		})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -37,12 +38,12 @@ func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 		return string(body)
 	}
 
-	monolithic := sweep(true)
-	decomposed := sweep(false)
-	if monolithic != decomposed {
-		t.Fatalf("decomposed stream differs from monolithic stream:\ndecomposed:\n%s\nmonolithic:\n%s", decomposed, monolithic)
+	withKnobs := sweep(true)
+	plain := sweep(false)
+	if withKnobs != plain {
+		t.Fatalf("retired knobs changed the stream:\nwithout:\n%s\nwith:\n%s", plain, withKnobs)
 	}
-	if !strings.Contains(decomposed, "\n") {
+	if !strings.Contains(plain, "\n") {
 		t.Fatal("stream carried no frames")
 	}
 
@@ -88,5 +89,30 @@ func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 		if !strings.Contains(string(metrics), name+`{dataset="cities"}`) {
 			t.Fatalf("/metrics misses %s for the dataset:\n%s", name, metrics)
 		}
+	}
+}
+
+// TestDiscoverThenRepairIgnoresRetiredKnobs: a discover_then_repair
+// request carrying no_decomposition and no_partition_cache is accepted
+// and streams bytes identical to the same request without them.
+func TestDiscoverThenRepairIgnoresRetiredKnobs(t *testing.T) {
+	ts, _, _ := newTestServer(t, Options{})
+	registerPaper(t, ts.URL)
+
+	req := DiscoverRequest{Dataset: "paper", MaxLHS: 2, MaxError: 0.3, Mode: modeDiscoverThenRepair, Seed: 9}
+	status, plain := goldenBody(t, http.MethodPost, ts.URL+"/v1/discover", req, "")
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, plain)
+	}
+	req.NoDecomposition, req.NoPartitionCache = true, true
+	status, withKnobs := goldenBody(t, http.MethodPost, ts.URL+"/v1/discover", req, "")
+	if status != http.StatusOK {
+		t.Fatalf("status %d with the retired knobs: %s", status, withKnobs)
+	}
+	if string(plain) != string(withKnobs) {
+		t.Fatalf("retired knobs changed the stream:\nwithout:\n%s\nwith:\n%s", plain, withKnobs)
+	}
+	if !strings.Contains(string(plain), `"sigma"`) || strings.Count(string(plain), "\n") < 3 {
+		t.Fatalf("stream lacks the mining and repair sections:\n%s", plain)
 	}
 }

@@ -39,9 +39,9 @@ type DiscoverRequest struct {
 	// (discover_then_repair only); TauHigh nil or negative means δP(Σ, I).
 	TauLow  int  `json:"tau_low,omitempty"`
 	TauHigh *int `json:"tau_high,omitempty"`
-	// Weights, BestFirst, Workers, Seed, MaxVisited, NoPartitionCache,
-	// NoDecomposition, IncludeChanges tune the appended sweep exactly as
-	// on /v1/repair.
+	// Weights, BestFirst, Workers, Seed, MaxVisited, IncludeChanges tune
+	// the appended sweep exactly as on /v1/repair; NoPartitionCache and
+	// NoDecomposition are accepted and ignored there, and here.
 	Weights          string `json:"weights,omitempty"`
 	BestFirst        bool   `json:"best_first,omitempty"`
 	Workers          int    `json:"workers,omitempty"`
@@ -268,18 +268,16 @@ func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverReques
 		return 0, relatrust.ErrEmptyFDSet
 	}
 	rreq := RepairRequest{
-		Dataset:          req.Dataset,
-		TauLow:           req.TauLow,
-		TauHigh:          req.TauHigh,
-		Weights:          req.Weights,
-		BestFirst:        req.BestFirst,
-		Workers:          req.Workers,
-		Seed:             req.Seed,
-		MaxVisited:       req.MaxVisited,
-		NoPartitionCache: req.NoPartitionCache,
-		NoDecomposition:  req.NoDecomposition,
-		IncludeChanges:   req.IncludeChanges,
-		TimeoutMS:        req.TimeoutMS,
+		Dataset:        req.Dataset,
+		TauLow:         req.TauLow,
+		TauHigh:        req.TauHigh,
+		Weights:        req.Weights,
+		BestFirst:      req.BestFirst,
+		Workers:        req.Workers,
+		Seed:           req.Seed,
+		MaxVisited:     req.MaxVisited,
+		IncludeChanges: req.IncludeChanges,
+		TimeoutMS:      req.TimeoutMS,
 	}
 	opt, err := s.options(d, rreq, in, sess)
 	if err != nil {

@@ -1,7 +1,7 @@
 package server
 
-// Native fuzz targets for the service's two untrusted decode paths: the
-// JSON repair-request body and the CSV dataset upload. Plain `go test`
+// Native fuzz targets for the service's untrusted decode paths: the JSON
+// repair- and discover-request bodies and the CSV dataset upload. Plain `go test`
 // replays the f.Add seeds plus the checked-in corpora under testdata/fuzz
 // (CI's fuzz-regression step); `go test -fuzz FuzzX` explores further.
 
@@ -23,6 +23,7 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		[]byte(`{"dataset":"cities","fds":"A,B->C; D->E","tau":0,"workers":4,"best_first":true}`),
 		[]byte(`{"dataset":"x","fds":"A->B","tau_low":1,"tau_high":3,"timeout_ms":100,"include_changes":true}`),
 		[]byte(`{"dataset":"x","fds":"A->B","k":3,"max":10,"seed":-1,"weights":"entropy"}`),
+		[]byte(`{"dataset":"x","fds":"A->B","no_partition_cache":true,"no_decomposition":true}`),
 		[]byte(`{"unknown_field":true}`),
 		[]byte(`{"tau":18446744073709551615}`),
 		[]byte(`{"dataset":"x","fds":"A->B"}{"trailing":"object"}`),
@@ -51,6 +52,47 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		}
 		if req.Dataset != again.Dataset || req.FDs != again.FDs ||
 			(req.Tau == nil) != (again.Tau == nil) || (req.TauHigh == nil) != (again.TauHigh == nil) {
+			t.Fatalf("round trip changed the request: %+v vs %+v", req, again)
+		}
+	})
+}
+
+func FuzzDecodeDiscoverRequest(f *testing.F) {
+	seeds := [][]byte{
+		[]byte(`{"dataset":"cities"}`),
+		[]byte(`{"dataset":"cities","max_lhs":2,"max_error":0.3,"max_results":5,"attrs":"City,ZIP"}`),
+		[]byte(`{"dataset":"x","mode":"discover_then_repair","tau_low":1,"tau_high":3,"workers":4,"best_first":true}`),
+		[]byte(`{"dataset":"x","mode":"discover_then_repair","no_partition_cache":true,"no_decomposition":true}`),
+		[]byte(`{"dataset":"x","weights":"mdl","seed":-1,"max_visited":10,"include_changes":true,"timeout_ms":100}`),
+		[]byte(`{"unknown_field":true}`),
+		[]byte(`{"max_error":1e400}`),
+		[]byte(`{"dataset":"x"}{"trailing":"object"}`),
+		[]byte(`null`),
+		[]byte(``),
+		[]byte("{\"attrs\":\"\xff\xfe\"}"),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeDiscoverRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// Same round-trip property as FuzzDecodeRepairRequest: an
+		// accepted request re-encodes, and the encoding decodes back to
+		// the same request.
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request fails to re-marshal: %v", err)
+		}
+		again, err := decodeDiscoverRequest(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("re-marshaled request fails to decode: %v", err)
+		}
+		if req.Dataset != again.Dataset || req.Attrs != again.Attrs || req.Mode != again.Mode ||
+			req.MaxLHS != again.MaxLHS || req.MaxError != again.MaxError || req.MaxResults != again.MaxResults ||
+			(req.TauHigh == nil) != (again.TauHigh == nil) {
 			t.Fatalf("round trip changed the request: %+v vs %+v", req, again)
 		}
 	})

@@ -12,14 +12,15 @@ import (
 // scrape config with no client library. Per-dataset series carry a
 // dataset label; dataset names are emitted in sorted order and the label
 // value is escaped per the format's rules, so output for a fixed registry
-// state is deterministic (golden-tested).
+// state is deterministic (golden-tested). Series named *_total are
+// counters; the rest are gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	body := s.statzBody()
 	var b strings.Builder
 
 	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, formatMetric(v))
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			name, help, name, metricType(name), name, formatMetric(v))
 	}
 	gauge("relatrust_uptime_seconds", "Seconds since the server started.", body.UptimeSeconds)
 	gauge("relatrust_datasets", "Registered datasets.", float64(body.Sessions))
@@ -55,10 +56,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"relatrust_sweeps_failed_total", "Sweeps failed by an error or recovered panic.", func(d DatasetStatz) float64 { return float64(d.SweepsFailed) }},
 		{"relatrust_sweeps_shed_total", "Sweeps shed with 429 under load.", func(d DatasetStatz) float64 { return float64(d.SweepsShed) }},
 		{"relatrust_rows_streamed_total", "Frontier rows streamed to clients.", func(d DatasetStatz) float64 { return float64(d.RowsStreamed) }},
-		{"relatrust_partition_cache_hit_rate", "Partition-cache hit rate of the last finished sweep.", func(d DatasetStatz) float64 { return d.PartitionCacheHitRate }},
 		{"relatrust_conflict_components", "Conflict-hypergraph components of the last finished sweep.", func(d DatasetStatz) float64 { return float64(d.Components) }},
 		{"relatrust_conflict_largest_component_tuples", "Tuples in the largest conflict component of the last finished sweep.", func(d DatasetStatz) float64 { return float64(d.LargestComponent) }},
-		{"relatrust_component_parallel_evals_total", "Per-component cover evaluations dispatched across the worker pool by the last finished sweep.", func(d DatasetStatz) float64 { return float64(d.ComponentsParallel) }},
+		{"relatrust_component_parallel_evals_total", "Per-component cover evaluations dispatched across the worker pool, summed over the sweeps sharing the last finished sweep's conflict analysis; restarts when a new analysis is built.", func(d DatasetStatz) float64 { return float64(d.ComponentsParallel) }},
 		{"relatrust_session_acquires_total", "Analyses handed out by the shared session.", func(d DatasetStatz) float64 { return float64(d.SessionAcquires) }},
 		{"relatrust_session_builds_total", "Analyses built from scratch by the shared session.", func(d DatasetStatz) float64 { return float64(d.SessionBuilds) }},
 		{"relatrust_dataset_generation", "Current mutation generation of the dataset.", func(d DatasetStatz) float64 { return float64(d.Generation) }},
@@ -66,7 +66,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"relatrust_components_dirtied_total", "Conflict components whose memoized cover state mutations invalidated.", func(d DatasetStatz) float64 { return float64(d.ComponentsDirtied) }},
 	}
 	for _, m := range perDataset {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, metricType(m.name))
 		// %q escapes backslash and quote exactly as the exposition format
 		// wants; newlines cannot occur in dataset names by validation.
 		for _, d := range body.Datasets {
@@ -77,6 +77,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))
+}
+
+// metricType returns the exposition type of a series: the format reserves
+// the _total suffix for counters.
+func metricType(name string) string {
+	if strings.HasSuffix(name, "_total") {
+		return "counter"
+	}
+	return "gauge"
 }
 
 // formatMetric renders a sample value the way Prometheus expects: integral

@@ -42,14 +42,17 @@ type RepairRequest struct {
 	// Weights selects the FD-modification weighting: attr-count,
 	// distinct-count (default), entropy, or mdl.
 	Weights string `json:"weights,omitempty"`
-	// BestFirst, Workers, Seed, MaxVisited, NoPartitionCache,
-	// NoDecomposition mirror relatrust.Options.
-	BestFirst        bool  `json:"best_first,omitempty"`
-	Workers          int   `json:"workers,omitempty"`
-	Seed             int64 `json:"seed,omitempty"`
-	MaxVisited       int   `json:"max_visited,omitempty"`
-	NoPartitionCache bool  `json:"no_partition_cache,omitempty"`
-	NoDecomposition  bool  `json:"no_decomposition,omitempty"`
+	// BestFirst, Workers, Seed, MaxVisited mirror relatrust.Options.
+	BestFirst  bool  `json:"best_first,omitempty"`
+	Workers    int   `json:"workers,omitempty"`
+	Seed       int64 `json:"seed,omitempty"`
+	MaxVisited int   `json:"max_visited,omitempty"`
+	// NoPartitionCache and NoDecomposition named engine knobs that no
+	// longer exist. They are accepted and ignored for one release, so
+	// clients that still send them keep working; the sweep is the same
+	// either way.
+	NoPartitionCache bool `json:"no_partition_cache,omitempty"`
+	NoDecomposition  bool `json:"no_decomposition,omitempty"`
 
 	// TimeoutMS imposes a server-side deadline on the sweep; exceeding it
 	// reports deadline_exceeded. 0 means no deadline beyond the client's.
@@ -159,13 +162,11 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (repairCall, bo
 // weighting describes the rows the sweep actually repairs.
 func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, sess *relatrust.Session) (relatrust.Options, error) {
 	opt := relatrust.Options{
-		BestFirst:        req.BestFirst,
-		Seed:             req.Seed,
-		MaxVisited:       req.MaxVisited,
-		Workers:          req.Workers,
-		NoPartitionCache: req.NoPartitionCache,
-		NoDecomposition:  req.NoDecomposition,
-		Session:          sess,
+		BestFirst:  req.BestFirst,
+		Seed:       req.Seed,
+		MaxVisited: req.MaxVisited,
+		Workers:    req.Workers,
+		Session:    sess,
 	}
 	if opt.Workers == 0 {
 		opt.Workers = s.opt.Workers
@@ -181,7 +182,6 @@ func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, 
 	opt.Progress = func(ev relatrust.ProgressEvent) {
 		if ev.Kind == relatrust.ProgressSweepFinished {
 			d.mu.Lock()
-			d.lastHitRate = ev.CacheHitRate
 			d.lastComponents = ev.Components
 			d.lastLargestComponent = ev.LargestComponent
 			d.lastComponentsParallel = ev.ComponentsParallel

@@ -405,6 +405,43 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // TestMetricsGolden freezes the clock, runs one deterministic sweep, and
 // pins the full Prometheus exposition output.
 func TestMetricsGolden(t *testing.T) {
+	checkGolden(t, "metrics.golden", scrapeMetricsFixture(t))
+}
+
+// TestMetricsTotalsAreCounters: the exposition format reserves the _total
+// suffix for counters, so every exposed series named *_total must be
+// typed counter, and every other series gauge.
+func TestMetricsTotalsAreCounters(t *testing.T) {
+	types := map[string]string{}
+	totals := 0
+	for _, line := range strings.Split(string(scrapeMetricsFixture(t)), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		want := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			want = "counter"
+			totals++
+		}
+		if types[name] != want {
+			t.Errorf("%s is typed %q, want %q", name, types[name], want)
+		}
+	}
+	if totals == 0 {
+		t.Fatal("no *_total series exposed")
+	}
+}
+
+// scrapeMetricsFixture returns the /metrics body of a server with a store,
+// two datasets, a frozen clock and one finished sweep.
+func scrapeMetricsFixture(t *testing.T) []byte {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{Logger: quietLogger()})
 	if err != nil {
@@ -419,9 +456,9 @@ func TestMetricsGolden(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/datasets", registerRequest{Name: "two", CSV: multiCSV})
 	resp.Body.Close()
 
-	// One finished sequential sweep gives stable nonzero counters (the
-	// partition-cache hit rate of the parallel engine varies with
-	// GOMAXPROCS; workers=1 does not).
+	// One finished single-worker sweep gives stable nonzero counters (the
+	// parallel cover fan-out count varies with GOMAXPROCS; workers=1 does
+	// not fan out).
 	raw, err := json.Marshal(RepairRequest{Dataset: "paper", FDs: paperFDs, Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -439,11 +476,14 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("metrics Content-Type = %q", ct)
 	}
-	checkGolden(t, "metrics.golden", body)
+	return body
 }

@@ -28,6 +28,12 @@
 // quarantined by the store, never fatal). Row mutations write through
 // before they commit, so a restart never resurrects pre-mutation rows.
 //
+// Request bodies are decoded strictly: an unknown field is a 400. The
+// retired engine knobs no_partition_cache and no_decomposition therefore
+// stay in RepairRequest and DiscoverRequest for one release, accepted and
+// ignored — the search has a single cover path, so they cannot change a
+// response — and job ids never hashed them.
+//
 // # Mutations and generations
 //
 // Each dataset carries a mutation generation, advanced by every committed
@@ -74,7 +80,7 @@
 //
 // # Panic isolation
 //
-// A panic anywhere in a request — handler, sweep, or a parallel search
+// A panic anywhere in a request — handler, sweep, or a search evaluation
 // worker (contained in the search layer and surfaced as a
 // relatrust.PanicError) — fails that request only: before the response
 // header is committed it becomes a structured 500 internal_panic; after,
@@ -247,7 +253,6 @@ type dataset struct {
 	sweepsFailed    int64
 	sweepsShed      int64
 	rowsStreamed    int64
-	lastHitRate     float64
 	// last* component fields describe the conflict-hypergraph
 	// decomposition reported by the most recently finished sweep.
 	lastComponents         int
@@ -733,15 +738,13 @@ type DatasetStatz struct {
 	// semaphore or the global in-flight cap was saturated.
 	SweepsShed   int64 `json:"sweeps_shed"`
 	RowsStreamed int64 `json:"rows_streamed"`
-	// PartitionCacheHitRate is the hit rate reported by the most recently
-	// finished sweep (0 until one finishes).
-	PartitionCacheHitRate float64 `json:"partition_cache_hit_rate"`
 	// Components and LargestComponent describe the conflict-hypergraph
 	// decomposition of the most recently finished sweep (component count
 	// and biggest component's tuple count); ComponentsParallel counts
-	// its per-component cover evaluations dispatched across the worker
-	// pool. All zero until a sweep finishes or when decomposition was
-	// disabled.
+	// the per-component cover evaluations dispatched across the worker
+	// pool by that sweep's component evaluator, summed over every sweep
+	// sharing it (it restarts when a new analysis is built). All zero
+	// until a sweep finishes.
 	Components         int   `json:"components"`
 	LargestComponent   int   `json:"largest_component"`
 	ComponentsParallel int64 `json:"components_parallel"`
@@ -848,18 +851,17 @@ func (d *dataset) statz() DatasetStatz {
 	d.mu.Lock()
 	warm := d.warm
 	st := DatasetStatz{
-		DatasetInfo:           d.info(),
-		ActiveSweeps:          len(d.sem),
-		SweepsStarted:         d.sweepsStarted,
-		SweepsFinished:        d.sweepsFinished,
-		SweepsCancelled:       d.sweepsCancelled,
-		SweepsFailed:          d.sweepsFailed,
-		SweepsShed:            d.sweepsShed,
-		RowsStreamed:          d.rowsStreamed,
-		PartitionCacheHitRate: d.lastHitRate,
-		Components:            d.lastComponents,
-		LargestComponent:      d.lastLargestComponent,
-		ComponentsParallel:    d.lastComponentsParallel,
+		DatasetInfo:        d.info(),
+		ActiveSweeps:       len(d.sem),
+		SweepsStarted:      d.sweepsStarted,
+		SweepsFinished:     d.sweepsFinished,
+		SweepsCancelled:    d.sweepsCancelled,
+		SweepsFailed:       d.sweepsFailed,
+		SweepsShed:         d.sweepsShed,
+		RowsStreamed:       d.rowsStreamed,
+		Components:         d.lastComponents,
+		LargestComponent:   d.lastLargestComponent,
+		ComponentsParallel: d.lastComponentsParallel,
 	}
 	d.mu.Unlock()
 	lst := d.live.Stats()

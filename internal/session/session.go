@@ -29,9 +29,8 @@
 // releasing go through the root's sync.Pool. Each *acquired analysis* is
 // single-goroutine, exactly like one obtained from conflict.New; after
 // Release the caller must not touch it — the scratch is handed to the next
-// Acquire, and any enabled partition cache is dropped so no snapshot,
-// memory profile, or counter leaks from one owner to the next (see
-// conflict.EnableCoverCache).
+// Acquire, with its cover counters reset so none leaks from one owner to
+// the next.
 package session
 
 import (

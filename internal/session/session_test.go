@@ -179,31 +179,3 @@ func TestForRejectsForeignInstance(t *testing.T) {
 		t.Fatalf("For(nil) must mint a fresh engine, got %v, %v", got, err)
 	}
 }
-
-// TestWarmAcquireWithCoverCache: a fork that had the partition cache
-// enabled, was released, and is re-acquired must still answer cover
-// queries identically — Release drops the cache, so no snapshot ever
-// leaks across Acquire cycles and each cycle re-opts-in.
-func TestWarmAcquireWithCoverCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	in := testkit.RandomInstance(rng, 30, 5, 2)
-	sigma := testkit.RandomFDs(rng, 5, 2, 2)
-	exts := extVectors(rng, 5, sigma)
-	want := queryFingerprint(conflict.New(in, sigma), exts)
-
-	eng := New(in)
-	for cycle := 0; cycle < 4; cycle++ {
-		a := eng.Acquire(sigma)
-		a.EnableCoverCache()
-		// Query twice so the second pass is served from the cache.
-		for rep := 0; rep < 2; rep++ {
-			if got := queryFingerprint(a, exts); got != want {
-				t.Fatalf("cycle %d rep %d: cached queries diverge from conflict.New", cycle, rep)
-			}
-		}
-		if st := a.CoverStats(); cycle > 0 && st.Hits == 0 {
-			t.Fatalf("cycle %d: no cache hits despite repeated identical queries (stats %+v)", cycle, st)
-		}
-		eng.Release(a)
-	}
-}

@@ -208,25 +208,15 @@ type Options struct {
 	MaxVisited int
 	// Workers sets the parallelism of the FD-modification search: successor
 	// evaluation, goal tests, and open-list re-estimation run on this many
-	// goroutines. 0 selects GOMAXPROCS; 1 forces the sequential engine.
-	// Results are identical for every setting.
+	// goroutines. 0 selects GOMAXPROCS; 1 evaluates inline on the calling
+	// goroutine. Results are identical for every setting.
 	Workers int
 	// Session, when non-nil, shares analysis state across calls over the
 	// same instance (see NewSession). Nil gives every call a private
 	// engine (every Repairer, a private session).
 	Session *Session
-	// NoPartitionCache disables the parallel search engine's per-worker
-	// partition cache. Results are identical either way; the knob exists
-	// for memory-constrained runs and measurements.
-	NoPartitionCache bool
-	// NoDecomposition disables conflict-hypergraph decomposition: cover
-	// queries run monolithically over the whole instance instead of
-	// per connected component with memoized, worker-parallel responses.
-	// The frontier is bit-identical either way; the knob exists for
-	// measuring the decomposition's effect and as an escape hatch.
-	NoDecomposition bool
 	// Progress, when non-nil, observes frontier sweeps: τ levels starting
-	// and finishing, states visited, and the partition-cache hit rate.
+	// and finishing, states visited, and the conflict decomposition.
 	// Callbacks run synchronously on the sweeping goroutine and must be
 	// fast; they must not call back into the Repairer.
 	Progress func(ProgressEvent)
@@ -245,11 +235,9 @@ func (o Options) config(in *Instance) repair.Config {
 	return repair.Config{
 		Weights: w,
 		Search: search.Options{
-			BestFirst:        o.BestFirst,
-			MaxVisited:       o.MaxVisited,
-			Workers:          o.Workers,
-			NoPartitionCache: o.NoPartitionCache,
-			NoDecomposition:  o.NoDecomposition,
+			BestFirst:  o.BestFirst,
+			MaxVisited: o.MaxVisited,
+			Workers:    o.Workers,
 		},
 		Seed:       o.Seed,
 		Engine:     o.engine(),

@@ -1,10 +1,11 @@
 package relatrust_test
 
-// Facade-layer pin of the conflict-hypergraph decomposition: the streamed
-// frontier of a decomposed Repairer must equal, point for point and in
-// order, the NoDecomposition frontier of the same instance, for worker
-// counts 1 and 4 — on the CSV fixture and on a generated workload whose
-// conflict graph splits into many components.
+// Facade-layer pin of the conflict-hypergraph decomposition: every point
+// of a Repairer's streamed frontier must carry the δP that a monolithic
+// cover query over the whole instance gives its extension, and the
+// frontier must be the same for worker counts 1 and 4 — on the CSV
+// fixture and on a generated workload whose conflict graph splits into
+// many components.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"relatrust"
+	"relatrust/internal/conflict"
 )
 
 // blockCSV builds a CSV whose Blk,A->B violations stay inside 4-row
@@ -49,11 +51,10 @@ func TestFrontierDecompositionMatchesMonolithic(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			collect := func(workers int, noDecomp bool) []*relatrust.Repair {
+			collect := func(workers int) []*relatrust.Repair {
 				rp, err := relatrust.NewRepairer(in, sigma, relatrust.Options{
-					Workers:         workers,
-					Seed:            7,
-					NoDecomposition: noDecomp,
+					Workers: workers,
+					Seed:    7,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -68,20 +69,25 @@ func TestFrontierDecompositionMatchesMonolithic(t *testing.T) {
 				return out
 			}
 
-			want := collect(1, true)
+			want := collect(1)
 			if len(want) == 0 {
 				t.Fatal("fixture produced an empty frontier")
 			}
-			for _, workers := range []int{1, 4} {
-				got := collect(workers, false)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: decomposed frontier has %d points, monolithic %d", workers, len(got), len(want))
+			mono := conflict.New(in, sigma)
+			alpha := min(in.Schema.Width()-1, len(sigma))
+			for i, r := range want {
+				if got := alpha * mono.CoverSize(r.Ext); r.DeltaP != got {
+					t.Fatalf("frontier point %d (τ=%d): δP %d, monolithic cover query gives %d", i, r.Tau, r.DeltaP, got)
 				}
-				for i := range want {
-					if !equalRepair(want[i], got[i]) {
-						t.Fatalf("workers=%d: frontier point %d differs (decomposed τ=%d δP=%d, monolithic τ=%d δP=%d)",
-							workers, i, got[i].Tau, got[i].DeltaP, want[i].Tau, want[i].DeltaP)
-					}
+			}
+			got := collect(4)
+			if len(got) != len(want) {
+				t.Fatalf("workers=4: frontier has %d points, workers=1 %d", len(got), len(want))
+			}
+			for i := range want {
+				if !equalRepair(want[i], got[i]) {
+					t.Fatalf("workers=4: frontier point %d differs (τ=%d δP=%d, workers=1 τ=%d δP=%d)",
+						i, got[i].Tau, got[i].DeltaP, want[i].Tau, want[i].DeltaP)
 				}
 			}
 		})
