@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 
 	"relatrust/internal/discovery"
+	"relatrust/internal/fd"
 	"relatrust/internal/relation"
 	"relatrust/internal/session"
 )
@@ -130,15 +131,7 @@ func (d *Discoverer) Discover(ctx context.Context) ([]DiscoveredFD, error) {
 	if err != nil && err != errStopFrontier {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FD.RHS != out[j].FD.RHS {
-			return out[i].FD.RHS < out[j].FD.RHS
-		}
-		if out[i].FD.LHS.Len() != out[j].FD.LHS.Len() {
-			return out[i].FD.LHS.Len() < out[j].FD.LHS.Len()
-		}
-		return out[i].FD.LHS < out[j].FD.LHS
-	})
+	slices.SortFunc(out, func(a, b DiscoveredFD) int { return fd.Compare(a.FD, b.FD) })
 	return out, nil
 }
 

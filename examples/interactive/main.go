@@ -1,8 +1,8 @@
 // Interactive simulates a human-in-the-loop cleaning session built from
 // three pieces of the library: sampled alternative repairs (the paper's
-// reference [3] workflow), pinned cells as hard constraints, and the
-// incremental violation tracker that scores each candidate edit without
-// rescanning.
+// reference [3] workflow), pinned cells as hard constraints, and a live
+// dataset that applies each accepted edit as a mutation batch while the
+// violation count is checked after every one.
 //
 // Run with: go run ./examples/interactive
 package main
@@ -11,11 +11,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"relatrust"
 
-	"relatrust/internal/incremental"
-	"relatrust/internal/relation"
 	"relatrust/internal/testkit"
 )
 
@@ -69,24 +68,34 @@ func main() {
 			in.Tuples[c.Tuple][c.Attr], rep.Instance.Tuples[c.Tuple][c.Attr])
 	}
 
-	// Step 3: replay the accepted repair through the incremental tracker,
-	// watching the violation count fall edit by edit.
-	tr := incremental.New(in.Clone(), sigma)
-	fmt.Printf("\nviolating pairs before: %d\n", tr.ViolatingPairs())
-	deltas, err := tr.ApplyRepair(rep.Changed, rep.Instance)
-	if err != nil {
-		log.Fatal(err)
+	// Step 3: replay the accepted repair through a live dataset, one edit
+	// per mutation batch, watching the violation count fall edit by edit.
+	ld := relatrust.NewLiveDataset(in.Clone())
+	pairs := func() int { return len(relatrust.Violations(ld.Rows(), sigma, 0)) }
+	// set applies one cell edit as a batch and returns the change in
+	// violating pairs.
+	set := func(row, attr int, v relatrust.Value) int {
+		before := pairs()
+		t := slices.Clone(ld.Rows().Tuples[row])
+		t[attr] = v
+		if _, err := ld.Apply([]relatrust.RowOp{{Kind: relatrust.RowUpdate, Row: row, Tuple: t}}, nil); err != nil {
+			log.Fatal(err)
+		}
+		return pairs() - before
 	}
-	for i, d := range deltas {
+	fmt.Printf("\nviolating pairs before: %d\n", pairs())
+	for i, c := range rep.Changed {
+		d := set(c.Tuple, c.Attr, rep.Instance.Tuples[c.Tuple][c.Attr])
 		fmt.Printf("  edit %d: Δpairs = %+d\n", i+1, d)
 	}
-	fmt.Printf("violating pairs after: %d (satisfied = %v)\n", tr.ViolatingPairs(), tr.Satisfied())
+	fmt.Printf("violating pairs after: %d (satisfied = %v)\n", pairs(), relatrust.Satisfies(ld.Rows(), sigma))
 
-	// Step 4: an analyst tries a further manual edit; the tracker warns
-	// immediately that it would re-break the FD.
-	if d, _ := tr.Set(4, in.Schema.Index("Manager"), relation.Const("pat")); d > 0 {
+	// Step 4: an analyst tries a further manual edit; the count shows at
+	// once that it would re-break the FD, and the edit is rolled back.
+	manager := in.Schema.Index("Manager")
+	if d := set(4, manager, relatrust.Const("pat")); d > 0 {
 		fmt.Printf("\nmanual edit of eve's manager would create %d new violating pair(s) — rejected\n", d)
-		_, _ = tr.Set(4, in.Schema.Index("Manager"), rep.Instance.Tuples[4][in.Schema.Index("Manager")])
+		set(4, manager, rep.Instance.Tuples[4][manager])
 	}
-	fmt.Printf("final state satisfied: %v\n", tr.Satisfied())
+	fmt.Printf("final state satisfied: %v\n", relatrust.Satisfies(ld.Rows(), sigma))
 }

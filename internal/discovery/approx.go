@@ -2,7 +2,7 @@ package discovery
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -79,14 +79,6 @@ func DiscoverApprox(in *relation.Instance, opt ApproxOptions) ([]ApproxFD, error
 	if serr != nil && serr != errStopDiscover {
 		return nil, serr
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FD.RHS != out[j].FD.RHS {
-			return out[i].FD.RHS < out[j].FD.RHS
-		}
-		if out[i].FD.LHS.Len() != out[j].FD.LHS.Len() {
-			return out[i].FD.LHS.Len() < out[j].FD.LHS.Len()
-		}
-		return out[i].FD.LHS < out[j].FD.LHS
-	})
+	slices.SortFunc(out, func(a, b ApproxFD) int { return fd.Compare(a.FD, b.FD) })
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func referenceDiscover(in *relation.Instance, opt Options) fd.Set {
 					found[a] = append(found[a], x)
 					out = append(out, fd.MustNew(x, a))
 					if opt.MaxResults > 0 && len(out) >= opt.MaxResults {
-						sortFDs(out)
+						slices.SortFunc(out, fd.Compare)
 						return out
 					}
 				}
@@ -82,7 +83,7 @@ func referenceDiscover(in *relation.Instance, opt Options) fd.Set {
 			level = nil
 		}
 	}
-	sortFDs(out)
+	slices.SortFunc(out, fd.Compare)
 	return out
 }
 

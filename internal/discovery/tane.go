@@ -29,7 +29,7 @@ package discovery
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -97,7 +97,7 @@ func Discover(in *relation.Instance, opt Options) (fd.Set, error) {
 	if serr != nil && serr != errStopDiscover {
 		return nil, serr
 	}
-	sortFDs(out)
+	slices.SortFunc(out, fd.Compare)
 	return out, nil
 }
 
@@ -204,16 +204,4 @@ func hasSubsetLHS(sets []relation.AttrSet, x relation.AttrSet) bool {
 		}
 	}
 	return false
-}
-
-func sortFDs(set fd.Set) {
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].RHS != set[j].RHS {
-			return set[i].RHS < set[j].RHS
-		}
-		if set[i].LHS.Len() != set[j].LHS.Len() {
-			return set[i].LHS.Len() < set[j].LHS.Len()
-		}
-		return set[i].LHS < set[j].LHS
-	})
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -85,6 +86,19 @@ func (set Set) String() string {
 		parts[i] = f.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// Compare is the canonical FD order: by RHS, then LHS size, then LHS (as
+// a bitmask). Discovery returns its results in this order, and the
+// server's sigma frame lists a mined set in it. It suits slices.SortFunc.
+func Compare(a, b FD) int {
+	if c := cmp.Compare(a.RHS, b.RHS); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.LHS.Len(), b.LHS.Len()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.LHS, b.LHS)
 }
 
 // Format renders the set with attribute names, one FD per element, joined

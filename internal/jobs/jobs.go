@@ -1,15 +1,21 @@
-// Package jobs runs τ-sweeps as durable, resumable, content-addressed
-// jobs, detached from any client connection.
+// Package jobs runs sweeps as durable, resumable, content-addressed jobs,
+// detached from any client connection.
 //
 // # Model
 //
-// A job is one frontier sweep identified by its spec — (dataset, FD set,
-// τ-range, weighting, seed, include_changes). The id is a hash of the
-// spec, so identical submissions coalesce onto the running (or finished)
-// job instead of admitting a second sweep, and a restarted daemon derives
-// the same id for the same work. The manager owns every job's lifecycle:
+// A job is one run of a sweep identified by its spec (Spec, declared once
+// as store.JobSpec). There are two kinds: a frontier sweep, addressed by
+// (dataset, FD set, τ-range, weighting, seed, include_changes), and an
+// FD-mining run, addressed by (dataset, mining knobs). The manager does
+// not know the kinds apart: the serving layer's kind table (sweepKind in
+// internal/server) supplies each kind's sweep body, its resume rule and
+// its wire format. Every spec also carries the dataset's mutation
+// generation. The id is a hash of the spec, so identical submissions
+// coalesce onto the running (or finished) job instead of admitting a
+// second sweep, and a restarted daemon derives the same id for the same
+// work. The manager owns every job's lifecycle:
 //
-//	running ──→ completed            (sweep finished the range)
+//	running ──→ completed            (sweep finished)
 //	        ──→ failed               (sweep error or recovered panic)
 //	        ──→ cancelled            (DELETE, or the dataset was deleted)
 //
@@ -18,32 +24,34 @@
 //
 // # Checkpoint/replay invariants
 //
-// The search layer emits a frontier row only once no equal-cost goal can
-// supersede it (the result sink holds the most recent goal back until a
-// goal of strictly different cost arrives), so every row the sweep yields
-// is final. The manager exploits that:
+// A sweep emits a frame only once it is final. For a frontier sweep the
+// search layer guarantees it (the result sink holds the most recent goal
+// back until a goal of strictly different cost arrives); a mining run
+// emits each FD once its lattice level has proven it. The manager
+// exploits that:
 //
-//  1. Each emitted row is appended to the job's durable result log
+//  1. Each emitted frame is appended to the job's durable result log
 //     (crc-framed, fsynced) BEFORE it becomes visible to streaming
-//     followers. A row a client saw is a row that survives a crash.
-//  2. Rows are strictly append-only and never rewritten, so a follower at
-//     offset k and a replay from the log agree byte-for-byte.
-//  3. Resuming re-runs the sweep over [tauLow, lastRow.DeltaP-1]: the
-//     uninterrupted sweep would have continued with exactly that budget
-//     after emitting lastRow, so the concatenation of replayed rows and
-//     the resumed sweep's rows is identical to an uninterrupted run
-//     (Repairer.FrontierRange pins this contract). A last row with
-//     DeltaP-1 below tauLow means the frontier was already complete.
+//     followers. A frame a client saw is a frame that survives a crash.
+//  2. Frames are strictly append-only and never rewritten, so a follower
+//     at offset k and a replay from the log agree byte-for-byte.
+//  3. A resumed sweep continues after its last checkpointed frame, so the
+//     concatenation of replayed and resumed frames is identical to an
+//     uninterrupted run. A frontier sweep re-runs over
+//     [tauLow, lastRow.DeltaP-1] — the budget the uninterrupted sweep
+//     would have continued with after emitting lastRow
+//     (Repairer.FrontierRange pins this contract); a last row with
+//     DeltaP-1 below tauLow means the frontier was already complete. A
+//     mining run is deterministic, so it re-walks the lattice and skips
+//     the frames it already holds; a log ending in the sigma frame is
+//     complete.
 //
-// The manager never parses row bytes itself — the sweep callback supplied
-// by the server owns the wire format, including deriving the resume bound
-// from the last replayed row.
+// The manager never parses frame bytes itself — the sweep callback
+// supplied by the server owns the wire format, including the resume rule.
 package jobs
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -89,61 +97,16 @@ var (
 	ErrCheckpoint = errors.New("jobs: checkpoint append failed")
 )
 
-// Spec is a job's content address. Engine tuning knobs (workers,
-// best-first, visit caps) are deliberately excluded: they do not change
-// the frontier, so submissions differing only in them coalesce (first
-// submission's knobs win). Seed and IncludeChanges are included because
-// they change the row bytes.
-type Spec struct {
-	Dataset string
-	// FDs is the canonical, schema-formatted FD set.
-	FDs    string
-	TauLow int
-	// TauHigh < 0 means δP(Σ, I).
-	TauHigh        int
-	Weights        string
-	Seed           int64
-	IncludeChanges bool
-	// Generation is the dataset's mutation generation at submission:
-	// mutating a dataset re-addresses every job against it, so a
-	// resubmitted spec runs a fresh sweep instead of replaying answers
-	// computed over rows that no longer exist.
-	Generation int64
+// Spec is a job's content address; see store.JobSpec, where its fields
+// and ID are declared once for the job, its durable record and its wire
+// body.
+type Spec = store.JobSpec
 
-	// Kind selects the job body: "" is a frontier sweep (the original job
-	// kind), "discover" an FD-mining run. The discovery knobs below are
-	// part of the address only when Kind is non-empty.
-	Kind       string
-	MaxLHS     int
-	MaxError   float64
-	MaxResults int
-	// Attrs is the canonical comma-separated attribute-name restriction.
-	Attrs string
-}
-
-// ID derives the job id from the spec: a short hex digest with a "j"
-// prefix. Identical specs — including across process restarts — get
-// identical ids; that is what coalescing and boot resume key on. The
-// legacy sweep digest (Kind == "") is frozen: a daemon upgraded across
-// this field addition must derive the same id for a persisted sweep job,
-// or boot resume would orphan every record.
-func (sp Spec) ID() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x1f%s\x1f%d\x1f%d\x1f%s\x1f%d\x1f%t\x1f%d",
-		sp.Dataset, sp.FDs, sp.TauLow, sp.TauHigh, sp.Weights, sp.Seed, sp.IncludeChanges,
-		sp.Generation)
-	if sp.Kind != "" {
-		fmt.Fprintf(h, "\x1f%s\x1f%d\x1f%g\x1f%d\x1f%s",
-			sp.Kind, sp.MaxLHS, sp.MaxError, sp.MaxResults, sp.Attrs)
-	}
-	return "j" + hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// Sweep runs one job's τ-sweep: it must call emit with each finished
-// frontier row's wire bytes, in order, and return the sweep's terminal
-// error (nil when the range is exhausted). When the job already holds
-// replayed rows the sweep must continue from them, not restart. An emit
-// error must abort the sweep and be returned.
+// Sweep runs one job's body: it must call emit with each final frame's
+// wire bytes, in order, and return the sweep's terminal error (nil when
+// the work is done). When the job already holds replayed frames the sweep
+// must continue after them, not restart. An emit error must abort the
+// sweep and be returned.
 type Sweep func(ctx context.Context, emit func(frame []byte) error) error
 
 // StartFunc admits one job's sweep: it acquires whatever slot the serving
@@ -190,20 +153,17 @@ type Status struct {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+func (j *Job) statusLocked() Status {
 	return Status{
 		ID: j.ID, Spec: j.Spec, State: j.state, Rows: len(j.frames),
 		ErrorCode: j.errCode, ErrorMessage: j.errMsg, Interrupted: j.interrupted,
 	}
 }
 
-// Rows returns how many frontier rows the job holds.
-func (j *Job) Rows() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.frames)
-}
-
-// Frames returns the rows emitted so far. The returned slice is a
+// Frames returns the frames emitted so far. The returned slice is a
 // snapshot; the frame byte slices are shared and must not be mutated.
 func (j *Job) Frames() [][]byte {
 	j.mu.Lock()
@@ -223,11 +183,7 @@ func (j *Job) Next(from int) ([][]byte, Status, <-chan struct{}) {
 	if from >= 0 && from < len(j.frames) {
 		frames = append(frames, j.frames[from:]...)
 	}
-	st := Status{
-		ID: j.ID, Spec: j.Spec, State: j.state, Rows: len(j.frames),
-		ErrorCode: j.errCode, ErrorMessage: j.errMsg, Interrupted: j.interrupted,
-	}
-	return frames, st, j.change
+	return frames, j.statusLocked(), j.change
 }
 
 // broadcastLocked wakes every waiter (close-and-replace; j.mu held).
@@ -380,7 +336,7 @@ func (m *Manager) Submit(spec Spec, start StartFunc) (j *Job, started bool, err 
 		j.mu.Unlock()
 		m.resumed.Add(1)
 		m.saveRecordBestEffort(j)
-		m.run(j, sw, release)
+		m.run(j, sw, release, false)
 		return j, true, nil
 	}
 	j = &Job{Spec: spec, ID: id, m: m, state: StateRunning,
@@ -396,29 +352,35 @@ func (m *Manager) Submit(spec Spec, start StartFunc) (j *Job, started bool, err 
 		}
 	}
 	m.jobs[id] = j
-	m.run(j, sw, release)
+	m.run(j, sw, release, false)
 	return j, true, nil
 }
 
-// run spawns the sweep goroutine for a job already marked running.
-func (m *Manager) run(j *Job, sw Sweep, release func()) {
+// run runs the sweep of a job already marked running to its terminal
+// state: on a new goroutine, or on the caller's with sync (Recover runs
+// one goroutine per job already). The job's cancel func is set before the
+// sweep starts, so a Cancel racing the start always finds it.
+func (m *Manager) run(j *Job, sw Sweep, release func(), sync bool) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
-	go func() {
+	body := func() {
 		defer release()
 		err := m.sweep(ctx, j, sw)
-		if err != nil {
-			// The facade reports context.Cause, but be robust to layers
-			// that surface the bare context error.
-			if cause := context.Cause(ctx); cause != nil && errors.Is(err, context.Canceled) {
-				err = cause
-			}
+		// The facade reports context.Cause, but be robust to layers that
+		// surface the bare context error.
+		if cause := context.Cause(ctx); cause != nil && errors.Is(err, context.Canceled) {
+			err = cause
 		}
 		cancel(nil)
 		m.finish(j, err)
-	}()
+	}
+	if sync {
+		body()
+		return
+	}
+	go body()
 }
 
 // sweep runs the sweep body with checkpoint-then-publish emits and a
@@ -516,11 +478,7 @@ func (m *Manager) record(j *Job) store.JobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return store.JobRecord{
-		ID: j.ID, Dataset: j.Dataset, FDs: j.FDs,
-		TauLow: j.TauLow, TauHigh: j.TauHigh, Weights: j.Weights,
-		Seed: j.Seed, IncludeChanges: j.IncludeChanges, Generation: j.Generation,
-		Kind: j.Kind, MaxLHS: j.MaxLHS, MaxError: j.MaxError,
-		MaxResults: j.MaxResults, Attrs: j.Attrs,
+		ID: j.ID, JobSpec: j.Spec,
 		State: string(j.state), ErrorCode: j.errCode, ErrorMessage: j.errMsg,
 		CreatedUnix: j.createdUnix, UpdatedUnix: m.opt.Now(),
 	}
@@ -657,19 +615,8 @@ func (m *Manager) Recover(start StartFunc) (int, error) {
 			continue // already live (Recover after jobs were submitted)
 		}
 		j := &Job{
-			Spec: Spec{
-				Dataset: r.Record.Dataset, FDs: r.Record.FDs,
-				TauLow: r.Record.TauLow, TauHigh: r.Record.TauHigh,
-				Weights: r.Record.Weights, Seed: r.Record.Seed,
-				IncludeChanges: r.Record.IncludeChanges,
-				Generation:     r.Record.Generation,
-				Kind:           r.Record.Kind,
-				MaxLHS:         r.Record.MaxLHS,
-				MaxError:       r.Record.MaxError,
-				MaxResults:     r.Record.MaxResults,
-				Attrs:          r.Record.Attrs,
-			},
-			ID: r.Record.ID, m: m,
+			Spec: r.Record.JobSpec,
+			ID:   r.Record.ID, m: m,
 			state:       State(r.Record.State),
 			errCode:     r.Record.ErrorCode,
 			errMsg:      r.Record.ErrorMessage,
@@ -700,28 +647,10 @@ func (m *Manager) Recover(start StartFunc) (int, error) {
 				m.finish(j, err)
 				return
 			}
-			m.runSync(j, sw, release)
+			m.run(j, sw, release, true)
 		}(j)
 	}
 	return len(toStart), nil
-}
-
-// runSync is run's body without the extra goroutine (Recover already runs
-// per-job goroutines).
-func (m *Manager) runSync(j *Job, sw Sweep, release func()) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	j.mu.Lock()
-	j.cancel = cancel
-	j.mu.Unlock()
-	defer release()
-	err := m.sweep(ctx, j, sw)
-	if err != nil {
-		if cause := context.Cause(ctx); cause != nil && errors.Is(err, context.Canceled) {
-			err = cause
-		}
-	}
-	cancel(nil)
-	m.finish(j, err)
 }
 
 // evictLocked enforces MaxResultBytes over terminal jobs (m.mu held):

@@ -267,7 +267,7 @@ func TestResubmitFailedResumesFromCheckpoint(t *testing.T) {
 	// The restart sweep sees the two checkpointed rows and continues; a
 	// restart that re-emitted from scratch would duplicate them.
 	resume := func(ctx context.Context, emit func([]byte) error) error {
-		if got := j.Rows(); got != 2 {
+		if got := j.Status().Rows; got != 2 {
 			return fmt.Errorf("resume saw %d checkpointed rows, want 2", got)
 		}
 		return emitN(3, 2, nil)(ctx, emit)
@@ -353,7 +353,7 @@ func TestShutdownInterruptsAndRecoverResumes(t *testing.T) {
 		resumed <- rj
 		adm2.admitted.Add(1)
 		sw := func(ctx context.Context, emit func([]byte) error) error {
-			if got := rj.Rows(); got != 2 {
+			if got := rj.Status().Rows; got != 2 {
 				return fmt.Errorf("resume saw %d rows, want 2", got)
 			}
 			return emit([]byte(`{"level":3}`))
@@ -407,10 +407,8 @@ func TestShutdownInterruptsAndRecoverResumes(t *testing.T) {
 func TestRecoverDatasetGone(t *testing.T) {
 	dir := testStore(t)
 	m := testManager(t, Options{Store: dir})
-	rec := store.JobRecord{
-		ID: testSpec("ghost").ID(), Dataset: "ghost", FDs: "A->B",
-		TauHigh: -1, Weights: "unit", Seed: 7, State: "running",
-	}
+	spec := testSpec("ghost")
+	rec := store.JobRecord{ID: spec.ID(), JobSpec: spec, State: "running"}
 	if err := dir.SaveRecord(rec); err != nil {
 		t.Fatal(err)
 	}

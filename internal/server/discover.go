@@ -1,14 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
+	"slices"
 
 	"relatrust"
+
+	"relatrust/internal/fd"
+	"relatrust/internal/jobs"
 )
 
 // DiscoverRequest is the JSON body of POST /v1/discover (and the
@@ -58,21 +60,6 @@ type DiscoverRequest struct {
 
 const modeDiscoverThenRepair = "discover_then_repair"
 
-// decodeDiscoverRequest parses and shape-checks the body — untrusted
-// input, handled with the same strictness as decodeRepairRequest.
-func decodeDiscoverRequest(r io.Reader) (DiscoverRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req DiscoverRequest
-	if err := dec.Decode(&req); err != nil {
-		return DiscoverRequest{}, err
-	}
-	if dec.More() {
-		return DiscoverRequest{}, fmt.Errorf("unexpected data after the request object")
-	}
-	return req, nil
-}
-
 // discoverFrame is one streamed discovery: the FD rendered with attribute
 // names, its lattice level, and — for approximate mining — its g3 error.
 // NDJSON: one line per FD; SSE: an "fd" event.
@@ -83,28 +70,110 @@ type discoverFrame struct {
 	Error float64 `json:"error,omitempty"`
 }
 
-// sigmaFrame closes the mining phase: the full mined set, sorted, in
-// ParseFDs syntax — ready to submit to /v1/repair verbatim. NDJSON: a
-// line carrying "sigma"; SSE: a "sigma" event.
+// sigmaFrame closes the mining phase: the full mined set in the canonical
+// FD order (fd.Compare), in ParseFDs syntax — ready to submit to
+// /v1/repair verbatim. NDJSON: a line carrying "sigma"; SSE: a "sigma"
+// event.
 type sigmaFrame struct {
 	Sigma string `json:"sigma"`
 	FDs   int    `json:"fds"`
 }
 
-// fdRow emits one discovery frame ("fd" SSE event, or an NDJSON line).
-func (st *stream) fdRow(v discoverFrame) error {
-	if st.sse {
-		return st.event("fd", v)
+// discoverEvent names a discovery frame's SSE event. Only the sigma
+// frame's encoding starts with its "sigma" key; every other frame is one
+// mined "fd".
+func discoverEvent(frame []byte) string {
+	if bytes.HasPrefix(frame, []byte(`{"sigma":`)) {
+		return "sigma"
 	}
-	return st.line(v)
+	return "fd"
 }
 
-// sigmaRow emits the mined-set frame.
-func (st *stream) sigmaRow(v sigmaFrame) error {
-	if st.sse {
-		return st.event("sigma", v)
+// discoverSweep is the discover kind's frame loop, run by /v1/discover
+// and discovery jobs alike: it mines dv's FDs and emits an fd frame for
+// each after the first skip (a resumed job's checkpointed frames — mining
+// is deterministic, so the walk re-finds them in order), then the sigma
+// frame over everything mined. rows counts the fd frames emitted.
+func discoverSweep(ctx context.Context, in *relatrust.Instance, dv *relatrust.Discoverer, skip int, emit func([]byte) error) (mined relatrust.FDSet, rows int, err error) {
+	for f, err := range dv.Stream(ctx) {
+		if err != nil {
+			return mined, rows, err
+		}
+		mined = append(mined, f.FD)
+		if len(mined) <= skip {
+			continue
+		}
+		raw, err := json.Marshal(discoverFrame{N: len(mined), FD: f.FD.Format(in.Schema), Level: f.Level, Error: f.Error})
+		if err != nil {
+			return mined, rows, err
+		}
+		if err := emit(raw); err != nil {
+			return mined, rows, err
+		}
+		rows++
 	}
-	return st.line(v)
+	slices.SortFunc(mined, fd.Compare)
+	raw, err := json.Marshal(sigmaFrame{Sigma: mined.Format(in.Schema), FDs: len(mined)})
+	if err != nil {
+		return mined, rows, err
+	}
+	return mined, rows, emit(raw)
+}
+
+// discoverSpec checks a discovery request's knobs and canonicalizes them
+// into a job's content address: attribute names are resolved and
+// re-formatted against the schema, and MaxLHS is defaulted before
+// hashing, so "max_lhs": 0 and "max_lhs": 3 coalesce onto one job.
+// /v1/discover mines from the same spec its job would have.
+func discoverSpec(name string, gen int64, schema *relatrust.Schema, req DiscoverRequest) (jobs.Spec, error) {
+	if req.MaxLHS < 0 || req.MaxResults < 0 {
+		return jobs.Spec{}, badRequest("max_lhs and max_results must be non-negative")
+	}
+	if req.MaxError < 0 || req.MaxError > 1 {
+		return jobs.Spec{}, badRequest("max_error must be within [0, 1]")
+	}
+	attrs := ""
+	if req.Attrs != "" {
+		set, err := schema.ParseAttrs(req.Attrs)
+		if err != nil {
+			return jobs.Spec{}, badRequest("parsing attrs: %v", err)
+		}
+		attrs = set.Names(schema)
+	}
+	maxLHS := req.MaxLHS
+	if maxLHS == 0 {
+		maxLHS = 3 // the facade default, pinned into the address
+	}
+	return jobs.Spec{
+		Dataset:    name,
+		Generation: gen,
+		Kind:       discoverKindName,
+		MaxLHS:     maxLHS,
+		MaxError:   req.MaxError,
+		MaxResults: req.MaxResults,
+		Attrs:      attrs,
+	}, nil
+}
+
+// discoverer builds the miner for a discovery spec over the pinned
+// snapshot, wiring the observe hook.
+func (s *Server) discoverer(d *dataset, spec jobs.Spec, in *relatrust.Instance, sess *relatrust.Session) (*relatrust.Discoverer, error) {
+	opt := relatrust.DiscoverOptions{
+		MaxLHS:     spec.MaxLHS,
+		MaxError:   spec.MaxError,
+		MaxResults: spec.MaxResults,
+		Session:    sess,
+	}
+	if spec.Attrs != "" {
+		var err error
+		if opt.Attrs, err = in.Schema.ParseAttrs(spec.Attrs); err != nil {
+			return nil, err
+		}
+	}
+	if observe := s.opt.ObserveDiscovery; observe != nil {
+		opt.Progress = func(level, sets int) { observe(d.name, level, sets) }
+	}
+	return relatrust.NewDiscoverer(in, opt)
 }
 
 // handleDiscover streams mined FDs the moment the lattice walk finds
@@ -114,172 +183,72 @@ func (st *stream) sigmaRow(v sigmaFrame) error {
 // discover_then_repair mode the mined Σ feeds a frontier sweep whose rows
 // are byte-identical to posting the sigma frame's string to /v1/repair.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeDiscoverRequest(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	req, err := decodeStrict[DiscoverRequest](http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
 	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "decoding discover request: %v", err)
 		return
 	}
-	d := s.lookup(req.Dataset)
-	if d == nil {
-		writeErrorCode(w, http.StatusNotFound, codeUnknownDataset, "dataset %q is not registered", req.Dataset)
+	d, err := s.find(req.Dataset)
+	if err != nil {
+		writeError(w, err, nil)
 		return
 	}
 	in, sess, gen := s.snapshotFor(d)
-	dopt, ok := s.discoverOptions(w, d, req, in, sess)
-	if !ok {
-		return
-	}
-	// Repair-mode knobs are validated before the 200 commits, like
-	// /v1/repair's: a malformed range is a client mistake, not a failure.
-	switch req.Mode {
-	case "", modeDiscoverThenRepair:
-	default:
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest,
-			"unknown mode %q (want %q)", req.Mode, modeDiscoverThenRepair)
-		return
-	}
-	if req.TauLow < 0 {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "tau_low must be non-negative")
-		return
-	}
-	if req.TauHigh != nil && *req.TauHigh >= 0 && req.TauLow > *req.TauHigh {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest,
-			"tau_low %d exceeds tau_high %d", req.TauLow, *req.TauHigh)
-		return
-	}
-	dv, err := relatrust.NewDiscoverer(in, dopt)
+	dv, err := s.discoverRequest(d, req, in, sess, gen)
 	if err != nil {
-		status, body := mapError(err, in.Schema)
-		writeError(w, status, body)
+		writeError(w, err, in.Schema)
 		return
 	}
-
-	// Admission: a discovery run occupies a sweep slot exactly like a
-	// repair sweep, reusing the shared prologue via a synthesized call.
-	call := repairCall{req: RepairRequest{TimeoutMS: req.TimeoutMS}, ds: d, in: in, gen: gen}
-	ctx, done, ok := s.startSweep(w, r, call)
+	ctx, done, ok := s.startSweep(w, r, d, req.TimeoutMS)
 	if !ok {
 		return
 	}
+	defer done()
 	st := newStream(w, r)
-	rows := 0
-	var mined relatrust.FDSet
-	runErr := func() (sweepErr error) {
-		defer s.recoverSweep(d.name, &sweepErr)
-		for f, err := range dv.Stream(ctx) {
-			if err != nil {
-				return err
-			}
-			rows++
-			frame := discoverFrame{N: rows, FD: f.FD.Format(in.Schema), Level: f.Level, Error: f.Error}
-			if err := st.fdRow(frame); err != nil {
-				return context.Canceled
-			}
-			mined = append(mined, f.FD)
+	rows, err := s.runSweep(d, func() (int, error) {
+		mined, rows, err := discoverSweep(ctx, in, dv, 0, st.emit(&discoverKind))
+		if err != nil || req.Mode != modeDiscoverThenRepair {
+			return rows, err
 		}
-		return nil
-	}()
-	if runErr != nil {
-		_, body := mapError(runErr, in.Schema)
-		st.fail(body)
-		done(rows, runErr)
-		return
-	}
-	sortSigma(mined)
-	if err := st.sigmaRow(sigmaFrame{Sigma: mined.Format(in.Schema), FDs: len(mined)}); err != nil {
-		done(rows, context.Canceled)
-		return
-	}
-	if req.Mode != modeDiscoverThenRepair {
-		st.done(rows)
-		done(rows, nil)
-		return
-	}
-
-	// discover_then_repair: the mined Σ drives a frontier sweep identical
-	// to posting it to /v1/repair — same options path, same frame bytes,
-	// rows renumbered from 1.
-	repairRows, repairErr := s.repairMined(ctx, d, req, in, sess, gen, mined, st)
-	if repairErr != nil {
-		_, body := mapError(repairErr, in.Schema)
-		st.fail(body)
-		done(rows+repairRows, repairErr)
-		return
-	}
-	st.done(rows + repairRows)
-	done(rows+repairRows, nil)
-}
-
-// sortSigma orders a mined Σ the way the batch discovery entry points do
-// (RHS, then LHS size, then LHS) — the canonical order of the sigma frame.
-func sortSigma(set relatrust.FDSet) {
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].RHS != set[j].RHS {
-			return set[i].RHS < set[j].RHS
-		}
-		if set[i].LHS.Len() != set[j].LHS.Len() {
-			return set[i].LHS.Len() < set[j].LHS.Len()
-		}
-		return set[i].LHS < set[j].LHS
+		n, err := s.repairMined(ctx, d, req, in, sess, mined, st.emit(&frontierKind))
+		return rows + n, err
 	})
+	st.end(rows, err, in.Schema)
 }
 
-// discoverOptions maps the request's discovery knobs onto the facade
-// options, resolving attribute names against the pinned snapshot's schema
-// and wiring the observe hook. On failure it writes the error response.
-func (s *Server) discoverOptions(w http.ResponseWriter, d *dataset, req DiscoverRequest, in *relatrust.Instance, sess *relatrust.Session) (relatrust.DiscoverOptions, bool) {
-	var opt relatrust.DiscoverOptions
-	if req.MaxLHS < 0 || req.MaxResults < 0 {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "max_lhs and max_results must be non-negative")
-		return opt, false
+// discoverRequest validates a /v1/discover request before the 200
+// commits — its knobs, its mode, and the static part of the appended
+// sweep's τ range, like /v1/repair's: a malformed request is a client
+// mistake, not a failure — and builds the miner.
+func (s *Server) discoverRequest(d *dataset, req DiscoverRequest, in *relatrust.Instance, sess *relatrust.Session, gen int64) (*relatrust.Discoverer, error) {
+	spec, err := discoverSpec(d.name, gen, in.Schema, req)
+	if err != nil {
+		return nil, err
 	}
-	if req.MaxError < 0 || req.MaxError > 1 {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "max_error must be within [0, 1]")
-		return opt, false
+	if req.Mode != "" && req.Mode != modeDiscoverThenRepair {
+		return nil, badRequest("unknown mode %q (want %q)", req.Mode, modeDiscoverThenRepair)
 	}
-	var attrs relatrust.AttrSet
-	if req.Attrs != "" {
-		var err error
-		if attrs, err = in.Schema.ParseAttrs(req.Attrs); err != nil {
-			writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "parsing attrs: %v", err)
-			return opt, false
-		}
+	if _, _, err := tauRange(req.TauLow, req.TauHigh, nil); err != nil {
+		return nil, err
 	}
-	observe := s.opt.ObserveDiscovery
-	opt = relatrust.DiscoverOptions{
-		MaxLHS:     req.MaxLHS,
-		MaxError:   req.MaxError,
-		MaxResults: req.MaxResults,
-		Attrs:      attrs,
-		Session:    sess,
-	}
-	if observe != nil {
-		opt.Progress = func(level, sets int) { observe(d.name, level, sets) }
-	}
-	return opt, true
+	return s.discoverer(d, spec, in, sess)
 }
 
-// repairMined runs the appended frontier sweep of discover_then_repair.
-// It resolves the τ range the way /v1/repair does (post-mining, because
-// δP depends on Σ) and streams through the shared streamFrontier, so each
-// frame is byte-identical to the two-step flow's.
-func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverRequest, in *relatrust.Instance, sess *relatrust.Session, gen int64, mined relatrust.FDSet, st *stream) (int, error) {
+// repairMined runs the appended frontier sweep of discover_then_repair:
+// the mined Σ drives a sweep identical to posting it to /v1/repair — same
+// options path, τ range resolved the same way (after mining, because δP
+// depends on Σ), same frame loop, rows renumbered from 1.
+func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverRequest, in *relatrust.Instance, sess *relatrust.Session, mined relatrust.FDSet, emit func([]byte) error) (int, error) {
 	if len(mined) == 0 {
 		return 0, relatrust.ErrEmptyFDSet
 	}
-	rreq := RepairRequest{
-		Dataset:        req.Dataset,
-		TauLow:         req.TauLow,
-		TauHigh:        req.TauHigh,
-		Weights:        req.Weights,
-		BestFirst:      req.BestFirst,
-		Workers:        req.Workers,
-		Seed:           req.Seed,
-		MaxVisited:     req.MaxVisited,
-		IncludeChanges: req.IncludeChanges,
-		TimeoutMS:      req.TimeoutMS,
-	}
-	opt, err := s.options(d, rreq, in, sess)
+	opt, err := s.options(d, RepairRequest{
+		Weights:    req.Weights,
+		BestFirst:  req.BestFirst,
+		Workers:    req.Workers,
+		Seed:       req.Seed,
+		MaxVisited: req.MaxVisited,
+	}, in, sess)
 	if err != nil {
 		return 0, err
 	}
@@ -287,18 +256,9 @@ func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverReques
 	if err != nil {
 		return 0, err
 	}
-	lo := rreq.TauLow
-	hi := -1
-	if rreq.TauHigh != nil && *rreq.TauHigh >= 0 {
-		hi = *rreq.TauHigh
-	} else {
-		if hi, err = rp.MaxBudget(ctx); err != nil {
-			return 0, err
-		}
+	lo, hi, err := tauRange(req.TauLow, req.TauHigh, func() (int, error) { return rp.MaxBudget(ctx) })
+	if err != nil {
+		return 0, err
 	}
-	if lo > hi {
-		return 0, fmt.Errorf("tau_low %d exceeds the sweep's upper bound %d", lo, hi)
-	}
-	call := repairCall{req: rreq, ds: d, in: in, gen: gen, sigma: mined, rp: rp}
-	return s.streamFrontier(ctx, call, st, lo, hi)
+	return frontierSweep(ctx, in, rp, lo, hi, 0, req.IncludeChanges, emit)
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -68,6 +67,7 @@ const statusClientClosedRequest = 499
 // request's context) into its HTTP status and wire body. Every facade
 // sentinel maps to a distinct pair:
 //
+//	*requestError       → its own status and code (a malformed request)
 //	ErrEmptyFDSet       → 400 empty_fd_set
 //	ErrEmptyInstance    → 422 empty_instance
 //	ErrSchemaMismatch   → 422 schema_mismatch (carries the FD)
@@ -85,11 +85,14 @@ const statusClientClosedRequest = 499
 func mapError(err error, schema *relatrust.Schema) (int, ErrorBody) {
 	detail := ErrorDetail{Message: err.Error()}
 	var status int
+	var re *requestError
 	var sm *relatrust.SchemaMismatchError
 	var ar *relatrust.AttrsRangeError
 	var be *relatrust.BudgetError
 	var mv *relatrust.MaxVisitedError
 	switch {
+	case errors.As(err, &re):
+		status, detail.Code = re.status, re.code
 	case errors.As(err, &ar):
 		// A discovery attrs restriction referencing a column the schema does
 		// not have — the same shape mismatch class as a misfit FD.
@@ -131,18 +134,33 @@ func mapError(err error, schema *relatrust.Schema) (int, ErrorBody) {
 	return status, ErrorBody{Error: detail}
 }
 
-// writeError sends a structured error response.
-func writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+// requestError is a client mistake caught before any sweep work: a
+// malformed request, an unknown dataset, unparsable FDs. It carries its
+// own status and code, which mapError passes through.
+type requestError struct {
+	status int
+	code   string
+	msg    string
 }
 
-// writeErrorCode is writeError for request-shape failures with no
-// underlying facade error.
+func (e *requestError) Error() string { return e.msg }
+
+// badRequest is the requestError of a malformed request.
+func badRequest(format string, args ...any) error {
+	return &requestError{http.StatusBadRequest, codeBadRequest, fmt.Sprintf(format, args...)}
+}
+
+// writeError sends the structured error response for err (see mapError;
+// schema renders a mismatching FD, nil when the dataset is unknown).
+func writeError(w http.ResponseWriter, err error, schema *relatrust.Schema) {
+	status, body := mapError(err, schema)
+	writeJSON(w, status, body)
+}
+
+// writeErrorCode sends a structured error response with no underlying
+// error value.
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeError(w, status, ErrorBody{Error: ErrorDetail{
+	writeJSON(w, status, ErrorBody{Error: ErrorDetail{
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})

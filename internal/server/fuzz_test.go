@@ -36,7 +36,7 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeRepairRequest(bytes.NewReader(data))
+		req, err := decodeStrict[RepairRequest](bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -46,7 +46,7 @@ func FuzzDecodeRepairRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request fails to re-marshal: %v", err)
 		}
-		again, err := decodeRepairRequest(bytes.NewReader(raw))
+		again, err := decodeStrict[RepairRequest](bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("re-marshaled request fails to decode: %v", err)
 		}
@@ -75,7 +75,7 @@ func FuzzDecodeDiscoverRequest(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeDiscoverRequest(bytes.NewReader(data))
+		req, err := decodeStrict[DiscoverRequest](bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -86,7 +86,7 @@ func FuzzDecodeDiscoverRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted request fails to re-marshal: %v", err)
 		}
-		again, err := decodeDiscoverRequest(bytes.NewReader(raw))
+		again, err := decodeStrict[DiscoverRequest](bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("re-marshaled request fails to decode: %v", err)
 		}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -182,5 +183,83 @@ func TestGoldenErrorBodies(t *testing.T) {
 			continue
 		}
 		checkGolden(t, c.name, got)
+	}
+}
+
+// goldenJob submits a job to the golden server, waits for it to complete,
+// and returns its id.
+func goldenJob(t *testing.T, base, path string, body any) string {
+	t.Helper()
+	status, got := goldenBody(t, http.MethodPost, base+path, body, "")
+	if status != http.StatusCreated {
+		t.Fatalf("submit %s: status %d: %s", path, status, got)
+	}
+	var info JobInfo
+	if err := json.Unmarshal(got, &info); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, base, info.ID, func(i JobInfo) bool { return i.State == "completed" }, "completed")
+	return info.ID
+}
+
+// TestGoldenJobInfo pins the GET /v1/jobs/{id} body of one job of each
+// kind: the content address, the spec fields in wire order, the state and
+// the row count.
+func TestGoldenJobInfo(t *testing.T) {
+	h := goldenServer(t)
+	jobs := map[string]string{
+		"job.repair.json.golden": goldenJob(t, h.URL, "/v1/jobs",
+			RepairRequest{Dataset: "paper", FDs: paperFDs, TauLow: 1, Seed: 1, IncludeChanges: true}),
+		"job.discover.json.golden": goldenJob(t, h.URL, "/v1/jobs/discover",
+			DiscoverRequest{Dataset: "paper", MaxLHS: 2, MaxError: 0.25, Attrs: "A,B,C,D"}),
+	}
+	for name, id := range jobs {
+		status, got := goldenBody(t, http.MethodGet, h.URL+"/v1/jobs/"+id, nil, "")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, status, got)
+		}
+		checkGolden(t, name, got)
+	}
+}
+
+// sseEvents splits an SSE body into its events, dropping the terminal
+// "done" event: its row count is the job's frame count, which for a
+// discovery job includes the sigma frame /v1/discover does not count.
+func sseEvents(body []byte) []string {
+	var out []string
+	for _, ev := range strings.SplitAfter(string(body), "\n\n") {
+		if ev != "" && !strings.HasPrefix(ev, "event: done\n") {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestGoldenJobStreamSSE: a job followed over SSE labels its frames like
+// the request stream of its kind — "repair" for a frontier job, "fd" and
+// "sigma" for a discovery job — so the frames equal the request streams'
+// golden frames byte for byte.
+func TestGoldenJobStreamSSE(t *testing.T) {
+	h := goldenServer(t)
+	cases := []struct {
+		golden, path string
+		body         any
+	}{
+		{"frontier.sse.golden", "/v1/jobs", RepairRequest{Dataset: "paper", FDs: paperFDs, Seed: 1}},
+		{"discover.sse.golden", "/v1/jobs/discover", DiscoverRequest{Dataset: "paper", MaxLHS: 2}},
+	}
+	for _, c := range cases {
+		id := goldenJob(t, h.URL, c.path, c.body)
+		status, got := goldenBody(t, http.MethodGet, h.URL+"/v1/jobs/"+id+"/stream", nil, "text/event-stream")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.golden, status, got)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := strings.Join(sseEvents(got), ""), strings.Join(sseEvents(want), ""); g != w {
+			t.Errorf("job stream frames differ from %s:\ngot:\n%s\nwant:\n%s", c.golden, g, w)
+		}
 	}
 }

@@ -11,7 +11,6 @@ package server
 // sees the new rows.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -102,21 +101,14 @@ func decodeRowOps(schema *relatrust.Schema, ops []mutateOp) ([]relatrust.RowOp, 
 }
 
 func (s *Server) handleMutateRows(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	d := s.lookup(name)
-	if d == nil {
-		writeErrorCode(w, http.StatusNotFound, codeUnknownDataset, "dataset %q is not registered", name)
+	d, err := s.find(r.PathValue("name"))
+	if err != nil {
+		writeError(w, err, nil)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
-	dec.DisallowUnknownFields()
-	var req mutateRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeStrict[mutateRequest](http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "decoding mutation request: %v", err)
-		return
-	}
-	if dec.More() {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "unexpected data after the mutation object")
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -138,10 +130,10 @@ func (s *Server) handleMutateRows(w http.ResponseWriter, r *http.Request) {
 	if s.opt.Store != nil {
 		next := d.live.Generation() + 1
 		precommit = func(in *relatrust.Instance) error {
-			if err := s.opt.Store.SaveGeneration(name, next); err != nil {
+			if err := s.opt.Store.SaveGeneration(d.name, next); err != nil {
 				return err
 			}
-			return s.opt.Store.Save(name, in)
+			return s.opt.Store.Save(d.name, in)
 		}
 	}
 	res, err := d.live.Apply(ops, precommit)
@@ -152,7 +144,7 @@ func (s *Server) handleMutateRows(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		// The only other failure is the write-through; nothing committed.
 		writeErrorCode(w, http.StatusInternalServerError, codeStorage,
-			"persisting mutated dataset %q: %v", name, err)
+			"persisting mutated dataset %q: %v", d.name, err)
 		return
 	}
 	resp := mutateResponse{

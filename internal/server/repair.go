@@ -61,23 +61,23 @@ type RepairRequest struct {
 	IncludeChanges bool `json:"include_changes,omitempty"`
 }
 
-// decodeRepairRequest parses and shape-checks the body. It is the JSON
-// half of the service's untrusted input surface (the CSV upload being the
-// other) and is fuzzed as such.
-func decodeRepairRequest(r io.Reader) (RepairRequest, error) {
+// decodeStrict parses one request object from an untrusted body (the
+// JSON half of the service's input surface, the CSV upload being the
+// other; fuzzed as such): an unknown field is an error, and so is
+// anything after the object — a concatenated second document means the
+// client sent something other than one request, and answering only the
+// first half would silently drop payload.
+func decodeStrict[T any](r io.Reader) (T, error) {
+	var v, zero T
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var req RepairRequest
-	if err := dec.Decode(&req); err != nil {
-		return RepairRequest{}, err
+	if err := dec.Decode(&v); err != nil {
+		return zero, err
 	}
 	if dec.More() {
-		// A concatenated second document means the client sent something
-		// other than one request; answering only the first half would
-		// silently drop payload.
-		return RepairRequest{}, fmt.Errorf("unexpected data after the request object")
+		return zero, fmt.Errorf("unexpected data after the request object")
 	}
-	return req, nil
+	return v, nil
 }
 
 // CellChange is the wire form of one repaired cell. After renders
@@ -111,49 +111,61 @@ func changesOf(in *relatrust.Instance, d *relatrust.DataRepair) []CellChange {
 }
 
 // repairCall is the validated common prefix of the repair-family handlers.
-// in and gen are the snapshot the call is pinned to: mutation batches
-// committing mid-sweep never change what this call streams.
+// in is the snapshot the call is pinned to: mutation batches committing
+// mid-sweep never change what this call streams.
 type repairCall struct {
-	req   RepairRequest
-	ds    *dataset
-	in    *relatrust.Instance
-	gen   int64
-	sigma relatrust.FDSet
-	rp    *relatrust.Repairer
+	req RepairRequest
+	ds  *dataset
+	in  *relatrust.Instance
+	rp  *relatrust.Repairer
 }
 
 // prepare decodes the request, resolves the dataset, pins its current
 // snapshot, parses the FDs, and constructs the Repairer over the pinned
 // session. On failure it writes the error response and returns false.
 func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (repairCall, bool) {
-	var c repairCall
-	req, err := decodeRepairRequest(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	c, err := s.prepareCall(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
 	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "decoding repair request: %v", err)
-		return c, false
-	}
-	c.req = req
-	if c.ds = s.lookup(req.Dataset); c.ds == nil {
-		writeErrorCode(w, http.StatusNotFound, codeUnknownDataset, "dataset %q is not registered", req.Dataset)
-		return c, false
-	}
-	var sess *relatrust.Session
-	c.in, sess, c.gen = s.snapshotFor(c.ds)
-	if c.sigma, err = relatrust.ParseFDs(c.in.Schema, req.FDs); err != nil {
-		writeErrorCode(w, http.StatusBadRequest, codeBadFDs, "parsing FDs: %v", err)
-		return c, false
-	}
-	opt, err := s.options(c.ds, req, c.in, sess)
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return c, false
-	}
-	if c.rp, err = relatrust.NewRepairer(c.in, c.sigma, opt); err != nil {
-		status, body := mapError(err, c.in.Schema)
-		writeError(w, status, body)
+		var schema *relatrust.Schema
+		if c.in != nil {
+			schema = c.in.Schema
+		}
+		writeError(w, err, schema)
 		return c, false
 	}
 	return c, true
+}
+
+// prepareCall is prepare's body; c.in is set once the snapshot is pinned,
+// so a failure after that renders against its schema.
+func (s *Server) prepareCall(body io.Reader) (c repairCall, err error) {
+	if c.req, err = decodeStrict[RepairRequest](body); err != nil {
+		return c, badRequest("decoding repair request: %v", err)
+	}
+	if c.ds, err = s.find(c.req.Dataset); err != nil {
+		return c, err
+	}
+	var sess *relatrust.Session
+	c.in, sess, _ = s.snapshotFor(c.ds)
+	sigma, err := parseFDs(c.in.Schema, c.req.FDs)
+	if err != nil {
+		return c, err
+	}
+	opt, err := s.options(c.ds, c.req, c.in, sess)
+	if err != nil {
+		return c, badRequest("%v", err)
+	}
+	c.rp, err = relatrust.NewRepairer(c.in, sigma, opt)
+	return c, err
+}
+
+// parseFDs parses a request's FD set; failure is a 400 bad_fds.
+func parseFDs(schema *relatrust.Schema, text string) (relatrust.FDSet, error) {
+	sigma, err := relatrust.ParseFDs(schema, text)
+	if err != nil {
+		return nil, &requestError{http.StatusBadRequest, codeBadFDs, "parsing FDs: " + err.Error()}
+	}
+	return sigma, nil
 }
 
 // options maps the request onto relatrust.Options over the pinned
@@ -194,18 +206,35 @@ func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, 
 	return opt, nil
 }
 
-// sweepCtx applies the request's optional server-side deadline.
-func sweepCtx(r *http.Request, req RepairRequest) (context.Context, context.CancelFunc) {
-	if req.TimeoutMS > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(req.TimeoutMS)*time.Millisecond)
+// tauRange resolves and checks a frontier sweep's τ range [lo, hi]: lo
+// must be non-negative and no larger than the upper bound, which is high
+// when set (non-nil, non-negative) and δP(Σ, I) otherwise. deltaP
+// computes δP; with deltaP nil the bound stays -1, for the sweep to
+// resolve when it runs (a job, or the pre-mining check of
+// discover_then_repair).
+func tauRange(lo int, high *int, deltaP func() (int, error)) (int, int, error) {
+	if lo < 0 {
+		return 0, 0, badRequest("tau_low must be non-negative")
 	}
-	return context.WithCancel(r.Context())
+	hi := -1
+	switch {
+	case high != nil && *high >= 0:
+		hi = *high
+	case deltaP != nil:
+		var err error
+		if hi, err = deltaP(); err != nil {
+			return 0, 0, err
+		}
+	}
+	if hi >= 0 && lo > hi {
+		return 0, 0, badRequest("tau_low %d exceeds the sweep's upper bound %d", lo, hi)
+	}
+	return lo, hi, nil
 }
 
 // sweepDone records one sweep's outcome: finished, cancelled (a client
-// disconnect or deadline), or failed (any other error — MaxVisited, an
-// internal fault). The classification lives here so the three sweeping
-// handlers cannot drift apart.
+// disconnect, a deadline, or a job's cancellation cause), or failed (any
+// other error — MaxVisited, an internal fault).
 func (d *dataset) sweepDone(rows int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -223,41 +252,75 @@ func (d *dataset) sweepDone(rows int, err error) {
 	}
 }
 
-// startSweep is the shared prologue of the sweeping handlers: it admits
-// the sweep (or sheds it — a saturated dataset semaphore or global cap is
-// a 429 with a Retry-After, a draining server a 503; neither queues),
-// applies the request deadline, and counts the start. On ok the caller
-// must invoke done exactly once with the sweep's row count and terminal
-// error.
-func (s *Server) startSweep(w http.ResponseWriter, r *http.Request, c repairCall) (context.Context, func(rows int, err error), bool) {
+// startSweep is the prologue of the sweeping request handlers: it admits
+// the sweep (or answers the shed request — see writeAdmitError) and
+// applies the request's optional server-side deadline. On ok the caller
+// must invoke done exactly once, after the sweep.
+func (s *Server) startSweep(w http.ResponseWriter, r *http.Request, d *dataset, timeoutMS int) (context.Context, func(), bool) {
 	if err := faultinject.Hit(faultinject.SweepStart); err != nil {
 		writeErrorCode(w, http.StatusInternalServerError, codeInternal, "starting sweep: %v", err)
 		return nil, nil, false
 	}
-	if err := s.beginSweepSlot(c.ds); err != nil {
-		if errors.Is(err, ErrShuttingDown) {
-			writeErrorCode(w, http.StatusServiceUnavailable, codeShuttingDown,
-				"server is shutting down")
-			return nil, nil, false
-		}
-		c.ds.mu.Lock()
-		c.ds.sweepsShed++
-		c.ds.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeErrorCode(w, http.StatusTooManyRequests, codeOverloaded,
-			"sweep capacity for dataset %q is saturated; retry shortly", c.ds.name)
+	release, err := s.admit(d, false)
+	if err != nil {
+		writeAdmitError(w, d, err)
 		return nil, nil, false
 	}
-	ctx, cancel := sweepCtx(r, c.req)
-	c.ds.mu.Lock()
-	c.ds.sweepsStarted++
-	c.ds.mu.Unlock()
-	done := func(rows int, err error) {
-		c.ds.sweepDone(rows, err)
-		s.endSweepSlot(c.ds)
-		cancel()
+	ctx, cancel := context.WithCancel(r.Context())
+	if timeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(r.Context(), time.Duration(timeoutMS)*time.Millisecond)
 	}
-	return ctx, done, true
+	return ctx, func() { release(); cancel() }, true
+}
+
+// runSweep runs one admitted sweep body: it is the one prologue of every
+// sweep, request or job. A panic that unwinds out of sweep code (the
+// first line of defense is the search pool's own recovery, which already
+// yields a PanicError) becomes the sweep's terminal error instead of
+// escaping past the slot release — the stack goes to the log, the error
+// maps to internal_panic on the wire, and the sweep's forked state never
+// re-enters the shared session. The outcome is counted against d.
+func (s *Server) runSweep(d *dataset, body func() (int, error), logAttrs ...any) (rows int, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			stack := debug.Stack()
+			s.panics.Add(1)
+			s.log.Error("server: panic during sweep", append([]any{
+				"dataset", d.name, "panic", rec, "stack", string(stack)}, logAttrs...)...)
+			err = &relatrust.PanicError{Value: rec, Stack: stack}
+		}
+		d.sweepDone(rows, err)
+	}()
+	return body()
+}
+
+// frontierSweep is the frontier kind's frame loop, run by /v1/repair,
+// discover_then_repair and frontier jobs alike: it sweeps rp's frontier
+// over [lo, hi] (hi < 0: from δP), numbers the rows after level, and
+// emits each row's wire bytes the moment the search yields it.
+func frontierSweep(ctx context.Context, in *relatrust.Instance, rp *relatrust.Repairer, lo, hi, level int, changes bool, emit func([]byte) error) (rows int, err error) {
+	for rep, err := range rp.FrontierRange(ctx, lo, hi) {
+		if err != nil {
+			return rows, err
+		}
+		if err := faultinject.Hit(faultinject.StreamEmit); err != nil {
+			return rows, err
+		}
+		frame := frontierFrame{Row: report.RowOf(in, level+rows+1, rep)}
+		if changes {
+			frame.Changes = changesOf(in, rep.Data)
+		}
+		raw, err := json.Marshal(frame)
+		if err != nil {
+			return rows, err
+		}
+		// An emit error stops the range loop, which stops the sweep.
+		if err := emit(raw); err != nil {
+			return rows, err
+		}
+		rows++
+	}
+	return rows, nil
 }
 
 // handleRepair streams the frontier. The semaphore is held for the whole
@@ -271,101 +334,21 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve and validate the τ range before the 200 commits: a
 	// malformed range is a client mistake, not a sweep failure.
-	lo := c.req.TauLow
-	if lo < 0 {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "tau_low must be non-negative")
+	lo, hi, err := tauRange(c.req.TauLow, c.req.TauHigh, func() (int, error) { return c.rp.MaxBudget(r.Context()) })
+	if err != nil {
+		writeError(w, err, c.in.Schema)
 		return
 	}
-	hi := -1
-	if c.req.TauHigh != nil && *c.req.TauHigh >= 0 {
-		hi = *c.req.TauHigh
-	} else {
-		dp, err := c.rp.MaxBudget(r.Context())
-		if err != nil {
-			status, body := mapError(err, c.in.Schema)
-			writeError(w, status, body)
-			return
-		}
-		hi = dp
-	}
-	if lo > hi {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest,
-			"tau_low %d exceeds the sweep's upper bound %d", lo, hi)
-		return
-	}
-
-	ctx, done, ok := s.startSweep(w, r, c)
+	ctx, done, ok := s.startSweep(w, r, c.ds, c.req.TimeoutMS)
 	if !ok {
 		return
 	}
+	defer done()
 	st := newStream(w, r)
-	rows, sweepErr := s.streamFrontier(ctx, c, st, lo, hi)
-	if sweepErr != nil {
-		_, body := mapError(sweepErr, c.in.Schema)
-		st.fail(body)
-	} else {
-		st.done(rows)
-	}
-	done(rows, sweepErr)
-}
-
-// streamFrontier runs the sweep and emits each frontier row as it lands.
-// The 200 is already committed when it runs, so it recovers its own
-// panics — a panic mid-sweep becomes the terminal error of the stream
-// (delivered in-band by the caller), with the stack logged; the sweep's
-// forked state never re-enters the shared session, which stays usable.
-func (s *Server) streamFrontier(ctx context.Context, c repairCall, st *stream, lo, hi int) (rows int, sweepErr error) {
-	defer s.recoverSweep(c.ds.name, &sweepErr)
-	for rep, err := range c.rp.FrontierRange(ctx, lo, hi) {
-		if err != nil {
-			sweepErr = err
-			break
-		}
-		if err := faultinject.Hit(faultinject.StreamEmit); err != nil {
-			sweepErr = err
-			break
-		}
-		rows++
-		frame := frontierFrame{Row: report.RowOf(c.in, rows, rep)}
-		if c.req.IncludeChanges {
-			frame.Changes = changesOf(c.in, rep.Data)
-		}
-		if err := st.row(frame); err != nil {
-			// The client is gone; breaking the range loop stops the
-			// sweep, and the outcome counts as cancelled.
-			sweepErr = context.Canceled
-			break
-		}
-	}
-	return rows, sweepErr
-}
-
-// recoverSweep is the deferred second line of panic defense (the first is
-// the search pool's own recovery, which already yields a PanicError): any
-// panic that unwinds out of sweep code on the handler goroutine becomes
-// the sweep's terminal error instead of escaping past the slot release.
-// The stack goes to the log; the error maps to internal_panic on the wire.
-func (s *Server) recoverSweep(dataset string, sweepErr *error) {
-	if rec := recover(); rec != nil {
-		stack := debug.Stack()
-		s.panics.Add(1)
-		s.log.Error("server: panic during sweep",
-			"dataset", dataset, "panic", rec, "stack", string(stack))
-		*sweepErr = &relatrust.PanicError{Value: rec, Stack: stack}
-	}
-}
-
-// runBudget and runSample wrap the facade calls of the non-streaming
-// sweep handlers in recoverSweep, so a panic is released and reported
-// exactly like any other sweep failure.
-func (s *Server) runBudget(ctx context.Context, c repairCall) (rep *relatrust.Repair, err error) {
-	defer s.recoverSweep(c.ds.name, &err)
-	return c.rp.RepairWithBudget(ctx, *c.req.Tau)
-}
-
-func (s *Server) runSample(ctx context.Context, c repairCall) (samples []*relatrust.DataRepair, err error) {
-	defer s.recoverSweep(c.ds.name, &err)
-	return c.rp.Sample(ctx, c.req.K)
+	rows, err := s.runSweep(c.ds, func() (int, error) {
+		return frontierSweep(ctx, c.in, c.rp, lo, hi, 0, c.req.IncludeChanges, st.emit(&frontierKind))
+	})
+	st.end(rows, err, c.in.Schema)
 }
 
 // handleBudget answers the single-τ repair (the paper's Algorithm 1).
@@ -378,22 +361,26 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "budget repair needs a non-negative tau")
 		return
 	}
-	ctx, done, ok := s.startSweep(w, r, c)
+	ctx, done, ok := s.startSweep(w, r, c.ds, c.req.TimeoutMS)
 	if !ok {
 		return
 	}
-	rep, err := s.runBudget(ctx, c)
+	var rep *relatrust.Repair
+	_, err := s.runSweep(c.ds, func() (rows int, err error) {
+		if rep, err = c.rp.RepairWithBudget(ctx, *c.req.Tau); err == nil {
+			rows = 1
+		}
+		return rows, err
+	})
+	done()
 	if err != nil {
-		done(0, err)
-		status, body := mapError(err, c.in.Schema)
-		writeError(w, status, body)
+		writeError(w, err, c.in.Schema)
 		return
 	}
 	frame := frontierFrame{Row: report.RowOf(c.in, 1, rep)}
 	if c.req.IncludeChanges {
 		frame.Changes = changesOf(c.in, rep.Data)
 	}
-	done(1, nil)
 	writeJSON(w, http.StatusOK, struct {
 		Repair frontierFrame `json:"repair"`
 	}{frame})
@@ -419,15 +406,18 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "sampling needs k ≥ 1")
 		return
 	}
-	ctx, done, ok := s.startSweep(w, r, c)
+	ctx, done, ok := s.startSweep(w, r, c.ds, c.req.TimeoutMS)
 	if !ok {
 		return
 	}
-	samples, err := s.runSample(ctx, c)
+	var samples []*relatrust.DataRepair
+	_, err := s.runSweep(c.ds, func() (rows int, err error) {
+		samples, err = c.rp.Sample(ctx, c.req.K)
+		return len(samples), err
+	})
+	done()
 	if err != nil {
-		done(0, err)
-		status, body := mapError(err, c.in.Schema)
-		writeError(w, status, body)
+		writeError(w, err, c.in.Schema)
 		return
 	}
 	resp := sampleResponse{Samples: make([]sampleRepair, 0, len(samples))}
@@ -438,7 +428,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Samples = append(resp.Samples, sr)
 	}
-	done(len(samples), nil)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -461,27 +450,22 @@ type wireViolation struct {
 // no search runs — but the pair listing is capped (request max, default
 // 1000) because a badly violated instance has quadratically many.
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRepairRequest(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	req, err := decodeStrict[RepairRequest](http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
 	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "decoding violations request: %v", err)
 		return
 	}
-	ds := s.lookup(req.Dataset)
-	if ds == nil {
-		writeErrorCode(w, http.StatusNotFound, codeUnknownDataset, "dataset %q is not registered", req.Dataset)
+	ds, err := s.find(req.Dataset)
+	if err != nil {
+		writeError(w, err, nil)
 		return
 	}
 	// Pin the current generation's rows once: the scan and the formatted
 	// output describe the same instance even if a PATCH lands mid-request.
 	in := ds.live.Rows()
-	sigma, err := relatrust.ParseFDs(in.Schema, req.FDs)
+	sigma, err := parseFDs(in.Schema, req.FDs)
 	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, codeBadFDs, "parsing FDs: %v", err)
-		return
-	}
-	if len(sigma) == 0 {
-		status, body := mapError(relatrust.ErrEmptyFDSet, in.Schema)
-		writeError(w, status, body)
+		writeError(w, err, in.Schema)
 		return
 	}
 	if req.Max < 0 {

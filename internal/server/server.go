@@ -18,6 +18,12 @@
 //	POST  /v1/sample               k sampled minimal data-only repairs
 //	POST  /v1/violations           violating tuple pairs for an FD set
 //	PATCH /v1/datasets/{name}/rows apply a row-mutation batch (insert/update/delete)
+//	POST  /v1/jobs                 run a frontier sweep as a durable job (coalesces by content)
+//	POST  /v1/jobs/discover        run FD mining as a durable job
+//	GET   /v1/jobs                 list jobs
+//	GET   /v1/jobs/{id}            one job's spec, state and checkpointed row count
+//	GET   /v1/jobs/{id}/stream     replay a job's frames from ?from=N, then follow it live
+//	DELETE /v1/jobs/{id}           cancel a running job, or drop a finished one
 //	GET   /healthz                 liveness
 //	GET   /statz                   registry and sweep statistics
 //	GET   /metrics                 the same counters in Prometheus text format
@@ -48,10 +54,13 @@
 // # Streaming
 //
 // /v1/repair writes one frontier row the moment its trust level finishes:
-// the handler ranges over Repairer.Frontier and flushes each NDJSON line
-// (or SSE "repair" event) as it is yielded, so a slow sweep shows
-// progress and a client can stop reading once it has seen enough of the
-// spectrum. An NDJSON stream carries data rows only; an error mid-sweep is
+// the frontier kind's frame loop ranges over Repairer.FrontierRange and
+// flushes each NDJSON line (or SSE "repair" event) as it is yielded, so a
+// slow sweep shows progress and a client can stop reading once it has
+// seen enough of the spectrum. /v1/discover streams mined FDs ("fd"
+// events, then one "sigma" event) the same way. A job of either kind runs
+// the same loop, writing into its checkpoint log instead of a response.
+// An NDJSON stream carries data rows only; an error mid-sweep is
 // delivered in-band as a final {"error": ...} line (SSE: an "error"
 // event; a successful SSE stream ends with a "done" event). Rows encode
 // report.Row — byte-identical to the rows an in-process caller would build
@@ -118,7 +127,8 @@ import (
 // Options tunes a Server.
 type Options struct {
 	// MaxSweepsPerDataset bounds concurrently running sweeps (frontier,
-	// budget, sample) per dataset; further requests wait. 0 selects 2.
+	// discovery, budget, sample, jobs) per dataset; a request or new job
+	// beyond it is shed with 429 + Retry-After, not queued. 0 selects 2.
 	MaxSweepsPerDataset int
 	// MaxUploadBytes caps the request body of dataset registration.
 	// 0 selects 32 MiB.
@@ -290,8 +300,8 @@ func New(opt Options) *Server {
 	mux.HandleFunc("GET /v1/datasets/{name}", s.handleGetDataset)
 	mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleDeleteDataset)
 	mux.HandleFunc("PATCH /v1/datasets/{name}/rows", s.handleMutateRows)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
-	mux.HandleFunc("POST /v1/jobs/discover", s.handleSubmitDiscoverJob)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob(&frontierKind))
+	mux.HandleFunc("POST /v1/jobs/discover", s.handleSubmitJob(&discoverKind))
 	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleDeleteJob)
@@ -306,10 +316,9 @@ func New(opt Options) *Server {
 }
 
 // ServeHTTP dispatches to the registered routes under the panic-recovery
-// middleware: a handler panic that escapes (the streaming path recovers
-// its own first — see streamFrontier) is logged with its stack and, when
-// the response header is not yet committed, answered with a structured
-// 500. The process and every other connection stay up either way.
+// middleware: a handler panic that escapes (sweeps recover their own
+// first — see runSweep) is logged with its stack and, when the response
+// header is not yet committed, answered with a structured 500. The process and every other connection stay up either way.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := &recordingWriter{ResponseWriter: w}
 	defer func() {
@@ -467,6 +476,16 @@ func (s *Server) lookup(name string) *dataset {
 	return s.datasets[name]
 }
 
+// find is lookup for request handlers: an unregistered name is a 404
+// unknown_dataset.
+func (s *Server) find(name string) (*dataset, error) {
+	if d := s.lookup(name); d != nil {
+		return d, nil
+	}
+	return nil, &requestError{http.StatusNotFound, codeUnknownDataset,
+		fmt.Sprintf("dataset %q is not registered", name)}
+}
+
 // registerRequest is the body of POST /v1/datasets: the CSV text is parsed
 // header-first, exactly like relatrust.ReadCSV.
 type registerRequest struct {
@@ -475,16 +494,9 @@ type registerRequest struct {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req registerRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeStrict[registerRequest](http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "decoding register request: %v", err)
-		return
-	}
-	if dec.More() {
-		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "unexpected data after the register object")
 		return
 	}
 	if err := validateDatasetName(req.Name); err != nil {
@@ -524,9 +536,9 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	d := s.lookup(r.PathValue("name"))
-	if d == nil {
-		writeErrorCode(w, http.StatusNotFound, codeUnknownDataset, "dataset %q is not registered", r.PathValue("name"))
+	d, err := s.find(r.PathValue("name"))
+	if err != nil {
+		writeError(w, err, nil)
 		return
 	}
 	writeJSON(w, http.StatusOK, d.info())
@@ -574,11 +586,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{true})
 }
 
-// beginSweepSlot is the admission decision of the sweeping handlers:
-// nil on success (endSweepSlot must follow), ErrShuttingDown once
-// BeginShutdown ran, errOverloaded when the global in-flight cap or the
-// dataset's semaphore is saturated — the request is shed, never queued.
-func (s *Server) beginSweepSlot(d *dataset) error {
+// admit is the admission decision of every sweep, request or job: on
+// success it takes a slot, counts the start, and returns the release
+// (call it exactly once). Otherwise nothing is held: ErrShuttingDown once
+// BeginShutdown ran, errOverloaded — counted as shed — when the global
+// in-flight cap or the dataset's semaphore is saturated; the sweep is
+// refused, never queued. With wait (boot-time job resume, which was
+// admitted once already) overload is retried instead of shed.
+func (s *Server) admit(d *dataset, wait bool) (func(), error) {
+	for {
+		err := s.takeSlot(d)
+		if errors.Is(err, errOverloaded) && wait {
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		d.mu.Lock()
+		if err == nil {
+			d.sweepsStarted++
+		} else if errors.Is(err, errOverloaded) {
+			d.sweepsShed++
+		}
+		d.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return func() {
+			<-d.sem
+			<-s.inflight
+			s.sweeps.Done()
+		}, nil
+	}
+}
+
+// takeSlot takes one global and one per-dataset sweep slot without
+// blocking, registering the sweep with Drain.
+func (s *Server) takeSlot(d *dataset) error {
 	s.sweepMu.Lock()
 	if s.draining {
 		s.sweepMu.Unlock()
@@ -602,15 +644,26 @@ func (s *Server) beginSweepSlot(d *dataset) error {
 	return nil
 }
 
-func (s *Server) endSweepSlot(d *dataset) {
-	<-d.sem
-	<-s.inflight
-	s.sweeps.Done()
-}
-
 // errOverloaded marks a shed sweep internally; the wire sees 429
 // overloaded with a Retry-After.
 var errOverloaded = errors.New("server: sweep capacity saturated")
+
+// writeAdmitError answers a sweep or job submission that was not
+// admitted: 503 shutting_down once shutdown began, 429 overloaded with a
+// Retry-After when shed, and 500 storage when a job's durable record
+// could not be written (the only other way a submission fails).
+func writeAdmitError(w http.ResponseWriter, d *dataset, err error) {
+	switch {
+	case errors.Is(err, ErrShuttingDown):
+		writeErrorCode(w, http.StatusServiceUnavailable, codeShuttingDown, "server is shutting down")
+	case errors.Is(err, errOverloaded):
+		w.Header().Set("Retry-After", "1")
+		writeErrorCode(w, http.StatusTooManyRequests, codeOverloaded,
+			"sweep capacity for dataset %q is saturated; retry shortly", d.name)
+	default:
+		writeErrorCode(w, http.StatusInternalServerError, codeStorage, "%v", err)
+	}
+}
 
 // snapshotFor pins the dataset's current (instance, session, generation)
 // triple for one sweep, marking the dataset warm and most-recently-used.

@@ -1,21 +1,25 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
+
+	"relatrust"
 )
 
-// stream frames the frontier rows of one /v1/repair response and flushes
-// every frame immediately, so each Pareto point reaches the client the
-// moment its trust level finishes. Two framings:
+// stream frames the rows of one streamed response (/v1/repair,
+// /v1/discover, or a job stream) and flushes every frame immediately, so
+// each Pareto point or mined FD reaches the client the moment it lands.
+// Two framings:
 //
 //   - NDJSON (default, application/x-ndjson): one JSON object per line —
 //     data rows only; an error mid-sweep is a final {"error": ...} line,
-//     and a clean EOF without one means the frontier completed.
-//   - SSE (Accept: text/event-stream): "repair" events carrying the same
-//     JSON rows, a terminal "done" event on success, an "error" event on
-//     failure.
+//     and a clean EOF without one means the sweep completed.
+//   - SSE (Accept: text/event-stream): one event per row, named by the
+//     sweep's kind ("repair", or "fd" and "sigma"), carrying the same JSON;
+//     a terminal "done" event on success, an "error" event on failure.
 type stream struct {
 	w   http.ResponseWriter
 	rc  *http.ResponseController
@@ -44,27 +48,20 @@ func newStream(w http.ResponseWriter, r *http.Request) *stream {
 	return st
 }
 
-// row emits one frontier frame and flushes it.
-func (st *stream) row(v any) error {
+// write emits one encoded frame and flushes it: NDJSON appends the
+// newline json.Encoder would, SSE wraps the same payload in an event of
+// the given name. Request streams and job streams write every frame
+// through here, so a job replays exactly the bytes its kind's request
+// stream sends.
+func (st *stream) write(event string, payload []byte) error {
 	if st.sse {
-		return st.event("repair", v)
-	}
-	return st.line(v)
-}
-
-// rawRow emits one already-encoded frontier frame (the job tier
-// checkpoints encoded rows, so replay and live rows share exact bytes
-// with /v1/repair's output: NDJSON appends the newline json.Encoder
-// would, SSE wraps the same payload in a "repair" event).
-func (st *stream) rawRow(payload []byte) error {
-	if st.sse {
-		if _, err := st.w.Write([]byte("event: repair\ndata: " + string(payload) + "\n\n")); err != nil {
+		if _, err := st.w.Write([]byte("event: " + event + "\ndata: " + string(payload) + "\n\n")); err != nil {
 			return err
 		}
 		return st.rc.Flush()
 	}
-	// Two writes, not append(payload, '\n'): the frame bytes are shared
-	// with the job's in-memory log and must never be grown in place.
+	// Two writes, not append(payload, '\n'): a job's frame bytes are shared
+	// with its in-memory log and must never be grown in place.
 	if _, err := st.w.Write(payload); err != nil {
 		return err
 	}
@@ -74,13 +71,33 @@ func (st *stream) rawRow(payload []byte) error {
 	return st.rc.Flush()
 }
 
-// fail emits the in-band error frame.
-func (st *stream) fail(body ErrorBody) {
-	if st.sse {
-		_ = st.event("error", body)
+// emit is the emit of a request stream running a sweep of kind k: each
+// frame goes out under the kind's event name, and a failed write means
+// the client is gone, which cancels the sweep.
+func (st *stream) emit(k *sweepKind) func(frame []byte) error {
+	return func(frame []byte) error {
+		if err := st.write(k.event(frame), frame); err != nil {
+			return context.Canceled
+		}
+		return nil
+	}
+}
+
+// end closes a request stream: the in-band error frame when the sweep
+// failed, otherwise the SSE "done" event (NDJSON ends at EOF).
+func (st *stream) end(rows int, err error, schema *relatrust.Schema) {
+	if err != nil {
+		_, body := mapError(err, schema)
+		st.fail(body)
 		return
 	}
-	_ = st.line(body)
+	st.done(rows)
+}
+
+// fail emits the in-band error frame.
+func (st *stream) fail(body ErrorBody) {
+	payload, _ := json.Marshal(body)
+	_ = st.write("error", payload)
 }
 
 // done closes an SSE stream with the terminal event (NDJSON ends at EOF).
@@ -88,28 +105,8 @@ func (st *stream) done(rows int) {
 	if !st.sse {
 		return
 	}
-	_ = st.event("done", struct {
+	payload, _ := json.Marshal(struct {
 		Rows int `json:"rows"`
 	}{rows})
-}
-
-// line writes one NDJSON frame. json.Encoder appends the newline.
-func (st *stream) line(v any) error {
-	if err := json.NewEncoder(st.w).Encode(v); err != nil {
-		return err
-	}
-	return st.rc.Flush()
-}
-
-// event writes one SSE frame. The payload is a single JSON line, so one
-// data: field suffices.
-func (st *stream) event(name string, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := st.w.Write([]byte("event: " + name + "\ndata: " + string(payload) + "\n\n")); err != nil {
-		return err
-	}
-	return st.rc.Flush()
+	_ = st.write("done", payload)
 }

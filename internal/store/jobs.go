@@ -5,16 +5,18 @@ package store
 // RTJOB001: magic + crc32c + length + JSON payload, written atomically
 // like dataset snapshots) and an append-only result log ("<id>.rlog",
 // format RTJLOG01: a magic header followed by length+crc32c-framed
-// frontier rows, fsynced per append). The discipline matches RTSNAP01:
-// a crash mid-write leaves either the old record or the new one; a crash
-// mid-append leaves a torn final frame that the next open truncates away,
-// so every frame that survives a reboot is exactly the bytes that were
-// checkpointed. Corrupt records and unrecognizable logs are quarantined
+// frames — frontier rows or mined FDs — fsynced per append). The
+// discipline matches RTSNAP01: a crash mid-write leaves either the old
+// record or the new one; a crash mid-append leaves a torn final frame
+// that the next open truncates away, so every frame that survives a
+// reboot is exactly the bytes that were checkpointed. Corrupt records and unrecognizable logs are quarantined
 // ("<file>.corrupt"), never fatal.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,13 +53,16 @@ var jobCRC = crc32.MakeTable(crc32.Castagnoli)
 // or structure checks; match with errors.Is.
 var ErrJobCorrupt = errors.New("store: corrupt job file")
 
-// JobRecord is the durable identity and terminal state of one job. The
-// spec fields are the job's content address (the ID is derived from them
-// by internal/jobs); State is "running" until the sweep reaches a terminal
-// state, which is what makes boot-time resume possible: a record still
-// "running" after a crash is a sweep to continue from its result log.
-type JobRecord struct {
-	ID      string `json:"id"`
+// JobSpec is a job's content address, declared once: internal/jobs names
+// it jobs.Spec and derives the job id from it (ID), the record persists it
+// and the serving layer's job body reports it, both by embedding it, so the
+// three cannot drift apart. The field order and JSON tags are part of the
+// RTJOB001 payload and of the wire body; keep both as they are. Engine
+// knobs (workers, best-first, visit caps) are deliberately absent: they do
+// not change the rows, so submissions differing only in them coalesce and
+// the first submission's knobs win. Seed and IncludeChanges are present
+// because they change the row bytes.
+type JobSpec struct {
 	Dataset string `json:"dataset"`
 	// FDs is the canonical (schema-formatted) FD set.
 	FDs     string `json:"fds"`
@@ -67,8 +72,9 @@ type JobRecord struct {
 	Seed    int64  `json:"seed,omitempty"`
 	// IncludeChanges is part of the address: it changes the row bytes.
 	IncludeChanges bool `json:"include_changes,omitempty"`
-	// Generation is the dataset's mutation generation the job answers
-	// for; a mismatch at recovery fails the job instead of resuming it.
+	// Generation is the dataset's mutation generation at submission:
+	// mutating a dataset re-addresses every job against it, and a mismatch
+	// at recovery fails the job instead of resuming it against new rows.
 	Generation int64 `json:"generation,omitempty"`
 
 	// Kind distinguishes job bodies ("" = frontier sweep, "discover" =
@@ -79,7 +85,36 @@ type JobRecord struct {
 	MaxLHS     int     `json:"max_lhs,omitempty"`
 	MaxError   float64 `json:"max_error,omitempty"`
 	MaxResults int     `json:"max_results,omitempty"`
-	Attrs      string  `json:"attrs,omitempty"`
+	// Attrs is the canonical comma-separated attribute-name restriction.
+	Attrs string `json:"attrs,omitempty"`
+}
+
+// ID derives the job id from the spec: a short hex digest with a "j"
+// prefix. Identical specs — including across process restarts — get
+// identical ids; that is what coalescing and boot resume key on. The
+// legacy sweep digest (Kind == "") is frozen: a daemon upgraded across
+// the discovery fields must derive the same id for a persisted sweep job,
+// or boot resume would orphan every record.
+func (sp JobSpec) ID() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x1f%s\x1f%d\x1f%d\x1f%s\x1f%d\x1f%t\x1f%d",
+		sp.Dataset, sp.FDs, sp.TauLow, sp.TauHigh, sp.Weights, sp.Seed, sp.IncludeChanges,
+		sp.Generation)
+	if sp.Kind != "" {
+		fmt.Fprintf(h, "\x1f%s\x1f%d\x1f%g\x1f%d\x1f%s",
+			sp.Kind, sp.MaxLHS, sp.MaxError, sp.MaxResults, sp.Attrs)
+	}
+	return "j" + hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// JobRecord is the durable identity and terminal state of one job: its
+// id, its spec, and its state, which is "running" until the sweep reaches
+// a terminal state — that is what makes boot-time resume possible: a
+// record still "running" after a crash is a sweep to continue from its
+// result log.
+type JobRecord struct {
+	ID string `json:"id"`
+	JobSpec
 
 	State        string `json:"state"`
 	ErrorCode    string `json:"error_code,omitempty"`
@@ -207,7 +242,7 @@ func (s *JobStore) loadRecord(path string) (JobRecord, error) {
 	return rec, nil
 }
 
-// AppendResult appends one checkpointed frontier row to the job's result
+// AppendResult appends one checkpointed frame to the job's result
 // log and fsyncs it, creating the log (with its magic header) on first
 // use. It returns the bytes written to disk. A crash mid-append leaves a
 // torn tail that readResultLog truncates on the next boot, so the log

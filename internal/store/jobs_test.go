@@ -7,6 +7,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io"
 	"log/slog"
 	"os"
@@ -25,9 +26,9 @@ func testJobStore(t *testing.T) *JobStore {
 
 func testRecord(id string) JobRecord {
 	return JobRecord{
-		ID: id, Dataset: "paper", FDs: "A->B; C->D",
-		TauLow: 0, TauHigh: -1, Weights: "distinct-count", Seed: 9,
-		State: "running", CreatedUnix: 1700000000, UpdatedUnix: 1700000001,
+		ID:      id,
+		JobSpec: JobSpec{Dataset: "paper", FDs: "A->B; C->D", TauHigh: -1, Weights: "distinct-count", Seed: 9},
+		State:   "running", CreatedUnix: 1700000000, UpdatedUnix: 1700000001,
 	}
 }
 
@@ -269,5 +270,68 @@ func TestJobDelete(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("leftover file %s", filepath.Join(s.Dir(), e.Name()))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// goldenRecords returns one record per job kind with every field set that
+// the kind uses. Fields are assigned, not listed in a literal, so the
+// fixture does not depend on how JobRecord groups them.
+func goldenRecords() map[string]JobRecord {
+	var sweep JobRecord
+	sweep.ID = "j0011223344556677"
+	sweep.Dataset, sweep.FDs = "paper", "A,C->B; C->D"
+	sweep.TauLow, sweep.TauHigh = 1, -1
+	sweep.Weights, sweep.Seed, sweep.IncludeChanges = "distinct-count", 9, true
+	sweep.Generation = 2
+	sweep.State, sweep.ErrorCode, sweep.ErrorMessage = "failed", "max_visited", "search visited 1 states"
+	sweep.CreatedUnix, sweep.UpdatedUnix = 1700000000, 1700000001
+
+	var disc JobRecord
+	disc.ID = "j8899aabbccddeeff"
+	disc.Dataset, disc.Generation = "keyed", 3
+	disc.Kind, disc.MaxLHS, disc.MaxError, disc.MaxResults = "discover", 2, 0.25, 7
+	disc.Attrs = "Dept,Floor"
+	disc.State = "completed"
+	disc.CreatedUnix, disc.UpdatedUnix = 1700000002, 1700000003
+	return map[string]JobRecord{"record.sweep.golden": sweep, "record.discover.golden": disc}
+}
+
+// TestJobRecordGolden pins the RTJOB001 bytes of one record per job kind:
+// magic, checksum, length and the JSON payload in field order. A diff
+// means records written before the change would not read back the same —
+// make it deliberately, with -update.
+func TestJobRecordGolden(t *testing.T) {
+	for name, rec := range goldenRecords() {
+		s := testJobStore(t)
+		if err := s.SaveRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.recordPath(rec.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", name)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from golden file:\ngot:  %q\nwant: %q", name, got, want)
+		}
+		loaded, err := s.LoadAll()
+		if err != nil || len(loaded) != 1 || loaded[0].Record != rec {
+			t.Errorf("%s: reloaded %+v (err %v), want %+v", name, loaded, err, rec)
+		}
 	}
 }
