@@ -128,34 +128,6 @@ func BenchmarkAblationRepairStrategy(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelSampling measures the parallel Sampling-Repair
-// speedup over the serial form (Section 7 notes the embarrassing
-// parallelism; Range-Repair still wins sequentially, see Figure 13).
-func BenchmarkAblationParallelSampling(b *testing.B) {
-	w := ablationWorkload(b)
-	s, err := w.Session(true, 0, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dp := s.DeltaPOriginal()
-	taus := []int{dp / 10, dp / 5, dp / 3, dp / 2, dp}
-	cfg := repair.Config{Weights: weights.NewDistinctCount(w.Dirty), Seed: 42}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := repair.RunSampling(context.Background(), w.Dirty, w.SigmaD, taus, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := repair.RunSamplingParallel(context.Background(), w.Dirty, w.SigmaD, taus, cfg, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func benchName(k string, v int) string {
 	return k + "=" + itoa(v)
 }

@@ -325,7 +325,7 @@ func BenchmarkComponentSweep(b *testing.B) {
 				if w.name == "census" {
 					_, err = s.Find(context.Background(), dp/10)
 				} else {
-					_, err = s.FindRange(context.Background(), 0, dp)
+					err = s.FindRangeStream(context.Background(), 0, dp, func(*search.Result) error { return nil })
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -359,7 +359,7 @@ func BenchmarkComponentSweepXL(b *testing.B) {
 	dp := s.DeltaPOriginal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.FindRange(context.Background(), 0, dp); err != nil {
+		if err := s.FindRangeStream(context.Background(), 0, dp, func(*search.Result) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,8 +433,14 @@ func BenchmarkSuggestRepairs(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := relatrust.SuggestRepairs(in, sigma, relatrust.Options{Seed: 1, Workers: workers}); err != nil {
+				rp, err := relatrust.NewRepairer(in, sigma, relatrust.Options{Seed: 1, Workers: workers})
+				if err != nil {
 					b.Fatal(err)
+				}
+				for _, err := range rp.Frontier(context.Background()) {
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

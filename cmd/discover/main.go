@@ -12,13 +12,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"relatrust/internal/discovery"
-	"relatrust/internal/relation"
+	"relatrust"
 )
 
 func main() {
@@ -45,11 +45,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-data is required")
 	}
-	in, err := relation.ReadCSVFile(*dataPath)
+	in, err := relatrust.ReadCSVFile(*dataPath)
 	if err != nil {
 		return err
 	}
-	var restrict relation.AttrSet
+	var restrict relatrust.AttrSet
 	if *attrs != "" {
 		restrict, err = in.Schema.ParseAttrs(*attrs)
 		if err != nil {
@@ -58,33 +58,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%d tuples × %d attributes\n", in.N(), in.Schema.Width())
 
-	if *maxErr > 0 {
-		found, err := discovery.DiscoverApprox(in, discovery.ApproxOptions{
-			MaxError:   *maxErr,
-			MaxLHS:     *maxLHS,
-			MaxResults: *maxOut,
-			Attrs:      restrict,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%d approximate FDs (error ≤ %.1f%%):\n", len(found), 100**maxErr)
-		for _, f := range found {
-			fmt.Fprintf(stdout, "  %-50s error %.2f%%\n", f.FD.Format(in.Schema), 100*f.Error)
-		}
-		return nil
-	}
-	found, err := discovery.Discover(in, discovery.Options{
+	dv, err := relatrust.NewDiscoverer(in, relatrust.DiscoverOptions{
 		MaxLHS:     *maxLHS,
+		MaxError:   *maxErr,
 		MaxResults: *maxOut,
 		Attrs:      restrict,
 	})
 	if err != nil {
 		return err
 	}
+	found, err := dv.Discover(context.Background())
+	if err != nil {
+		return err
+	}
+	if *maxErr > 0 {
+		fmt.Fprintf(stdout, "%d approximate FDs (error ≤ %.1f%%):\n", len(found), 100**maxErr)
+		for _, f := range found {
+			fmt.Fprintf(stdout, "  %-50s error %.2f%%\n", f.FD.Format(in.Schema), 100*f.Error)
+		}
+		return nil
+	}
 	fmt.Fprintf(stdout, "%d minimal exact FDs:\n", len(found))
 	for _, f := range found {
-		fmt.Fprintf(stdout, "  %s\n", f.Format(in.Schema))
+		fmt.Fprintf(stdout, "  %s\n", f.FD.Format(in.Schema))
 	}
 	return nil
 }

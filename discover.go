@@ -115,21 +115,17 @@ func (d *Discoverer) Stream(ctx context.Context) iter.Seq2[DiscoveredFD, error] 
 	}
 }
 
-// Discover runs the full mining pass and returns every discovered FD,
-// sorted deterministically (by RHS, then LHS size, then LHS). With
+// Discover collects Stream and returns every discovered FD, sorted
+// deterministically (fd.Compare: by RHS, then LHS size, then LHS). With
 // MaxResults set, the first MaxResults dependencies in mining order are
 // returned, sorted — the same early-return contract as the CLI.
 func (d *Discoverer) Discover(ctx context.Context) ([]DiscoveredFD, error) {
 	var out []DiscoveredFD
-	err := discovery.Stream(ctx, d.in, d.streamOptions(), func(f discovery.Found) error {
-		out = append(out, f)
-		if d.opt.MaxResults > 0 && len(out) >= d.opt.MaxResults {
-			return errStopFrontier
+	for f, err := range d.Stream(ctx) {
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil && err != errStopFrontier {
-		return nil, err
+		out = append(out, f)
 	}
 	slices.SortFunc(out, func(a, b DiscoveredFD) int { return fd.Compare(a.FD, b.FD) })
 	return out, nil

@@ -43,10 +43,19 @@ func ExampleSuggestRepairs() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
 
-	repairs, _ := relatrust.SuggestRepairs(inst, sigma, relatrust.Options{
+	// SuggestRepairs is deprecated: collect Repairer.Frontier instead.
+	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{
 		Weights: relatrust.AttrCountWeights(),
 		Seed:    1,
 	})
+	var repairs []*relatrust.Repair
+	for r, err := range rp.Frontier(context.Background()) {
+		if err != nil {
+			fmt.Println("sweep failed:", err)
+			return
+		}
+		repairs = append(repairs, r)
+	}
 	for _, r := range repairs {
 		fmt.Printf("τ≤%d: Σ'={%s}, %d cell change(s)\n",
 			r.Tau, r.Sigma.Format(inst.Schema), r.Data.NumChanges())
@@ -59,14 +68,18 @@ func ExampleRepairWithBudget() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
 
+	// RepairWithBudget is deprecated: use Repairer.RepairWithBudget.
+	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{Seed: 1})
+
 	// τ=0 forbids data changes: with Floor available to append, the FD
 	// itself must be relaxed — but the violating pair shares the floor,
-	// so no relaxation exists and the answer is φ (nil).
-	r, _ := relatrust.RepairWithBudget(inst, sigma, 0, relatrust.Options{})
+	// so no relaxation exists and the answer is φ (nil, with
+	// ErrNoRepairInBudget).
+	r, _ := rp.RepairWithBudget(context.Background(), 0)
 	fmt.Println("repair at τ=0:", r)
 
 	// τ=1 allows one cell change and keeps the FD.
-	r, _ = relatrust.RepairWithBudget(inst, sigma, 1, relatrust.Options{Seed: 1})
+	r, _ = rp.RepairWithBudget(context.Background(), 1)
 	fmt.Printf("repair at τ=1: %d change(s), Σ' unchanged: %v\n",
 		r.Data.NumChanges(), r.Sigma.Format(inst.Schema) == "Dept->Manager")
 	// Output:
@@ -87,7 +100,9 @@ func ExampleSatisfies() {
 func ExampleMaxBudget() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
-	dp, _ := relatrust.MaxBudget(inst, sigma, relatrust.Options{})
+	// MaxBudget is deprecated: use Repairer.MaxBudget.
+	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{})
+	dp, _ := rp.MaxBudget(context.Background())
 	fmt.Println(dp)
 	// Output:
 	// 1

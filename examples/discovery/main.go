@@ -15,7 +15,6 @@ import (
 
 	"relatrust"
 
-	"relatrust/internal/discovery"
 	"relatrust/internal/fd"
 	"relatrust/internal/gen"
 	"relatrust/internal/relation"
@@ -31,16 +30,20 @@ func main() {
 	}
 
 	// Step 1: discover minimal FDs from the clean instance.
-	found, err := discovery.Discover(clean, discovery.Options{
+	dv, err := relatrust.NewDiscoverer(clean, relatrust.DiscoverOptions{
 		MaxLHS: 2,
-		Attrs:  relation.NewAttrSet(0, 1, 2, 3, 7),
+		Attrs:  relatrust.NewAttrSet(0, 1, 2, 3, 7),
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	found, err := dv.Discover(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("discovered minimal FDs (LHS ≤ 2, over 5 of the attributes):")
 	for _, f := range found {
-		fmt.Printf("  %s\n", f.Format(spec.Schema))
+		fmt.Printf("  %s\n", f.FD.Format(spec.Schema))
 	}
 
 	// Step 2: perturb the planted FD — drop one LHS attribute.

@@ -3,15 +3,13 @@
 // suggested repair comes to undoing the injected damage — a miniature of
 // the paper's Figure 7 experiment that you can read end to end.
 //
-// This example deliberately stays on the batch back-compat wrappers
-// (SuggestRepairs, MaxBudget): existing code written against the
-// pre-Repairer facade keeps working unchanged. See examples/quickstart
-// and examples/employees for the streaming Repairer/Frontier API.
+// Rows print as the Repairer's Frontier stream delivers them.
 //
 // Run with: go run ./examples/tradeoff
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,17 +36,20 @@ func main() {
 	fmt.Printf("injected cell errors: %d\n\n", len(w.Cells))
 
 	opt := relatrust.Options{Weights: relatrust.DistinctCountWeights(w.Dirty), Seed: 7}
-	repairs, err := relatrust.SuggestRepairs(w.Dirty, w.SigmaD, opt)
+	rp, err := relatrust.NewRepairer(w.Dirty, w.SigmaD, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dp, err := relatrust.MaxBudget(w.Dirty, w.SigmaD, opt)
+	dp, err := rp.MaxBudget(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("%-8s %-10s %-12s %-40s %s\n", "τ", "τr", "cell-chg", "Σ'", "quality vs ground truth")
-	for _, r := range repairs {
+	for r, err := range rp.Frontier(context.Background()) {
+		if err != nil {
+			log.Fatal(err)
+		}
 		q, err := w.Evaluate(r)
 		if err != nil {
 			log.Fatal(err)

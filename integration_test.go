@@ -6,13 +6,14 @@ package relatrust_test
 // complement the per-package unit and property tests.
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"relatrust"
 
-	"relatrust/internal/discovery"
 	"relatrust/internal/experiments"
 	"relatrust/internal/fd"
 	"relatrust/internal/gen"
@@ -28,14 +29,12 @@ func TestPipelinePerturbRepairEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := relatrust.Options{Weights: relatrust.DistinctCountWeights(w.Dirty), Seed: 9}
-	repairs, err := relatrust.SuggestRepairs(w.Dirty, w.SigmaD, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := newRepairer(t, w.Dirty, w.SigmaD, opt)
+	repairs := collect(t, rp)
 	if len(repairs) < 3 {
 		t.Fatalf("spectrum too small: %d repairs", len(repairs))
 	}
-	dp, err := relatrust.MaxBudget(w.Dirty, w.SigmaD, opt)
+	dp, err := rp.MaxBudget(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +90,18 @@ func TestPipelineDiscoveryToRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := discovery.Discover(clean, discovery.Options{MaxLHS: 2, Attrs: relation.NewAttrSet(0, 1, 6)})
+	dv, err := relatrust.NewDiscoverer(clean, relatrust.DiscoverOptions{MaxLHS: 2, Attrs: relation.NewAttrSet(0, 1, 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := dv.Discover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var target *fd.FD
 	for i := range found {
-		if found[i].RHS == 6 {
-			target = &found[i]
+		if found[i].FD.RHS == 6 {
+			target = &found[i].FD
 			break
 		}
 	}
@@ -109,12 +112,10 @@ func TestPipelineDiscoveryToRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := relatrust.RepairWithBudget(p.Instance, fd.Set{*target}, len(p.Cells)*3, relatrust.Options{Seed: 6})
+	r, err := newRepairer(t, p.Instance, fd.Set{*target}, relatrust.Options{Seed: 6}).
+		RepairWithBudget(context.Background(), len(p.Cells)*3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r == nil {
-		t.Fatal("no repair")
 	}
 	if !relatrust.Satisfies(r.Data.Instance, r.Sigma) {
 		t.Fatal("inconsistent repair")
@@ -139,12 +140,9 @@ func TestPipelineCSVRoundTripThroughRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := relatrust.RepairWithBudget(in, sigma, 2, relatrust.Options{Seed: 2})
+	r, err := newRepairer(t, in, sigma, relatrust.Options{Seed: 2}).RepairWithBudget(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r == nil {
-		t.Fatal("no repair")
 	}
 	ground := r.Data.Instance.Ground("fresh_")
 	var b strings.Builder
@@ -173,17 +171,17 @@ func TestPipelineStressManySeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		seed := rng.Int63()
-		opt := relatrust.Options{Seed: seed}
-		dp, err := relatrust.MaxBudget(w.Dirty, w.SigmaD, opt)
+		rp := newRepairer(t, w.Dirty, w.SigmaD, relatrust.Options{Seed: seed})
+		dp, err := rp.MaxBudget(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := relatrust.RepairWithBudget(w.Dirty, w.SigmaD, dp/2, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
+		r, err := rp.RepairWithBudget(context.Background(), dp/2)
+		if errors.Is(err, relatrust.ErrNoRepairInBudget) {
 			continue
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !relatrust.Satisfies(r.Data.Instance, r.Sigma) || r.Data.NumChanges() > dp/2 {
 			t.Fatalf("seed %d: invalid repair", seed)

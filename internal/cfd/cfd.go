@@ -116,15 +116,6 @@ func (c CFD) SingleViolation(t relation.Tuple) bool {
 	return cell.IsVar() || cell.Str() != c.RHSPattern
 }
 
-// PairViolation reports whether the matching pair (t, u) violates the
-// variable part: both match the LHS pattern, agree on X, differ on A.
-func (c CFD) PairViolation(t, u relation.Tuple) bool {
-	if !c.Matches(t) || !c.Matches(u) {
-		return false
-	}
-	return c.Embedded.Violates(t, u)
-}
-
 // Extend appends wildcard attributes to the LHS — the relaxation operator.
 // Appended attributes receive no pattern constant, so every instance
 // satisfying c satisfies the extension.

@@ -237,10 +237,6 @@ func Decompose(an *conflict.Analysis) *Decomposition {
 // tombstones excluded).
 func (d *Decomposition) Components() int { return d.alive }
 
-// CompOf returns the component containing tuple t, or -1 when t is in no
-// violation cluster (including splice tombstone-cleared tuples).
-func (d *Decomposition) CompOf(t int32) int32 { return d.compOf[t] }
-
 // LargestComponent returns the tuple count of the largest component.
 func (d *Decomposition) LargestComponent() int { return d.largest }
 

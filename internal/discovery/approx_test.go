@@ -13,8 +13,8 @@ func TestDiscoverApproxIncludesExact(t *testing.T) {
 	in := testkit.Build([]string{"A", "B", "C"}, [][]string{
 		{"1", "x", "p"}, {"1", "x", "q"}, {"2", "y", "p"},
 	})
-	approx := mustDiscoverApprox(t, in, ApproxOptions{MaxError: 0, MaxLHS: 2})
-	exact := mustDiscover(t, in, Options{MaxLHS: 2})
+	approx := mustMine(t, in, StreamOptions{MaxError: 0, MaxLHS: 2}, 0)
+	exact := mustDiscover(t, in, StreamOptions{MaxLHS: 2}, 0)
 	if len(approx) != len(exact) {
 		t.Fatalf("zero-error approximate discovery found %d, exact found %d", len(approx), len(exact))
 	}
@@ -37,13 +37,13 @@ func TestDiscoverApproxToleratesNoise(t *testing.T) {
 	rows = append(rows, []string{"k", "ODD", "z"})
 	in := testkit.Build([]string{"A", "B", "C"}, rows)
 
-	strict := mustDiscoverApprox(t, in, ApproxOptions{MaxError: 0, MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)})
+	strict := mustMine(t, in, StreamOptions{MaxError: 0, MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)}, 0)
 	for _, f := range strict {
 		if f.FD.Equal(fd.MustNew(relation.NewAttrSet(0), 1)) {
 			t.Fatal("A->B does not hold exactly")
 		}
 	}
-	loose := mustDiscoverApprox(t, in, ApproxOptions{MaxError: 0.15, MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)})
+	loose := mustMine(t, in, StreamOptions{MaxError: 0.15, MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)}, 0)
 	found := false
 	for _, f := range loose {
 		if f.FD.Equal(fd.MustNew(relation.NewAttrSet(0), 1)) {
@@ -62,7 +62,7 @@ func TestDiscoverApproxMinimality(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
 		in := testkit.RandomInstance(rng, 12, 4, 2)
-		res := mustDiscoverApprox(t, in, ApproxOptions{MaxError: 0.2, MaxLHS: 3})
+		res := mustMine(t, in, StreamOptions{MaxError: 0.2, MaxLHS: 3}, 0)
 		seen := map[string]float64{}
 		for _, f := range res {
 			seen[f.FD.String()] = f.Error
@@ -82,24 +82,4 @@ func TestDiscoverApproxMinimality(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestDiscoverApproxEmptyInstance(t *testing.T) {
-	in := relation.NewInstance(relation.MustSchema("A", "B"))
-	got, err := DiscoverApprox(in, ApproxOptions{MaxError: 0.5})
-	if err != nil {
-		t.Fatalf("DiscoverApprox: %v", err)
-	}
-	if got != nil {
-		t.Errorf("empty instance should yield nil, got %v", got)
-	}
-}
-
-func mustDiscoverApprox(t *testing.T, in *relation.Instance, opt ApproxOptions) []ApproxFD {
-	t.Helper()
-	res, err := DiscoverApprox(in, opt)
-	if err != nil {
-		t.Fatalf("DiscoverApprox: %v", err)
-	}
-	return res
 }

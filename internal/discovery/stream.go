@@ -9,7 +9,7 @@ import (
 	"relatrust/internal/relation"
 )
 
-// AttrsRangeError reports an Options.Attrs bit that falls outside the
+// AttrsRangeError reports a StreamOptions.Attrs bit that falls outside the
 // instance schema — the served-input hazard that used to panic inside
 // Partitioner.col. The server maps it to 422 schema_mismatch.
 type AttrsRangeError struct {
@@ -23,9 +23,9 @@ func (e *AttrsRangeError) Error() string {
 
 // ValidateAttrs checks an Attrs restriction against a schema width,
 // returning an *AttrsRangeError when the set references a column the
-// schema does not have. Every discovery entry point applies it; callers
-// that need to reject bad input before starting a run (the facade, the
-// server) can call it directly.
+// schema does not have. Stream applies it; callers that need to reject
+// bad input before starting a run (the facade, the server) can call it
+// directly.
 func ValidateAttrs(attrs relation.AttrSet, width int) error {
 	if !attrs.IsEmpty() && attrs.Max() >= width {
 		return &AttrsRangeError{Attr: attrs.Max(), Width: width}
@@ -40,10 +40,14 @@ type Found struct {
 	Level int     // LHS size, the lattice level that produced it
 }
 
+// DefaultMaxLHS is the largest LHS size Stream explores when
+// StreamOptions.MaxLHS is 0.
+const DefaultMaxLHS = 3
+
 // StreamOptions bounds a Stream run. The zero value mines exact FDs over
 // all attributes up to the default MaxLHS with a private partition store.
 type StreamOptions struct {
-	// MaxLHS is the largest LHS size to explore. Default 3.
+	// MaxLHS is the largest LHS size to explore (0 = DefaultMaxLHS).
 	MaxLHS int
 	// MaxError is the largest tolerated g3 error fraction (0 = exact FDs).
 	MaxError float64
@@ -59,10 +63,13 @@ type StreamOptions struct {
 }
 
 // Stream mines minimal FDs level by level and hands each to emit as it is
-// found — the core every entry point (batch Discover/DiscoverApprox, the
-// relatrust.Discoverer facade, POST /v1/discover) shares. A non-nil error
-// from emit aborts the run and is returned verbatim; ctx cancellation is
-// checked once per candidate LHS and returns context.Cause(ctx).
+// found: every X → A with |X| ≤ MaxLHS whose g3 error fraction is at most
+// MaxError, minimal in that no proper subset of X already qualifies. It
+// is the one miner behind the relatrust.Discoverer facade, the discover
+// CLI and POST /v1/discover. A non-nil error from emit aborts the run and
+// is returned verbatim; ctx cancellation is checked once per candidate
+// LHS and returns context.Cause(ctx). An Attrs set referencing a column
+// outside the schema returns an *AttrsRangeError.
 //
 // Mining order is deterministic: levels ascend, LHS sets ascend within a
 // level, RHS attributes ascend per LHS. Level-k partitions are built by
@@ -78,7 +85,7 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 		return err
 	}
 	if opt.MaxLHS <= 0 {
-		opt.MaxLHS = 3
+		opt.MaxLHS = DefaultMaxLHS
 	}
 	if opt.Attrs.IsEmpty() {
 		opt.Attrs = relation.FullSet(width)

@@ -17,9 +17,10 @@ import (
 
 // referenceDiscover is the pre-product implementation, kept verbatim as
 // the bit-identity oracle: a whole-run partition map, refineStripped for
-// every π(X∪{A}), and an all-supersets next map. The streaming miner must
-// return exactly its FD sequence.
-func referenceDiscover(in *relation.Instance, opt Options) fd.Set {
+// every π(X∪{A}), and an all-supersets next map. Stream, collected and
+// capped at maxResults (0 = unlimited), must return exactly its FD
+// sequence.
+func referenceDiscover(in *relation.Instance, opt StreamOptions, maxResults int) fd.Set {
 	if opt.MaxLHS <= 0 {
 		opt.MaxLHS = 3
 	}
@@ -59,7 +60,7 @@ func referenceDiscover(in *relation.Instance, opt Options) fd.Set {
 				if px.err == pxa.err {
 					found[a] = append(found[a], x)
 					out = append(out, fd.MustNew(x, a))
-					if opt.MaxResults > 0 && len(out) >= opt.MaxResults {
+					if maxResults > 0 && len(out) >= maxResults {
 						slices.SortFunc(out, fd.Compare)
 						return out
 					}
@@ -87,9 +88,9 @@ func referenceDiscover(in *relation.Instance, opt Options) fd.Set {
 	return out
 }
 
-// referenceApprox is the pre-product DiscoverApprox: Error() per
+// referenceApprox is the pre-product approximate miner: Error() per
 // candidate, rebuilding a partitioner each time.
-func referenceApprox(in *relation.Instance, opt ApproxOptions) []ApproxFD {
+func referenceApprox(in *relation.Instance, opt StreamOptions) []Found {
 	if opt.MaxLHS <= 0 {
 		opt.MaxLHS = 3
 	}
@@ -101,7 +102,7 @@ func referenceApprox(in *relation.Instance, opt ApproxOptions) []ApproxFD {
 	}
 	attrs := opt.Attrs.Attrs()
 	n := float64(in.N())
-	var out []ApproxFD
+	var out []Found
 	found := make(map[int][]relation.AttrSet)
 	level := make([]relation.AttrSet, 0, len(attrs))
 	for _, a := range attrs {
@@ -118,7 +119,7 @@ func referenceApprox(in *relation.Instance, opt ApproxOptions) []ApproxFD {
 				errFrac := float64(Error(in, f)) / n
 				if errFrac <= opt.MaxError {
 					found[a] = append(found[a], x)
-					out = append(out, ApproxFD{FD: f, Error: errFrac})
+					out = append(out, Found{FD: f, Error: errFrac, Level: size})
 				}
 			}
 		}
@@ -158,12 +159,13 @@ func TestDiscoverBitIdenticalToReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		width := 3 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 4+rng.Intn(30), width, 2+rng.Intn(3))
-		opt := Options{MaxLHS: 1 + rng.Intn(width)}
+		opt := StreamOptions{MaxLHS: 1 + rng.Intn(width)}
+		maxResults := 0
 		if rng.Intn(3) == 0 {
-			opt.MaxResults = 1 + rng.Intn(4)
+			maxResults = 1 + rng.Intn(4)
 		}
-		want := referenceDiscover(in, opt)
-		got, err := Discover(in, opt)
+		want := referenceDiscover(in, opt, maxResults)
+		got, err := mine(in, opt, maxResults)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -171,7 +173,7 @@ func TestDiscoverBitIdenticalToReference(t *testing.T) {
 			t.Fatalf("trial %d: %d FDs, reference found %d\ngot  %v\nwant %v", trial, len(got), len(want), got, want)
 		}
 		for i := range got {
-			if !got[i].Equal(want[i]) {
+			if !got[i].FD.Equal(want[i]) {
 				t.Fatalf("trial %d: FD %d differs: %v vs %v", trial, i, got[i], want[i])
 			}
 		}
@@ -186,9 +188,9 @@ func TestDiscoverApproxBitIdenticalToReference(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		width := 3 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 4+rng.Intn(30), width, 2+rng.Intn(3))
-		opt := ApproxOptions{MaxError: float64(rng.Intn(4)) * 0.1, MaxLHS: 1 + rng.Intn(width)}
+		opt := StreamOptions{MaxError: float64(rng.Intn(4)) * 0.1, MaxLHS: 1 + rng.Intn(width)}
 		want := referenceApprox(in, opt)
-		got, err := DiscoverApprox(in, opt)
+		got, err := mine(in, opt, 0)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -313,42 +315,39 @@ func TestDiscoverAttrsOutOfRange(t *testing.T) {
 	bad := relation.NewAttrSet(0, 5) // schema width 2
 	var rangeErr *AttrsRangeError
 
-	if _, err := Discover(in, Options{Attrs: bad}); !errors.As(err, &rangeErr) {
-		t.Fatalf("Discover: err = %v, want *AttrsRangeError", err)
-	}
-	if rangeErr.Attr != 5 || rangeErr.Width != 2 {
-		t.Fatalf("AttrsRangeError = %+v, want Attr=5 Width=2", rangeErr)
-	}
-	if _, err := DiscoverApprox(in, ApproxOptions{MaxError: 0.1, Attrs: bad}); !errors.As(err, &rangeErr) {
-		t.Fatalf("DiscoverApprox: err = %v, want *AttrsRangeError", err)
-	}
-	if err := Stream(context.Background(), in, StreamOptions{Attrs: bad}, func(Found) error { return nil }); !errors.As(err, &rangeErr) {
-		t.Fatalf("Stream: err = %v, want *AttrsRangeError", err)
+	for _, maxErr := range []float64{0, 0.1} {
+		err := Stream(context.Background(), in, StreamOptions{MaxError: maxErr, Attrs: bad}, func(Found) error { return nil })
+		if !errors.As(err, &rangeErr) {
+			t.Fatalf("Stream max error %v: err = %v, want *AttrsRangeError", maxErr, err)
+		}
+		if rangeErr.Attr != 5 || rangeErr.Width != 2 {
+			t.Fatalf("AttrsRangeError = %+v, want Attr=5 Width=2", rangeErr)
+		}
 	}
 }
 
-// TestDiscoverApproxMaxResults pins the satellite fix: MaxResults applies
-// in approximate mode with the same early-return-sorted contract.
+// TestDiscoverApproxMaxResults: a capped approximate mine keeps the
+// early-return-sorted contract — the first MaxResults FDs in mining order.
 func TestDiscoverApproxMaxResults(t *testing.T) {
 	in := testkit.Build([]string{"A", "B", "C"}, [][]string{
 		{"1", "1", "1"}, {"2", "2", "2"},
 	})
-	full, err := DiscoverApprox(in, ApproxOptions{MaxError: 0.5, MaxLHS: 1})
+	full, err := mine(in, StreamOptions{MaxError: 0.5, MaxLHS: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 3 {
 		t.Fatalf("fixture too small: only %d approximate FDs", len(full))
 	}
-	capped, err := DiscoverApprox(in, ApproxOptions{MaxError: 0.5, MaxLHS: 1, MaxResults: 2})
+	capped, err := mine(in, StreamOptions{MaxError: 0.5, MaxLHS: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(capped) != 2 {
 		t.Fatalf("MaxResults ignored in approx mode: got %d FDs", len(capped))
 	}
-	// Same contract as Discover: the first MaxResults in mining order,
-	// then sorted — so each capped entry appears in the full result.
+	// The first MaxResults in mining order, then sorted — so each capped
+	// entry appears in the full result.
 	for _, f := range capped {
 		found := false
 		for _, g := range full {
@@ -451,7 +450,7 @@ func BenchmarkDiscoverProduct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Discover(in, Options{MaxLHS: 3}); err != nil {
+		if _, err := mine(in, StreamOptions{MaxLHS: 3}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -462,6 +461,6 @@ func BenchmarkDiscoverRefine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = referenceDiscover(in, Options{MaxLHS: 3})
+		_ = referenceDiscover(in, StreamOptions{MaxLHS: 3}, 0)
 	}
 }

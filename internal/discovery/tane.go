@@ -20,46 +20,17 @@
 // peak retention is two lattice levels plus the single-attribute row, not
 // the whole lattice.
 //
-// Stream is the core entry point; Discover and DiscoverApprox are batch
-// wrappers over it that collect and sort. The historical from-scratch
+// Stream is the only entry point: it hands each FD to a callback as it is
+// found, exact or approximate. Callers that want a list collect it (the
+// relatrust.Discoverer facade caps and sorts). The historical from-scratch
 // helpers (partitionBySet, refineStripped, Error) are retained as the
 // reference implementations the oracle tests pin Stream against.
 package discovery
 
 import (
-	"context"
-	"errors"
-	"slices"
-
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
 )
-
-// Options bounds the discovery search.
-type Options struct {
-	// MaxLHS is the largest LHS size to explore (the paper uses "fewer
-	// than 6 attributes"). Default 3.
-	MaxLHS int
-	// MaxResults stops early after this many FDs (0 = unlimited). The
-	// first MaxResults dependencies in mining order are returned, sorted.
-	MaxResults int
-	// Attrs restricts discovery to a subset of attributes (empty = all).
-	// Useful on wide schemas where the lattice is otherwise huge.
-	Attrs relation.AttrSet
-}
-
-func (o Options) withDefaults(width int) (Options, error) {
-	if err := ValidateAttrs(o.Attrs, width); err != nil {
-		return o, err
-	}
-	if o.MaxLHS <= 0 {
-		o.MaxLHS = 3
-	}
-	if o.Attrs.IsEmpty() {
-		o.Attrs = relation.FullSet(width)
-	}
-	return o, nil
-}
 
 // stripped is a stripped partition: equivalence classes of size ≥ 2.
 // Classes appear in refinement encounter order (deterministic) and share
@@ -68,37 +39,6 @@ func (o Options) withDefaults(width int) (Options, error) {
 type stripped struct {
 	classes [][]int32
 	err     int // Σ(|class|−1): tuples that would need to merge targets
-}
-
-// errStopDiscover aborts a Stream run from a batch wrapper once
-// MaxResults dependencies have been collected.
-var errStopDiscover = errors.New("discovery: max results reached")
-
-// Discover returns every minimal FD X → A with |X| ≤ MaxLHS that holds
-// exactly on the instance, sorted deterministically. Minimality here is
-// the discovery notion: no proper subset of X determines A. An Attrs set
-// referencing a column outside the schema returns an *AttrsRangeError.
-func Discover(in *relation.Instance, opt Options) (fd.Set, error) {
-	opt, err := opt.withDefaults(in.Schema.Width())
-	if err != nil {
-		return nil, err
-	}
-	var out fd.Set
-	serr := Stream(context.Background(), in, StreamOptions{
-		MaxLHS: opt.MaxLHS,
-		Attrs:  opt.Attrs,
-	}, func(f Found) error {
-		out = append(out, f.FD)
-		if opt.MaxResults > 0 && len(out) >= opt.MaxResults {
-			return errStopDiscover
-		}
-		return nil
-	})
-	if serr != nil && serr != errStopDiscover {
-		return nil, serr
-	}
-	slices.SortFunc(out, fd.Compare)
-	return out, nil
 }
 
 // Holds reports whether X → A holds exactly on the instance, via the

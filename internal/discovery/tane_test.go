@@ -1,7 +1,10 @@
 package discovery
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relatrust/internal/fd"
@@ -18,7 +21,7 @@ func TestDiscoverSimple(t *testing.T) {
 		{"2", "y", "q"},
 		{"3", "x", "r"},
 	})
-	set := mustDiscover(t, in, Options{MaxLHS: 2})
+	set := mustDiscover(t, in, StreamOptions{MaxLHS: 2}, 0)
 	if !contains(set, fd.MustNew(relation.NewAttrSet(0), 1)) {
 		t.Errorf("A->B not discovered: %v", set)
 	}
@@ -41,7 +44,7 @@ func TestDiscoverMinimality(t *testing.T) {
 		{"2", "v", "y"},
 	})
 	// A->C holds; AB->C therefore must not be reported (non-minimal).
-	set := mustDiscover(t, in, Options{MaxLHS: 2})
+	set := mustDiscover(t, in, StreamOptions{MaxLHS: 2}, 0)
 	for _, f := range set {
 		if f.RHS == 2 && f.LHS.Len() > 1 && f.LHS.Contains(0) {
 			t.Errorf("non-minimal FD reported: %v", f)
@@ -53,7 +56,7 @@ func TestDiscoverAgainstExhaustiveCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		in := testkit.RandomInstance(rng, 12, 4, 2)
-		set := mustDiscover(t, in, Options{MaxLHS: 3})
+		set := mustDiscover(t, in, StreamOptions{MaxLHS: 3}, 0)
 		got := map[string]bool{}
 		for _, f := range set {
 			got[f.String()] = true
@@ -96,7 +99,7 @@ func TestDiscoverRespectsAttrsRestriction(t *testing.T) {
 	in := testkit.Build([]string{"A", "B", "C"}, [][]string{
 		{"1", "x", "1"}, {"2", "y", "2"},
 	})
-	set := mustDiscover(t, in, Options{MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)})
+	set := mustDiscover(t, in, StreamOptions{MaxLHS: 1, Attrs: relation.NewAttrSet(0, 1)}, 0)
 	for _, f := range set {
 		if f.Attrs().Contains(2) {
 			t.Errorf("FD %v uses excluded attribute", f)
@@ -108,7 +111,7 @@ func TestDiscoverMaxResults(t *testing.T) {
 	in := testkit.Build([]string{"A", "B", "C"}, [][]string{
 		{"1", "1", "1"}, {"2", "2", "2"},
 	})
-	set := mustDiscover(t, in, Options{MaxLHS: 1, MaxResults: 2})
+	set := mustDiscover(t, in, StreamOptions{MaxLHS: 1}, 2)
 	if len(set) != 2 {
 		t.Errorf("MaxResults ignored: %d", len(set))
 	}
@@ -127,11 +130,42 @@ func TestErrorCount(t *testing.T) {
 	}
 }
 
-func mustDiscover(t *testing.T, in *relation.Instance, opt Options) fd.Set {
+// errStopMining ends a mine run once maxResults FDs are collected.
+var errStopMining = errors.New("max results reached")
+
+// mine collects Stream the way the relatrust.Discoverer facade does: the
+// first maxResults FDs in mining order (0 = all), sorted with fd.Compare.
+func mine(in *relation.Instance, opt StreamOptions, maxResults int) ([]Found, error) {
+	var out []Found
+	err := Stream(context.Background(), in, opt, func(f Found) error {
+		out = append(out, f)
+		if maxResults > 0 && len(out) >= maxResults {
+			return errStopMining
+		}
+		return nil
+	})
+	if err != nil && err != errStopMining {
+		return nil, err
+	}
+	slices.SortFunc(out, func(a, b Found) int { return fd.Compare(a.FD, b.FD) })
+	return out, nil
+}
+
+func mustMine(t *testing.T, in *relation.Instance, opt StreamOptions, maxResults int) []Found {
 	t.Helper()
-	set, err := Discover(in, opt)
+	found, err := mine(in, opt, maxResults)
 	if err != nil {
-		t.Fatalf("Discover: %v", err)
+		t.Fatalf("Stream: %v", err)
+	}
+	return found
+}
+
+// mustDiscover is mustMine reduced to the FDs.
+func mustDiscover(t *testing.T, in *relation.Instance, opt StreamOptions, maxResults int) fd.Set {
+	t.Helper()
+	var set fd.Set
+	for _, f := range mustMine(t, in, opt, maxResults) {
+		set = append(set, f.FD)
 	}
 	return set
 }

@@ -220,13 +220,17 @@ func Figure13(cfg Config) ([]Fig13Point, error) {
 		}
 		tauHigh := s.TauFromRelative(maxTauR)
 		start := time.Now()
-		ranged, err := s.RunRange(context.Background(), 0, tauHigh)
+		ranged := 0
+		err = s.StreamRange(context.Background(), 0, tauHigh, func(*repair.Repair) error {
+			ranged++
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Fig13Point{
 			Method: "Range-Repair", MaxTauR: maxTauR,
-			Seconds: time.Since(start).Seconds(), NRepairs: len(ranged),
+			Seconds: time.Since(start).Seconds(), NRepairs: ranged,
 		})
 
 		// Sampling-Repair: independent runs at τr = 0%, 1.7%, 3.4%, ….

@@ -74,7 +74,11 @@ func trustSpectrum(w *Workload, cfg Config) ([]*repair.Repair, int, error) {
 	}
 	defer s.Close()
 	dp0 := s.DeltaPOriginal()
-	repairs, err := s.RunRange(context.Background(), 0, dp0)
+	var repairs []*repair.Repair
+	err = s.StreamRange(context.Background(), 0, dp0, func(r *repair.Repair) error {
+		repairs = append(repairs, r)
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}

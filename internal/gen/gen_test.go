@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"relatrust/internal/discovery"
@@ -132,7 +133,12 @@ func TestDiscoveryFindsPlantedFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := discovery.Discover(in, discovery.Options{MaxLHS: 2, Attrs: relation.NewAttrSet(0, 1, 5)})
+	var found fd.Set
+	err = discovery.Stream(context.Background(), in, discovery.StreamOptions{MaxLHS: 2, Attrs: relation.NewAttrSet(0, 1, 5)},
+		func(g discovery.Found) error {
+			found = append(found, g.FD)
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,12 +91,54 @@ func TestSpecIDStability(t *testing.T) {
 type starter struct {
 	admitted atomic.Int64
 	released atomic.Int64
+	mu       sync.Mutex
+	changed  chan struct{} // closed by the next release; nil until waited on
 }
 
 func (s *starter) start(sw Sweep) StartFunc {
 	return func(*Job) (Sweep, func(), error) {
 		s.admitted.Add(1)
-		return sw, func() { s.released.Add(1) }, nil
+		return sw, s.release, nil
+	}
+}
+
+func (s *starter) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.released.Add(1)
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
+}
+
+// waitReleased blocks until exactly n slots are released. The manager
+// publishes a job's terminal state before its deferred release runs, so
+// a test that has seen the terminal state waits for the release event
+// instead of reading the counter.
+func (s *starter) waitReleased(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		s.mu.Lock()
+		got := s.released.Load()
+		if got >= n {
+			s.mu.Unlock()
+			if got != n {
+				t.Fatalf("released %d slots, want %d", got, n)
+			}
+			return
+		}
+		if s.changed == nil {
+			s.changed = make(chan struct{})
+		}
+		changed := s.changed
+		s.mu.Unlock()
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("released %d slots after 5s, want %d", got, n)
+		}
 	}
 }
 
@@ -169,9 +212,10 @@ func TestSubmitCompleteAndFollow(t *testing.T) {
 	if len(frames) != 2 || string(frames[0]) != `{"level":2}` {
 		t.Fatalf("Next(1) = %q", frames)
 	}
-	if adm.admitted.Load() != 1 || adm.released.Load() != 1 {
-		t.Errorf("admitted=%d released=%d, want 1/1", adm.admitted.Load(), adm.released.Load())
+	if adm.admitted.Load() != 1 {
+		t.Errorf("admitted=%d, want 1", adm.admitted.Load())
 	}
+	adm.waitReleased(t, 1)
 	stats := m.Stats()
 	if stats.Completed != 1 || stats.Active != 0 || stats.Coalesced != 0 {
 		t.Errorf("stats %+v", stats)
@@ -238,9 +282,7 @@ func TestCancelRunningThenRemoveTerminal(t *testing.T) {
 	if st.State != StateCancelled || st.ErrorCode != "cancelled" {
 		t.Fatalf("after cancel: %+v", st)
 	}
-	if adm.released.Load() != 1 {
-		t.Errorf("slot not released after cancel")
-	}
+	adm.waitReleased(t, 1)
 	found, removed = m.Cancel(j.ID)
 	if !found || !removed {
 		t.Fatalf("Cancel(terminal) = %v,%v, want true,true", found, removed)
@@ -310,9 +352,7 @@ func TestSweepPanicFailsJobOnly(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("after panic: %+v", st)
 	}
-	if adm.released.Load() != 1 {
-		t.Error("slot leaked by panicking sweep")
-	}
+	adm.waitReleased(t, 1)
 }
 
 func TestShutdownInterruptsAndRecoverResumes(t *testing.T) {
@@ -340,9 +380,7 @@ func TestShutdownInterruptsAndRecoverResumes(t *testing.T) {
 	if !st.Interrupted || st.State != StateRunning {
 		t.Fatalf("after shutdown: %+v, want interrupted+running", st)
 	}
-	if adm.released.Load() != 1 {
-		t.Fatal("slot not released by interrupted sweep")
-	}
+	adm.waitReleased(t, 1)
 
 	// "Reboot": a fresh manager over the same store resumes the sweep from
 	// the checkpointed rows.
@@ -358,7 +396,7 @@ func TestShutdownInterruptsAndRecoverResumes(t *testing.T) {
 			}
 			return emit([]byte(`{"level":3}`))
 		}
-		return sw, func() { adm2.released.Add(1) }, nil
+		return sw, adm2.release, nil
 	})
 	if err != nil || n != 1 {
 		t.Fatalf("Recover = %d, %v, want 1 resumed", n, err)
@@ -548,4 +586,7 @@ func TestEvictionOldestTerminalFirst(t *testing.T) {
 	}
 	close(release)
 	waitTerminal(t, jr)
+	// The terminal record is written after followers see the state; wait
+	// for it before the store directory is removed.
+	adm.waitReleased(t, 4)
 }

@@ -105,22 +105,6 @@ func (in *Instance) InvalidateCodes() {
 	in.codes.mu.Unlock()
 }
 
-// InvalidateCodesFor drops only the cached code columns of the attributes
-// in X, leaving the others warm. Callers that rewrite a known subset of
-// cells (a targeted mutation batch, a single-cell Set) use this instead of
-// InvalidateCodes so untouched columns keep their lazily built encoding.
-func (in *Instance) InvalidateCodesFor(X AttrSet) {
-	in.codes.mu.Lock()
-	if in.codes.cols != nil {
-		for _, a := range X.Attrs() {
-			if a < len(in.codes.cols) {
-				in.codes.cols[a] = nil
-			}
-		}
-	}
-	in.codes.mu.Unlock()
-}
-
 // SetCodes installs an externally maintained code column for attribute a:
 // codes[t] must be the code of Tuples[t][a] under some dictionary with n
 // distinct codes (codes in [0, n), equal codes iff Equal cells). The live

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -84,64 +83,5 @@ func TestCellwiseVsTuplewiseChangeCounts(t *testing.T) {
 	t.Logf("cellwise changed %d cells total, tuple-wise %d", totalCell, totalTuple)
 	if totalCell == 0 && totalTuple > 0 {
 		t.Error("cellwise suspiciously free")
-	}
-}
-
-func TestParallelSamplingMatchesSerial(t *testing.T) {
-	in, sigma := testkit.Paper4x4()
-	taus := []int{4, 3, 2, 1, 0}
-	serial, err := RunSampling(context.Background(), in, sigma, taus, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSamplingParallel(context.Background(), in, sigma, taus, Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial found %d repairs, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Ext.Key() != parallel[i].Ext.Key() {
-			t.Errorf("repair %d differs: %s vs %s", i, serial[i].Ext, parallel[i].Ext)
-		}
-	}
-}
-
-func TestParallelSamplingEdgeCases(t *testing.T) {
-	in, sigma := testkit.Paper4x4()
-	if out, err := RunSamplingParallel(context.Background(), in, sigma, nil, Config{}, 2); err != nil || out != nil {
-		t.Errorf("empty τ list: %v, %v", out, err)
-	}
-	// Single worker equals serial behavior.
-	one, err := RunSamplingParallel(context.Background(), in, sigma, []int{2}, Config{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 {
-		t.Fatalf("expected 1 repair, got %d", len(one))
-	}
-}
-
-func TestSortRepairsByTrust(t *testing.T) {
-	in, sigma := testkit.Paper4x4()
-	s, err := NewSession(in, sigma, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, err := s.RunRange(context.Background(), 0, s.DeltaPOriginal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shuffle then restore.
-	for i := len(reps)/2 - 1; i >= 0; i-- {
-		j := len(reps) - 1 - i
-		reps[i], reps[j] = reps[j], reps[i]
-	}
-	SortRepairsByTrust(reps)
-	for i := 1; i < len(reps); i++ {
-		if reps[i].DeltaP > reps[i-1].DeltaP {
-			t.Fatal("not sorted by descending δP")
-		}
 	}
 }

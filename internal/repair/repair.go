@@ -51,10 +51,10 @@ type Config struct {
 	Seed int64
 	// Engine, when non-nil, supplies the shared repair-session engine the
 	// conflict analysis is acquired from, so repeated sessions over one
-	// instance (Sampling-Repair's per-τ runs, parallel workers, facade
-	// calls sharing an Options.Session) reuse warm cluster arenas instead
-	// of rebuilding them. It must be bound to the same instance the
-	// session is opened on. Nil builds a private single-use engine.
+	// instance (Sampling-Repair's per-τ runs, facade calls sharing an
+	// Options.Session) reuse warm cluster arenas instead of rebuilding
+	// them. It must be bound to the same instance the session is opened
+	// on. Nil builds a private single-use engine.
 	Engine *session.Engine
 	// Generation stamps every ProgressEvent with the mutation generation of
 	// the snapshot the session answers for. 0 defers to the engine's own
@@ -67,7 +67,7 @@ type Config struct {
 	// and the conflict decomposition; single-τ runs (Run) report start and
 	// finish only. Callbacks run synchronously on the sweeping
 	// goroutine — which means concurrently across goroutines when sessions
-	// sharing one Config sweep in parallel (RunSamplingParallel).
+	// sharing one Config sweep in parallel.
 	Progress func(ProgressEvent)
 }
 
@@ -173,45 +173,17 @@ func (s *Session) Run(ctx context.Context, tau int) (*Repair, error) {
 			return nil, err
 		}
 	}
-	final := s.Searcher.LastStats()
-	cs := s.Searcher.ComponentStats()
-	s.progress(ProgressEvent{
-		Kind: ProgressSweepFinished, Tau: tau,
-		Visited: final.Visited, Generated: final.Generated,
-		Components: cs.Components, LargestComponent: cs.LargestComponent,
-		ComponentsParallel: cs.ParallelEvals,
-	})
+	s.sweepFinished(tau)
 	return r, nil
 }
 
-// RunRange implements Algorithm 6 followed by data-repair materialization:
-// one search pass yields the distinct FD repairs for every τ in [tauLow,
-// tauHigh]; each is then completed into a full (Σ′, I′) suggestion.
-func (s *Session) RunRange(ctx context.Context, tauLow, tauHigh int) ([]*Repair, error) {
-	results, err := s.Searcher.FindRange(ctx, tauLow, tauHigh)
-	if err != nil {
-		return nil, err
-	}
-	repairs := make([]*Repair, 0, len(results))
-	tau := tauHigh
-	for _, res := range results {
-		r, err := s.materialize(res, tau)
-		if err != nil {
-			return nil, err
-		}
-		repairs = append(repairs, r)
-		tau = res.DeltaP - 1 // the next repair was found under this bound
-	}
-	return repairs, nil
-}
-
-// StreamRange is RunRange delivering each suggestion the moment its trust
-// level is finalized instead of collecting the list: yield observes
-// exactly the repairs, in exactly the order, that RunRange(ctx, tauLow,
-// tauHigh) returns. The only difference is Repair.Stats — a streamed
-// point carries the search effort accumulated up to its finalization,
-// while RunRange stamps every point with the whole sweep's final effort
-// (the last streamed point carries the final effort in both).
+// StreamRange implements Algorithm 6 followed by data-repair
+// materialization: one search pass finds the distinct FD repairs for
+// every τ in [tauLow, tauHigh], and each is completed into a full (Σ′, I′)
+// suggestion and handed to yield the moment its trust level is finalized,
+// in decreasing τ. A streamed point's Repair.Stats carries the search
+// effort accumulated up to its finalization; the last point carries the
+// whole sweep's effort.
 //
 // An error returned by yield aborts the sweep and is returned verbatim,
 // so callers can stop early with a private sentinel. Cancelling ctx
@@ -238,6 +210,13 @@ func (s *Session) StreamRange(ctx context.Context, tauLow, tauHigh int, yield fu
 	if err != nil {
 		return err
 	}
+	s.sweepFinished(tau)
+	return nil
+}
+
+// sweepFinished reports ProgressSweepFinished with the whole sweep's
+// search effort and the conflict decomposition.
+func (s *Session) sweepFinished(tau int) {
 	final := s.Searcher.LastStats()
 	cs := s.Searcher.ComponentStats()
 	s.progress(ProgressEvent{
@@ -246,7 +225,6 @@ func (s *Session) StreamRange(ctx context.Context, tauLow, tauHigh int, yield fu
 		Components: cs.Components, LargestComponent: cs.LargestComponent,
 		ComponentsParallel: cs.ParallelEvals,
 	})
-	return nil
 }
 
 // materialize runs the data-repair phase for a found FD modification,
@@ -267,16 +245,6 @@ func (s *Session) materialize(res *search.Result, tau int) (*Repair, error) {
 		DeltaP: res.DeltaP,
 		Stats:  res.Stats,
 	}, nil
-}
-
-// Run is the one-shot convenience wrapper around NewSession + Session.Run.
-func Run(ctx context.Context, in *relation.Instance, sigma fd.Set, tau int, cfg Config) (*Repair, error) {
-	s, err := NewSession(in, sigma, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Run(ctx, tau)
 }
 
 // RunSampling is the Sampling-Repair baseline of Section 8.3.5: it invokes

@@ -9,7 +9,6 @@ import (
 	"relatrust/internal/relation"
 	"relatrust/internal/search"
 	"relatrust/internal/testkit"
-	"relatrust/internal/weights"
 )
 
 func TestRunPaperExample(t *testing.T) {
@@ -74,15 +73,15 @@ func TestRunRespectsTau(t *testing.T) {
 	}
 }
 
-// TestRunRangeParetoFrontier: repairs across the trust range must be
-// mutually non-dominated in (dist_c, cell changes).
+// TestRunRangeParetoFrontier: the repairs StreamRange yields across the
+// trust range must be mutually non-dominated in (dist_c, cell changes).
 func TestRunRangeParetoFrontier(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
 	s, err := NewSession(in, sigma, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := s.RunRange(context.Background(), 0, s.DeltaPOriginal())
+	reps, err := streamAll(s, 0, s.DeltaPOriginal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestRangeAndSamplingAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp := s.DeltaPOriginal()
-	ranged, err := s.RunRange(context.Background(), 0, dp)
+	ranged, err := streamAll(s, 0, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,17 +163,6 @@ func TestTauFromRelative(t *testing.T) {
 	}
 	if got := s.TauFromRelative(-0.5); got != 0 {
 		t.Errorf("negative τr → %d, want 0", got)
-	}
-}
-
-func TestRunOneShotWrapper(t *testing.T) {
-	in, sigma := testkit.Paper4x4()
-	rep, err := Run(context.Background(), in, sigma, 100, Config{Weights: weights.AttrCount{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.FDCost != 0 {
-		t.Fatalf("large τ should give the zero-cost repair, got %+v", rep)
 	}
 }
 

@@ -16,7 +16,11 @@ func spectrumFixture(t *testing.T) (*repair.Session, []*repair.Repair) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := s.RunRange(context.Background(), 0, s.DeltaPOriginal())
+	var reps []*repair.Repair
+	err = s.StreamRange(context.Background(), 0, s.DeltaPOriginal(), func(r *repair.Repair) error {
+		reps = append(reps, r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.decomp.CoverSize(s.
 // DiffSetCount reports how many distinct difference sets were collected.
 func (s *Searcher) DiffSetCount() int { return len(s.ds) }
 
-// LastStats returns the final effort of the most recent Find, FindRange or
+// LastStats returns the final effort of the most recent Find or
 // FindRangeStream call on this searcher, including runs that ended in an
 // error or cancellation. Streaming callers use it to report whole-sweep
 // effort after the last result was already delivered with a snapshot.
@@ -255,86 +255,69 @@ func (o *openList) Pop() any {
 // LHS extension resolves it, and tau is too small to repair it by data
 // changes). Cancelling ctx aborts the search with context.Cause(ctx).
 func (s *Searcher) Find(ctx context.Context, tau int) (*Result, error) {
-	res, err := s.run(ctx, tau, tau, nil)
+	var res *Result
+	err := s.run(ctx, tau, tau, func(r *Result) error {
+		res = r
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(res) == 0 {
-		return nil, nil
-	}
-	return res[0], nil
+	return res, nil
 }
 
-// FindRange implements Algorithm 6 (Find_Repairs_FDs): it returns the FD
-// repairs for every distinct relative-trust level with τ in [tauLow,
-// tauHigh], ordered by decreasing τ (increasing FD cost), reusing one open
-// list across levels instead of re-running the search per τ. Cancelling
-// ctx aborts the search with context.Cause(ctx).
-func (s *Searcher) FindRange(ctx context.Context, tauLow, tauHigh int) ([]*Result, error) {
-	if tauLow > tauHigh {
-		return nil, fmt.Errorf("search: tauLow %d exceeds tauHigh %d", tauLow, tauHigh)
-	}
-	return s.run(ctx, tauLow, tauHigh, nil)
-}
-
-// FindRangeStream is FindRange delivering each result as soon as it is
-// proven final instead of collecting the list. A found goal is *held* until
-// either a goal of strictly different cost arrives (Definition 4 lets a
-// later equal-cost goal with smaller δP supersede the held one) or the
-// search ends — so emit sees exactly the results, in exactly the order,
-// that FindRange would return. Results emitted mid-search carry the effort
-// accumulated up to their finalization; the final held result carries the
-// whole run's stats (see LastStats). An error returned by emit aborts the
-// search and is returned verbatim; cancellation returns context.Cause(ctx).
+// FindRangeStream implements Algorithm 6 (Find_Repairs_FDs): it finds the
+// FD repairs for every distinct relative-trust level with τ in [tauLow,
+// tauHigh], reusing one open list across levels instead of re-running the
+// search per τ, and hands each to emit as soon as it is proven final, in
+// decreasing τ (increasing FD cost). A found goal is *held* until either a
+// goal of strictly different cost arrives (Definition 4 lets a later
+// equal-cost goal with smaller δP supersede the held one) or the search
+// ends. Results emitted mid-search carry the effort accumulated up to
+// their finalization; the final held result carries the whole run's stats
+// (see LastStats). An error returned by emit aborts the search and is
+// returned verbatim; cancellation returns context.Cause(ctx).
 func (s *Searcher) FindRangeStream(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) error {
 	if tauLow > tauHigh {
 		return fmt.Errorf("search: tauLow %d exceeds tauHigh %d", tauLow, tauHigh)
 	}
-	_, err := s.run(ctx, tauLow, tauHigh, emit)
-	return err
+	return s.run(ctx, tauLow, tauHigh, emit)
 }
 
-// resultSink collects the goals of one run and streams them to an optional
-// emit hook with a one-goal lag: the most recent goal stays held because a
-// later goal of equal cost supersedes it (the Definition 4 tie-break by
-// smaller data distance). Everything before the held tail is final and is
-// delivered eagerly; finish flushes the tail once the run is over and its
-// stats are final.
+// resultSink streams the goals of one run with a one-goal lag: the most
+// recent goal stays pending because a later goal of equal cost supersedes
+// it (the Definition 4 tie-break by smaller data distance). A goal of any
+// other cost makes the pending one final and emits it; finish emits the
+// last one once the run is over and its stats are final.
 type resultSink struct {
-	results []*Result
+	pending *Result
 	emit    func(*Result) error
-	emitted int
 }
 
-// add records a goal, superseding the held tail on an equal-cost tie, and
-// streams every result that just became final.
+// add records a goal, superseding the pending one on an equal-cost tie
+// (it was never emitted) and emitting it otherwise.
 func (k *resultSink) add(r *Result) error {
-	if n := len(k.results); n > 0 && math.Abs(k.results[n-1].Cost-r.Cost) < 1e-9 {
-		// The superseded tail was never emitted: flush stops short of it.
-		k.results[n-1] = r
-	} else {
-		k.results = append(k.results, r)
+	prev := k.pending
+	k.pending = r
+	if prev == nil || math.Abs(prev.Cost-r.Cost) < 1e-9 {
+		return nil
 	}
-	return k.flush(len(k.results) - 1)
+	return k.emit(prev)
 }
 
-// finish flushes the held tail; the caller must have finalized its stats.
-func (k *resultSink) finish() error { return k.flush(len(k.results)) }
-
-func (k *resultSink) flush(upTo int) error {
-	for k.emit != nil && k.emitted < upTo {
-		if err := k.emit(k.results[k.emitted]); err != nil {
-			return err
-		}
-		k.emitted++
+// finish emits the pending goal with the whole run's stats.
+func (k *resultSink) finish(stats Stats) error {
+	if k.pending == nil {
+		return nil
 	}
-	return nil
+	k.pending.Stats = stats
+	return k.emit(k.pending)
 }
 
 // run is the A* loop of Algorithms 2 and 6: a single-τ search is a range
-// search whose first goal ends it, and the emit hook, when non-nil,
-// streams finalized results (see FindRangeStream). The three expensive
-// per-iteration evaluations go through an evalPool (see pool.go):
+// search whose first goal ends it, and emit receives the finalized results
+// (see FindRangeStream). The three expensive per-iteration evaluations go
+// through an evalPool (see pool.go):
 //
 //   - the popped state's goal-test cover query, usually prefetched one
 //     iteration early — while the children of the previous pop were still
@@ -358,7 +341,7 @@ func (k *resultSink) flush(upTo int) error {
 // sequence — and therefore results, goal order, and stats — is the same
 // for every worker count. Stats count logical evaluations: discarded
 // speculative work is not reported.
-func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) ([]*Result, error) {
+func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Result) error) error {
 	start := time.Now()
 	stats := Stats{}
 	defer func() { s.lastStats = stats }()
@@ -369,7 +352,7 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 	// Permanent conflicts put a hard floor under δP of every relaxation:
 	// below it there is no goal anywhere in the space, so don't search.
 	if tau < s.floor {
-		return nil, nil
+		return nil
 	}
 
 	// The deferred close drains every in-flight and queued task before the
@@ -397,17 +380,17 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 		if ctx.Err() != nil {
 			prefetch.discard()
 			stats.Duration = time.Since(start)
-			return nil, context.Cause(ctx)
+			return context.Cause(ctx)
 		}
 		if err := pool.err(); err != nil {
 			prefetch.discard()
 			stats.Duration = time.Since(start)
-			return nil, err
+			return err
 		}
 		if stats.Visited >= s.Opt.MaxVisited {
 			prefetch.discard()
 			stats.Duration = time.Since(start)
-			return nil, &MaxVisitedError{Stats: stats}
+			return &MaxVisitedError{Stats: stats}
 		}
 		n := heap.Pop(pq).(*node)
 		stats.Visited++
@@ -435,7 +418,7 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 			batch.discard()
 			prefetch.discard()
 			stats.Duration = time.Since(start)
-			return nil, err
+			return err
 		}
 		if coverSize*s.alpha <= tau {
 			stats.Duration = time.Since(start)
@@ -455,7 +438,7 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 			if err := sink.add(r); err != nil {
 				batch.discard()
 				prefetch.discard()
-				return nil, err
+				return err
 			}
 			// Demand strictly fewer data changes for the next repair
 			// (Algorithm 6, line 10).
@@ -502,21 +485,12 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 	// success: callers streaming partial results rely on the Canceled
 	// verdict to know the frontier is incomplete.
 	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
+		return context.Cause(ctx)
 	}
 	if err := pool.err(); err != nil {
-		return nil, err
+		return err
 	}
-	// Stamp the full-run stats on the results not yet delivered (all of
-	// them in batch mode); already-emitted results keep their documented
-	// effort-so-far snapshots.
-	for _, r := range sink.results[sink.emitted:] {
-		r.Stats = stats
-	}
-	if err := sink.finish(); err != nil {
-		return nil, err
-	}
-	return sink.results, nil
+	return sink.finish(stats)
 }
 
 // matchDiffs extracts the difference sets of the analysis' matching

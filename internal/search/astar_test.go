@@ -160,7 +160,7 @@ func TestAStarVisitsAtMostBestFirst(t *testing.T) {
 // strictly increase while δP strictly decreases.
 func TestFindRangeEnumeratesTrustSpectrum(t *testing.T) {
 	s := paperSearcher(t, true)
-	res, err := s.FindRange(context.Background(), 0, s.DeltaPOriginal())
+	res, err := collect(context.Background(), s, 0, s.DeltaPOriginal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFindRangeMatchesRepeatedFind(t *testing.T) {
 		sigma := testkit.RandomFDs(rng, 4, 1, 2)
 		s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
 		dp := s.DeltaPOriginal()
-		rangeRes, err := s.FindRange(context.Background(), 0, dp)
+		rangeRes, err := collect(context.Background(), s, 0, dp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestFindRangeMatchesRepeatedFind(t *testing.T) {
 
 func TestFindRangeRejectsInvertedRange(t *testing.T) {
 	s := paperSearcher(t, true)
-	if _, err := s.FindRange(context.Background(), 5, 1); err == nil {
+	if _, err := collect(context.Background(), s, 5, 1); err == nil {
 		t.Error("inverted range must error")
 	}
 }

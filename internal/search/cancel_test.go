@@ -13,49 +13,31 @@ import (
 	"relatrust/internal/weights"
 )
 
-// TestStreamMatchesBatch pins the streaming contract on randomized
-// instances: FindRangeStream must emit exactly the results FindRange
-// returns — same states, bit-identical costs, same order — at Workers 1
-// and 4, and every result except the final
-// one must arrive before the search finishes (the final one carries the
-// run's complete stats).
-func TestStreamMatchesBatch(t *testing.T) {
+// TestStreamMatchesReference pins the streaming contract on randomized
+// instances: FindRangeStream emits exactly the results of the sequential
+// reference — same states, bit-identical costs, same order, and the same
+// effort stats: goal-time snapshots, the whole run's on the last result,
+// which also equals LastStats — at Workers 1, 2, 4 and 8.
+func TestStreamMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 16; trial++ {
 		width := 4 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 10+rng.Intn(25), width, 2)
 		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
-		for _, workers := range []int{1, 4} {
+		ref := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), Options{})
+		dp := ref.DeltaPOriginal()
+		want := reference(ref, 0, dp)
+		for _, workers := range []int{1, 2, 4, 8} {
 			label := fmt.Sprintf("trial %d workers=%d", trial, workers)
-			batchS := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), Options{Workers: workers})
-			streamS := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), Options{Workers: workers})
-			dp := batchS.DeltaPOriginal()
-
-			batch, err := batchS.FindRange(context.Background(), 0, dp)
+			s := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), Options{Workers: workers})
+			streamed, err := collect(context.Background(), s, 0, dp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var streamed []*Result
-			err = streamS.FindRangeStream(context.Background(), 0, dp, func(r *Result) error {
-				streamed = append(streamed, r)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) != len(streamed) {
-				t.Fatalf("%s: batch %d results, stream %d", label, len(batch), len(streamed))
-			}
-			for i := range batch {
-				a, b := batch[i], streamed[i]
-				if !a.State.Equal(b.State) || a.Cost != b.Cost || a.CoverSize != b.CoverSize ||
-					a.DeltaP != b.DeltaP || !a.Sigma.Equal(b.Sigma) {
-					t.Fatalf("%s: result %d diverges: batch %+v, stream %+v", label, i, a, b)
-				}
-			}
+			checkSameResults(t, label, want, streamed)
 			if n := len(streamed); n > 0 {
 				last := streamed[n-1]
-				fin := streamS.LastStats()
+				fin := s.LastStats()
 				if last.Stats.Visited != fin.Visited || last.Stats.Generated != fin.Generated {
 					t.Fatalf("%s: final streamed result stats %+v != run stats %+v", label, last.Stats, fin)
 				}
@@ -77,9 +59,9 @@ func TestFindCancelledBeforeStart(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		_, err = s.FindRange(ctx, 0, s.DeltaPOriginal())
+		_, err = collect(ctx, s, 0, s.DeltaPOriginal())
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: FindRange err = %v, want context.Canceled", workers, err)
+			t.Fatalf("workers=%d: FindRangeStream err = %v, want context.Canceled", workers, err)
 		}
 	}
 }
@@ -96,7 +78,7 @@ func TestStreamCancelMidSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s := NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), Options{Workers: workers})
 		dp := s.DeltaPOriginal()
-		full, err := s.FindRange(context.Background(), 0, dp)
+		full, err := collect(context.Background(), s, 0, dp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +105,7 @@ func TestStreamCancelMidSweep(t *testing.T) {
 
 		// The searcher must stay usable after a cancelled run: pooled forks
 		// were drained, not poisoned.
-		again, err := s.FindRange(context.Background(), 0, dp)
+		again, err := collect(context.Background(), s, 0, dp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func decompShapes(rng *rand.Rand) []struct {
 }
 
 // TestDecompositionMatchesMonolithic is the search-layer bit-identity
-// matrix: Workers {1, 4} × {Find, FindRange} over connected,
+// matrix: Workers {1, 4} × {Find, FindRangeStream} over connected,
 // many-small-components, and violation-free instances. The sequential
 // reference, whose goal tests are monolithic cover queries, is the
 // oracle; the engine's component-decomposed cover queries must reproduce
@@ -83,11 +83,11 @@ func TestDecompositionMatchesMonolithic(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("workers=%d", workers)
 				s := NewSearcher(conflict.New(sh.in, sh.sigma), w, Options{Workers: workers})
-				got, err := s.FindRange(context.Background(), 0, dp)
+				got, err := collect(context.Background(), s, 0, dp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameResults(t, "FindRange "+label, refRange, got)
+				checkSameResults(t, "FindRangeStream "+label, refRange, got)
 
 				for _, tau := range []int{0, dp / 2, dp} {
 					want := referenceFind(ref, tau)
@@ -141,7 +141,7 @@ func TestDecompositionFanout(t *testing.T) {
 	if c := s.ComponentStats().Components; c < 2*coverChunkMin {
 		t.Fatalf("instance decomposed into %d components, need >= %d to exercise the fan-out", c, 2*coverChunkMin)
 	}
-	got, err := s.FindRange(context.Background(), 0, dp)
+	got, err := collect(context.Background(), s, 0, dp)
 	if err != nil {
 		t.Fatal(err)
 	}

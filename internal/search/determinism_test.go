@@ -43,7 +43,7 @@ func checkSameResults(t *testing.T, label string, seq, par []*Result) {
 }
 
 // TestParallelMatchesSequential pins the engine's central guarantee on
-// randomized instances: Find and FindRange return results — states,
+// randomized instances: Find and FindRangeStream return results — states,
 // bit-identical costs, cover sizes, goal order, and effort stats —
 // identical to the sequential reference (see reference_test.go) for every
 // worker count in {1, 2, 4, 8}, for both A* and best-first, under the
@@ -72,11 +72,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				label := fmt.Sprintf("trial %d %s workers=%d A*=%v", trial, w.Name(), workers, heuristic)
 				s := NewSearcher(conflict.New(in, sigma), w, Options{BestFirst: !heuristic, Workers: workers})
-				got, err := s.FindRange(context.Background(), 0, dp)
+				got, err := collect(context.Background(), s, 0, dp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSameResults(t, "FindRange "+label, refRange, got)
+				checkSameResults(t, "FindRangeStream "+label, refRange, got)
 
 				for i, tau := range taus {
 					r, err := s.Find(context.Background(), tau)

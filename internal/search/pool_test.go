@@ -55,7 +55,7 @@ func TestPanickingWeightingReturnsPanicError(t *testing.T) {
 			label := fmt.Sprintf("workers=%d best-first=%v", workers, bestFirst)
 			baseline := runtime.NumGoroutine()
 			s := NewSearcher(conflict.New(in, sigma), panicWeights{}, Options{Workers: workers, BestFirst: bestFirst})
-			_, err := s.FindRange(context.Background(), 0, s.DeltaPOriginal())
+			_, err := collect(context.Background(), s, 0, s.DeltaPOriginal())
 			var pe *PanicError
 			if !errors.As(err, &pe) || !errors.Is(err, ErrPanic) {
 				t.Fatalf("%s: err = %v, want a *PanicError", label, err)

@@ -2,6 +2,7 @@ package search
 
 import (
 	"container/heap"
+	"context"
 	"math"
 )
 
@@ -10,8 +11,12 @@ import (
 // answering every goal test with the monolithic conflict.Analysis.CoverSize
 // instead of the component evaluator. One reference therefore pins both
 // the engine's worker counts and its decomposed cover queries: results,
-// goal order and effort stats must match it exactly. Every result carries
-// the whole run's stats, as FindRange's do.
+// goal order and effort stats must match it exactly.
+//
+// It keeps its own copy of the streamed-result rules: an equal-cost goal
+// replaces the previous one (Definition 4's tie-break), every result
+// carries the effort at the time its goal was found, and the last one
+// carries the whole run's.
 func reference(s *Searcher, tauLow, tauHigh int) []*Result {
 	stats := Stats{}
 	tau := tauHigh
@@ -28,7 +33,7 @@ func reference(s *Searcher, tauLow, tauHigh int) []*Result {
 		return s.h.gc(st, s.ds, tau)
 	}
 
-	var sink resultSink
+	var results []*Result
 	pq := &openList{}
 	seq := 0
 	root := Root(len(sigma))
@@ -40,13 +45,19 @@ func reference(s *Searcher, tauLow, tauHigh int) []*Result {
 		stats.Visited++
 		coverSize := s.An.CoverSize(n.state)
 		if coverSize*s.alpha <= tau {
-			sink.add(&Result{
+			r := &Result{
 				State:     n.state,
 				Sigma:     n.state.Apply(sigma),
 				Cost:      n.cost,
 				CoverSize: coverSize,
 				DeltaP:    coverSize * s.alpha,
-			})
+				Stats:     stats,
+			}
+			if k := len(results); k > 0 && math.Abs(results[k-1].Cost-r.Cost) < 1e-9 {
+				results[k-1] = r
+			} else {
+				results = append(results, r)
+			}
 			tau = coverSize*s.alpha - 1
 			if tau < tauLow || tau < s.floor {
 				break
@@ -74,10 +85,10 @@ func reference(s *Searcher, tauLow, tauHigh int) []*Result {
 			heap.Push(pq, &node{state: c, cost: cost, gc: gc, seq: seq})
 		}
 	}
-	for _, r := range sink.results {
-		r.Stats = stats
+	if k := len(results); k > 0 {
+		results[k-1].Stats = stats
 	}
-	return sink.results
+	return results
 }
 
 // referenceFind is reference for a single τ: the first goal, or nil.
@@ -86,4 +97,14 @@ func referenceFind(s *Searcher, tau int) *Result {
 		return res[0]
 	}
 	return nil
+}
+
+// collect runs FindRangeStream and returns the emitted results in order.
+func collect(ctx context.Context, s *Searcher, tauLow, tauHigh int) ([]*Result, error) {
+	var out []*Result
+	err := s.FindRangeStream(ctx, tauLow, tauHigh, func(r *Result) error {
+		out = append(out, r)
+		return nil
+	})
+	return out, err
 }

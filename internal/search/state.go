@@ -23,7 +23,7 @@
 // Workers compute pure functions of (state, τ); the coordinator alone
 // touches the open list, commits child scores in generation order with
 // seq tie-breakers in generation order, and discards (never reuses)
-// speculative work invalidated by a goal. Find, FindRange, goal order,
+// speculative work invalidated by a goal. Find, FindRangeStream, goal order,
 // costs, cover sizes, and effort stats match Workers: 1 exactly.
 //
 // # Component-decomposed cover queries

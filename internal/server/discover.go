@@ -9,6 +9,7 @@ import (
 
 	"relatrust"
 
+	"relatrust/internal/discovery"
 	"relatrust/internal/fd"
 	"relatrust/internal/jobs"
 )
@@ -142,7 +143,7 @@ func discoverSpec(name string, gen int64, schema *relatrust.Schema, req Discover
 	}
 	maxLHS := req.MaxLHS
 	if maxLHS == 0 {
-		maxLHS = 3 // the facade default, pinned into the address
+		maxLHS = discovery.DefaultMaxLHS // pinned into the address
 	}
 	return jobs.Spec{
 		Dataset:    name,

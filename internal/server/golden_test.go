@@ -223,8 +223,7 @@ func TestGoldenJobInfo(t *testing.T) {
 }
 
 // sseEvents splits an SSE body into its events, dropping the terminal
-// "done" event: its row count is the job's frame count, which for a
-// discovery job includes the sigma frame /v1/discover does not count.
+// "done" event (TestJobStreamDoneRows checks it).
 func sseEvents(body []byte) []string {
 	var out []string
 	for _, ev := range strings.SplitAfter(string(body), "\n\n") {
@@ -262,4 +261,50 @@ func TestGoldenJobStreamSSE(t *testing.T) {
 			t.Errorf("job stream frames differ from %s:\ngot:\n%s\nwant:\n%s", c.golden, g, w)
 		}
 	}
+}
+
+// TestJobStreamDoneRows: a completed job's SSE "done" event reports the
+// row count the request stream of the same spec reports — the mined FDs
+// for a discovery job (not its sigma frame), the frontier rows for a
+// repair job — whether the follower replays from the start or re-attaches
+// mid-log.
+func TestJobStreamDoneRows(t *testing.T) {
+	h := goldenServer(t)
+	cases := []struct {
+		reqPath, jobPath string
+		body             any
+	}{
+		{"/v1/repair", "/v1/jobs", RepairRequest{Dataset: "paper", FDs: paperFDs, Seed: 1}},
+		{"/v1/discover", "/v1/jobs/discover", DiscoverRequest{Dataset: "paper", MaxLHS: 2}},
+	}
+	for _, c := range cases {
+		status, body := goldenBody(t, http.MethodPost, h.URL+c.reqPath, c.body, "text/event-stream")
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.reqPath, status, body)
+		}
+		want := doneEvent(t, body)
+		id := goldenJob(t, h.URL, c.jobPath, c.body)
+		for _, from := range []string{"", "?from=2"} {
+			status, got := goldenBody(t, http.MethodGet, h.URL+"/v1/jobs/"+id+"/stream"+from, nil, "text/event-stream")
+			if status != http.StatusOK {
+				t.Fatalf("%s job stream%s: status %d: %s", c.jobPath, from, status, got)
+			}
+			if g := doneEvent(t, got); g != want {
+				t.Errorf("%s job stream%s: done event %q, %s sends %q", c.jobPath, from, g, c.reqPath, want)
+			}
+		}
+	}
+}
+
+// doneEvent returns an SSE body's terminal "done" event.
+func doneEvent(t *testing.T, body []byte) string {
+	t.Helper()
+	events := strings.SplitAfter(string(body), "\n\n")
+	for i := len(events) - 1; i >= 0; i-- {
+		if strings.HasPrefix(events[i], "event: done\n") {
+			return events[i]
+		}
+	}
+	t.Fatalf("no done event in %s", body)
+	return ""
 }

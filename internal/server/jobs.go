@@ -59,6 +59,9 @@ func jobInfo(st jobs.Status) JobInfo {
 type sweepKind struct {
 	// event names the SSE event that carries an encoded frame.
 	event func(frame []byte) string
+	// trailer counts the frames a completed sweep emits after its rows
+	// (the discover kind's sigma frame); SSE "done" reports rows only.
+	trailer int
 	// spec decodes a job submission into its content address, plus the
 	// engine knobs of the run it starts (they are not part of the address).
 	spec func(s *Server, body io.Reader) (*dataset, jobs.Spec, RepairRequest, error)
@@ -79,9 +82,10 @@ var (
 		resume: resumeFrontier,
 	}
 	discoverKind = sweepKind{
-		event:  discoverEvent,
-		spec:   discoverJobSpec,
-		resume: resumeDiscover,
+		event:   discoverEvent,
+		trailer: 1,
+		spec:    discoverJobSpec,
+		resume:  resumeDiscover,
 	}
 )
 
@@ -358,7 +362,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case status.State == jobs.StateCompleted:
-			st.done(i)
+			st.done(i - k.trailer)
 			return
 		case status.State == jobs.StateFailed || status.State == jobs.StateCancelled:
 			st.fail(ErrorBody{Error: ErrorDetail{Code: status.ErrorCode, Message: status.ErrorMessage}})

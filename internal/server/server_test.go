@@ -360,7 +360,11 @@ func TestSentinelErrorMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := relatrust.MaxBudget(in, sigma, relatrust.Options{})
+	rp, err := relatrust.NewRepairer(in, sigma, relatrust.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := rp.MaxBudget(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +469,11 @@ func TestSampleEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := relatrust.SampleRepairs(in, sigma, 3, relatrust.Options{Seed: 5})
+	rp, err := relatrust.NewRepairer(in, sigma, relatrust.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rp.Sample(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

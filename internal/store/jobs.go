@@ -410,13 +410,3 @@ func (s *JobStore) quarantine(path string, cause error) {
 	s.log.Error("store: quarantined corrupt job file",
 		"file", path, "quarantined_as", qpath, "err", cause)
 }
-
-// ResultLogSize reports the job's current result-log size in bytes (0 if
-// absent), for eviction accounting.
-func (s *JobStore) ResultLogSize(id string) int64 {
-	st, err := os.Stat(s.logPath(id))
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}

@@ -36,8 +36,8 @@
 // through Options.Progress.
 //
 // The free functions (SuggestRepairs, RepairWithBudget, MaxBudget, …) are
-// back-compat wrappers that construct a Repairer and collect the stream
-// with context.Background().
+// deprecated back-compat wrappers that construct a Repairer and call it
+// with context.Background(); each names the Repairer method to use.
 //
 // The heavy lifting lives in the internal packages (relation, fd, conflict,
 // search, repair, …); this package is the stable entry point.
@@ -166,14 +166,13 @@ func ParseFDs(s *Schema, specs string) (FDSet, error) { return fd.ParseSet(s, sp
 // cluster arenas, dictionary-code columns, and pooled scratch of one
 // instance — across facade calls. Create one per instance and pass it via
 // Options.Session when issuing several repair calls over the same data
-// (a budget sweep, MaxBudget followed by SuggestRepairs, repeated
-// sampling): every call after the first forks the warm analysis instead
+// (a budget sweep, MaxBudget followed by Frontier, repeated sampling):
+// every call after the first forks the warm analysis instead
 // of re-scanning the instance. The instance must not be mutated while the
 // session is in use. Sessions are safe for concurrent use.
 //
 // A Repairer owns a Session implicitly; explicit Sessions remain useful to
-// share state across several Repairers (or free-function calls) over the
-// same instance.
+// share state across several Repairers over the same instance.
 type Session struct {
 	eng *session.Engine
 }
@@ -307,10 +306,9 @@ var errStopFrontier = errors.New("relatrust: frontier consumer stopped")
 // relative-trust spectrum as a stream: it yields one repair per distinct
 // trust level, ordered from "trust the FDs" (data-only repair, unchanged
 // Σ) to "trust the data" (FD-only repair, unchanged I), each Pareto point
-// delivered the moment its trust level is finalized. The yielded sequence
-// is exactly SuggestRepairs' result — same repairs, same order — except
-// that each point's Stats snapshot the search effort up to that point
-// rather than the whole sweep's.
+// delivered the moment its trust level is finalized. Each point's Stats
+// snapshot the search effort up to that point; the last point carries the
+// whole sweep's.
 //
 // The sweep stops when the consumer breaks out of the loop. On failure —
 // including cancellation, reported as context.Cause(ctx) — the iterator
@@ -425,6 +423,8 @@ func (r *Repairer) RepairDataOnly(ctx context.Context, pinned map[CellRef]bool) 
 // Repairer.RepairWithBudget with context.Background(); it keeps the
 // original contract of returning nil (the paper's (φ, φ)) instead of
 // ErrNoRepairInBudget when no relaxation fits the budget.
+//
+// Deprecated: Use NewRepairer and Repairer.RepairWithBudget.
 func RepairWithBudget(in *Instance, sigma FDSet, tau int, opt Options) (*Repair, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {
@@ -441,6 +441,8 @@ func RepairWithBudget(in *Instance, sigma FDSet, tau int, opt Options) (*Repair,
 // with context.Background(): one repair per distinct trust level, ordered
 // from "trust the FDs" to "trust the data", Pareto-optimal with respect to
 // (FD distance, cell changes).
+//
+// Deprecated: Use NewRepairer and Repairer.Frontier.
 func SuggestRepairs(in *Instance, sigma FDSet, opt Options) ([]*Repair, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {
@@ -450,6 +452,8 @@ func SuggestRepairs(in *Instance, sigma FDSet, opt Options) ([]*Repair, error) {
 }
 
 // SuggestRepairsInRange restricts SuggestRepairs to τ ∈ [tauLow, tauHigh].
+//
+// Deprecated: Use NewRepairer and Repairer.FrontierRange.
 func SuggestRepairsInRange(in *Instance, sigma FDSet, tauLow, tauHigh int, opt Options) ([]*Repair, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {
@@ -472,6 +476,8 @@ func collectFrontier(seq iter.Seq2[*Repair, error]) ([]*Repair, error) {
 
 // MaxBudget is the back-compat wrapper around Repairer.MaxBudget with
 // context.Background().
+//
+// Deprecated: Use NewRepairer and Repairer.MaxBudget.
 func MaxBudget(in *Instance, sigma FDSet, opt Options) (int, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {
@@ -482,6 +488,8 @@ func MaxBudget(in *Instance, sigma FDSet, opt Options) (int, error) {
 
 // SampleRepairs is the back-compat wrapper around Repairer.Sample with
 // context.Background().
+//
+// Deprecated: Use NewRepairer and Repairer.Sample.
 func SampleRepairs(in *Instance, sigma FDSet, k int, opt Options) ([]*DataRepair, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {
@@ -494,6 +502,8 @@ func SampleRepairs(in *Instance, sigma FDSet, k int, opt Options) ([]*DataRepair
 // with context.Background(). Unlike the pre-Repairer versions it honors
 // opt.Session — a warm engine also serves the τ = δP end of the spectrum —
 // and validates the pair like every other entry point.
+//
+// Deprecated: Use NewRepairer and Repairer.RepairDataOnly.
 func RepairDataOnly(in *Instance, sigma FDSet, pinned map[CellRef]bool, opt Options) (*DataRepair, error) {
 	r, err := NewRepairer(in, sigma, opt)
 	if err != nil {

@@ -44,10 +44,9 @@ func loadMulti(t *testing.T) (*relatrust.Instance, relatrust.FDSet) {
 	return in, sigma
 }
 
-// equalRepair compares everything except Stats (streaming snapshots effort
-// mid-sweep; batch stamps the final totals — documented divergence):
-// FD-side bookkeeping, the changed cells, and the repaired values those
-// cells received (variables compare by var-ness, V-instance semantics make
+// equalRepair compares everything except Stats (a streamed point snapshots
+// the effort up to its finalization): FD-side bookkeeping, the changed
+// cells, and the repaired values those cells received (variables compare by var-ness, V-instance semantics make
 // their identities immaterial).
 func equalRepair(a, b *relatrust.Repair) bool {
 	if a.Tau != b.Tau || a.DeltaP != b.DeltaP || a.FDCost != b.FDCost ||
@@ -69,12 +68,15 @@ func equalRepair(a, b *relatrust.Repair) bool {
 	return true
 }
 
-// TestFrontierMatchesBatchRunRange pins the acceptance criterion: the
-// stream collected from Frontier(ctx) must equal, point for point and in
-// order, the pre-Repairer batch path (repair.Session.RunRange with the
-// equivalent config) — on a small CSV fixture and on a generated workload,
-// sequential and parallel.
-func TestFrontierMatchesBatchRunRange(t *testing.T) {
+// TestFrontierMatchesRepeatedRun pins the stream collected from
+// Frontier(ctx) against repeated single-τ runs of the internal layer
+// (repair.Session.Run with the equivalent config), on a small CSV fixture
+// and on a generated workload, sequential and parallel. At the τ each
+// point was found under, the single run's repair has bit-identical FD
+// cost and no smaller δP (equal-cost ties keep the smaller δP in the
+// frontier); when it lands on the same extension it is the same repair,
+// changed cells included.
+func TestFrontierMatchesRepeatedRun(t *testing.T) {
 	type fixture struct {
 		name  string
 		in    *relatrust.Instance
@@ -94,46 +96,33 @@ func TestFrontierMatchesBatchRunRange(t *testing.T) {
 
 	for _, f := range fixtures {
 		for _, workers := range []int{1, 4} {
-			// The batch oracle goes through the internal layer directly, so
-			// this pin survives even though SuggestRepairs itself now
-			// collects the stream.
+			rp, err := relatrust.NewRepairer(f.in, f.sigma, relatrust.Options{Seed: 7, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := collect(t, rp)
+			if len(streamed) == 0 {
+				t.Fatalf("%s: empty frontier makes the pin vacuous", f.name)
+			}
 			cfg := repair.Config{
 				Weights: weights.NewDistinctCount(f.in),
 				Seed:    7,
 				Search:  search.Options{Workers: workers},
 			}
-			s, err := repair.NewSession(f.in, f.sigma, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := s.RunRange(context.Background(), 0, s.DeltaPOriginal())
-			s.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			rp, err := relatrust.NewRepairer(f.in, f.sigma, relatrust.Options{Seed: 7, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var streamed []*relatrust.Repair
-			for r, err := range rp.Frontier(context.Background()) {
+			for i, r := range streamed {
+				s, err := repair.NewSession(f.in, f.sigma, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				streamed = append(streamed, r)
-			}
-
-			if len(batch) == 0 {
-				t.Fatalf("%s: empty frontier makes the pin vacuous", f.name)
-			}
-			if len(batch) != len(streamed) {
-				t.Fatalf("%s workers=%d: batch %d repairs, stream %d", f.name, workers, len(batch), len(streamed))
-			}
-			for i := range batch {
-				if !equalRepair(batch[i], streamed[i]) {
-					t.Fatalf("%s workers=%d: repair %d diverges:\n batch  %v\n stream %v",
-						f.name, workers, i, batch[i], streamed[i])
+				single, err := s.Run(context.Background(), r.Tau)
+				s.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if single == nil || single.FDCost != r.FDCost || single.DeltaP < r.DeltaP ||
+					(single.Ext.Key() == r.Ext.Key() && !equalRepair(r, single)) {
+					t.Fatalf("%s workers=%d: repair %d diverges:\n stream %v\n run    %v",
+						f.name, workers, i, r, single)
 				}
 			}
 		}

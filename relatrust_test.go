@@ -1,6 +1,7 @@
 package relatrust_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,6 +27,16 @@ func load(t *testing.T) (*relatrust.Instance, relatrust.FDSet) {
 	return in, sigma
 }
 
+// newRepairer builds a Repairer or fails the test.
+func newRepairer(t *testing.T, in *relatrust.Instance, sigma relatrust.FDSet, opt relatrust.Options) *relatrust.Repairer {
+	t.Helper()
+	rp, err := relatrust.NewRepairer(in, sigma, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	in, sigma := load(t)
 	if relatrust.Satisfies(in, sigma) {
@@ -34,7 +45,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if got := len(relatrust.Violations(in, sigma, 0)); got != 1 {
 		t.Fatalf("violations = %d, want 1", got)
 	}
-	dp, err := relatrust.MaxBudget(in, sigma, relatrust.Options{})
+	rp := newRepairer(t, in, sigma, relatrust.Options{Seed: 1})
+	dp, err := rp.MaxBudget(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +54,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("MaxBudget = %d, want 1 (one cover tuple × α=1)", dp)
 	}
 
-	repairs, err := relatrust.SuggestRepairs(in, sigma, relatrust.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repairs := collect(t, rp)
 	if len(repairs) == 0 {
 		t.Fatal("no repairs suggested")
 	}
@@ -91,11 +100,15 @@ func TestFacadeRangeAndWeights(t *testing.T) {
 		relatrust.DistinctCountWeights(in),
 		relatrust.EntropyWeights(in),
 	} {
-		rs, err := relatrust.SuggestRepairsInRange(in, sigma, 0, 1, relatrust.Options{Weights: w})
-		if err != nil {
-			t.Fatalf("%T: %v", w, err)
+		rp := newRepairer(t, in, sigma, relatrust.Options{Weights: w})
+		n := 0
+		for _, err := range rp.FrontierRange(context.Background(), 0, 1) {
+			if err != nil {
+				t.Fatalf("%T: %v", w, err)
+			}
+			n++
 		}
-		if len(rs) == 0 {
+		if n == 0 {
 			t.Fatalf("%T: no repairs", w)
 		}
 	}
@@ -103,11 +116,12 @@ func TestFacadeRangeAndWeights(t *testing.T) {
 
 func TestFacadeBestFirstOption(t *testing.T) {
 	in, sigma := load(t)
-	a, err := relatrust.RepairWithBudget(in, sigma, 1, relatrust.Options{})
+	ctx := context.Background()
+	a, err := newRepairer(t, in, sigma, relatrust.Options{}).RepairWithBudget(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := relatrust.RepairWithBudget(in, sigma, 1, relatrust.Options{BestFirst: true})
+	b, err := newRepairer(t, in, sigma, relatrust.Options{BestFirst: true}).RepairWithBudget(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +141,7 @@ func TestFacadeBestFirstOption(t *testing.T) {
 	// The knob must also be orthogonal to Workers (it used to flip the
 	// algorithm depending on whether Workers was zero).
 	for _, workers := range []int{1, 4} {
-		c, err := relatrust.RepairWithBudget(in, sigma, 1, relatrust.Options{BestFirst: true, Workers: workers})
+		c, err := newRepairer(t, in, sigma, relatrust.Options{BestFirst: true, Workers: workers}).RepairWithBudget(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +185,12 @@ func TestFacadeSharedSession(t *testing.T) {
 	sess := relatrust.NewSession(in)
 	shared := relatrust.Options{Seed: 1, Session: sess}
 
-	dpFresh, err := relatrust.MaxBudget(in, sigma, relatrust.Options{Seed: 1})
+	ctx := context.Background()
+	dpFresh, err := newRepairer(t, in, sigma, relatrust.Options{Seed: 1}).MaxBudget(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpShared, err := relatrust.MaxBudget(in, sigma, shared)
+	dpShared, err := newRepairer(t, in, sigma, shared).MaxBudget(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +198,9 @@ func TestFacadeSharedSession(t *testing.T) {
 		t.Fatalf("MaxBudget with shared session = %d, fresh = %d", dpShared, dpFresh)
 	}
 
-	fresh, err := relatrust.SuggestRepairs(in, sigma, relatrust.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := collect(t, newRepairer(t, in, sigma, relatrust.Options{Seed: 1}))
 	for round := 0; round < 3; round++ {
-		got, err := relatrust.SuggestRepairs(in, sigma, shared)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := collect(t, newRepairer(t, in, sigma, shared))
 		if len(got) != len(fresh) {
 			t.Fatalf("round %d: %d repairs via shared session, %d fresh", round, len(got), len(fresh))
 		}
@@ -204,7 +213,7 @@ func TestFacadeSharedSession(t *testing.T) {
 		}
 	}
 
-	samples, err := relatrust.SampleRepairs(in, sigma, 2, shared)
+	samples, err := newRepairer(t, in, sigma, shared).Sample(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
