@@ -28,7 +28,6 @@ import (
 
 	"relatrust/internal/cfd"
 	"relatrust/internal/report"
-	"relatrust/internal/weights"
 )
 
 func main() {
@@ -108,7 +107,8 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 		}
 		spec = string(raw)
 	}
-	w, err := weights.ByName(cli.weighting, in)
+	sess := relatrust.NewSession(in)
+	w, err := sess.Weights(cli.weighting)
 	if err != nil {
 		return err
 	}
@@ -122,6 +122,7 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 	}
 	opt := relatrust.Options{
 		Weights:   w,
+		Session:   sess,
 		BestFirst: cli.bestFirst,
 		Seed:      cli.seed,
 		Workers:   cli.workers,
@@ -224,7 +225,7 @@ func progressReporter(w io.Writer) func(relatrust.ProgressEvent) {
 }
 
 // runCFD repairs against conditional FDs (pattern syntax "A,B->C | a,_").
-func runCFD(ctx context.Context, in *relatrust.Instance, spec string, tau int, w weights.Func, seed int64, stdout io.Writer) error {
+func runCFD(ctx context.Context, in *relatrust.Instance, spec string, tau int, w relatrust.WeightFunc, seed int64, stdout io.Writer) error {
 	set, err := cfd.ParseSet(in.Schema, spec)
 	if err != nil {
 		return err

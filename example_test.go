@@ -39,17 +39,18 @@ func ExampleRepairer_Frontier() {
 	// τ≤1: Σ'={Dept->Manager}, 1 cell change(s)
 }
 
-func ExampleSuggestRepairs() {
+func ExampleRepairer_FrontierRange() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
 
-	// SuggestRepairs is deprecated: collect Repairer.Frontier instead.
+	// Collect the frontier points with τ in [0, δP] into a slice.
 	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{
 		Weights: relatrust.AttrCountWeights(),
 		Seed:    1,
 	})
+	dp, _ := rp.MaxBudget(context.Background())
 	var repairs []*relatrust.Repair
-	for r, err := range rp.Frontier(context.Background()) {
+	for r, err := range rp.FrontierRange(context.Background(), 0, dp) {
 		if err != nil {
 			fmt.Println("sweep failed:", err)
 			return
@@ -64,11 +65,10 @@ func ExampleSuggestRepairs() {
 	// τ≤1: Σ'={Dept->Manager}, 1 cell change(s)
 }
 
-func ExampleRepairWithBudget() {
+func ExampleRepairer_RepairWithBudget() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
 
-	// RepairWithBudget is deprecated: use Repairer.RepairWithBudget.
 	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{Seed: 1})
 
 	// τ=0 forbids data changes: with Floor available to append, the FD
@@ -97,10 +97,9 @@ func ExampleSatisfies() {
 	// 1
 }
 
-func ExampleMaxBudget() {
+func ExampleRepairer_MaxBudget() {
 	inst, _ := relatrust.ReadCSV(strings.NewReader(exampleCSV))
 	sigma, _ := relatrust.ParseFDs(inst.Schema, "Dept->Manager")
-	// MaxBudget is deprecated: use Repairer.MaxBudget.
 	rp, _ := relatrust.NewRepairer(inst, sigma, relatrust.Options{})
 	dp, _ := rp.MaxBudget(context.Background())
 	fmt.Println(dp)

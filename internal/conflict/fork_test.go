@@ -90,7 +90,8 @@ func TestForkConcurrentQueries(t *testing.T) {
 }
 
 // TestForkRecycling: Fork after Release must reuse the pooled scratch
-// instead of reallocating it.
+// instead of reallocating it. Under -race the cycle still runs, but the
+// bound is not asserted.
 func TestForkRecycling(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
 	a := New(in, sigma)
@@ -102,6 +103,10 @@ func TestForkRecycling(t *testing.T) {
 		g.CoverSize(nil)
 		g.Release()
 	})
+	if raceEnabled {
+		t.Logf("allocation bound not asserted under -race (sync.Pool drops items at random): %.0f objects per cycle", allocs)
+		return
+	}
 	// A recycled fork reuses its partitioner scratch and matched marks; a
 	// handful of allocations is tolerated for sync.Pool internals.
 	if allocs > 4 {

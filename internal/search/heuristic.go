@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"relatrust/internal/conflict"
@@ -76,11 +77,18 @@ func (h *heuristic) gc(s State, all []conflict.DiffSet, tau int) float64 {
 // violating Σ(s): E is vertex-disjoint, so any goal Σ′ may leave at most
 // B = ⌊τ/α⌋ of its edges unresolved — it must *resolve* at least
 // K = |E| − B. Resolving an edge requires appending, to some violated FD,
-// an attribute of the edge's difference set ("hitting" it). Charging each
-// appended attribute its marginal weight and letting it hit every edge it
-// could (ignoring that a real repair must hit every violated FD of an
-// edge — a relaxation, hence a lower bound), the cheapest way to reach K
-// hits is a 0/1 knapsack-cover solved exactly by DP.
+// an attribute of the edge's difference set ("hitting" it); letting the
+// appended set of each FD hit every edge it could (ignoring that a real
+// repair must hit every violated FD of an edge — a relaxation, hence a
+// lower bound), the cheapest way to reach K hits is a multiple-choice
+// knapsack-cover over the FDs, solved exactly by DP.
+//
+// FD i's option j stands for every Y with j hitting attributes appended
+// to it. Under a weighting that is only monotone, appending Y costs at
+// least the largest single-attribute marginal in Y — not their sum — and
+// that is at least the j-th smallest marginal; Y hits at most the j
+// largest per-attribute hit counts. So option j charges the one and
+// credits the other, and the bound holds for every weighting (Lemma 1).
 func (h *heuristic) knapsack(s State, tau int) float64 {
 	base := h.w.StateCost(s)
 	if len(h.matchDiffs) == 0 {
@@ -90,11 +98,6 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 	// Count unresolved edges and, per FD, aggregate per-attribute hit
 	// counts over the edges violating that FD.
 	unresolved := 0
-	type itemT struct {
-		w    float64
-		hits int
-	}
-	var items []itemT
 	perFD := make([][]int, len(h.sigma)) // attr -> hits, lazily allocated
 	for _, d := range h.matchDiffs {
 		edgeViolated := false
@@ -121,37 +124,40 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 	if need <= 0 {
 		return base
 	}
-	for i, f := range h.sigma {
-		if perFD[i] == nil {
-			continue
-		}
-		lhs := f.LHS.Union(s[i])
-		for a, hits := range perFD[i] {
-			if hits == 0 || a == f.RHS || lhs.Contains(a) {
-				continue
-			}
-			items = append(items, itemT{w: h.w.Marginal(s[i], a), hits: hits})
-		}
-	}
-	// 0/1 knapsack-cover DP: dp[k] = min cost to accumulate ≥ k hits.
+	// dp[k] = min cost to accumulate ≥ k hits (k capped at need) with one
+	// option from each FD seen so far.
 	inf := math.Inf(1)
 	dp := make([]float64, need+1)
 	for k := 1; k <= need; k++ {
 		dp[k] = inf
 	}
-	for _, it := range items {
-		for k := need; k >= 0; k-- {
-			if math.IsInf(dp[k], 1) {
+	for i, f := range h.sigma {
+		if perFD[i] == nil {
+			continue
+		}
+		lhs := f.LHS.Union(s[i])
+		var hits []int
+		var costs []float64
+		for a, n := range perFD[i] {
+			if n == 0 || a == f.RHS || lhs.Contains(a) {
 				continue
 			}
-			nk := k + it.hits
-			if nk > need {
-				nk = need
-			}
-			if c := dp[k] + it.w; c < dp[nk] {
-				dp[nk] = c
+			hits = append(hits, n)
+			costs = append(costs, h.w.Marginal(s[i], a))
+		}
+		sort.Sort(sort.Reverse(sort.IntSlice(hits)))
+		sort.Float64s(costs)
+		next := slices.Clone(dp)
+		for k, cost := range dp {
+			got := k
+			for j, n := range hits {
+				got += n
+				if c, nk := cost+costs[j], min(got, need); c < next[nk] {
+					next[nk] = c
+				}
 			}
 		}
+		dp = next
 	}
 	if math.IsInf(dp[need], 1) {
 		// Even appending everything appendable cannot resolve enough

@@ -12,17 +12,14 @@ import (
 	"relatrust/internal/weights"
 )
 
-// TestGCAdmissibility: under the additive attr-count weighting, gc(S)
-// must never exceed the cost of the cheapest goal descending from S
-// (Lemma 1) — at every state of the search tree, not just the root — and
-// gc(S) = +Inf must mean no goal descends from S. Violations would break
-// A* optimality silently, so this is the load-bearing property test for
-// both heuristic halves (recursive + knapsack). The ground truth
-// enumerates the whole tree with monolithic cover queries.
-//
-// The property is deliberately not asserted for the non-additive
-// weightings (distinct-count, entropy, MDL): gc can exceed the subtree
-// optimum there.
+// TestGCAdmissibility: under every weighting — the additive attr-count
+// and the merely monotone distinct-count, entropy and MDL — gc(S) must
+// never exceed the cost of the cheapest goal descending from S (Lemma 1)
+// at every state of the search tree, not just the root, and gc(S) = +Inf
+// must mean no goal descends from S. Violations would break A*
+// optimality silently, so this is the load-bearing property test for both
+// heuristic halves (recursive + knapsack). The ground truth enumerates the
+// whole tree with monolithic cover queries.
 func TestGCAdmissibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	pairs := 0
@@ -31,33 +28,40 @@ func TestGCAdmissibility(t *testing.T) {
 		in := testkit.RandomInstance(rng, 8+rng.Intn(8), width, 2)
 		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
 
-		s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
-		tree := searchTree(s)
-		dp := s.DeltaPOriginal()
-		for tau := 0; tau <= dp; tau++ {
-			// best[i] is the cheapest goal in the subtree of tree[i]. In
-			// preorder every child follows its parent, so one backward pass
-			// folds each subtree into its root.
-			best := make([]float64, len(tree))
-			for i := range best {
-				best[i] = math.Inf(1)
+		src := weights.NewSource(in)
+		for _, name := range []string{"attr-count", "distinct-count", "entropy", "mdl"} {
+			w, err := weights.ByName(name, src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := len(tree) - 1; i >= 0; i-- {
-				if tree[i].deltaP <= tau {
-					best[i] = math.Min(best[i], tree[i].cost)
+			s := NewSearcher(conflict.New(in, sigma), w, Options{})
+			tree := searchTree(s)
+			dp := s.DeltaPOriginal()
+			for tau := 0; tau <= dp; tau++ {
+				// best[i] is the cheapest goal in the subtree of tree[i]. In
+				// preorder every child follows its parent, so one backward
+				// pass folds each subtree into its root.
+				best := make([]float64, len(tree))
+				for i := range best {
+					best[i] = math.Inf(1)
 				}
-				if i > 0 {
-					p := tree[i].parent
-					best[p] = math.Min(best[p], best[i])
+				for i := len(tree) - 1; i >= 0; i-- {
+					if tree[i].deltaP <= tau {
+						best[i] = math.Min(best[i], tree[i].cost)
+					}
+					if i > 0 {
+						p := tree[i].parent
+						best[p] = math.Min(best[p], best[i])
+					}
 				}
-			}
-			for i, n := range tree {
-				gc := s.h.gc(n.state, s.ds, tau)
-				if gc > best[i]+1e-9 {
-					t.Fatalf("trial %d τ=%d: gc%s=%v exceeds the subtree optimum %v\nΣ=%v\n%s",
-						trial, tau, n.state, gc, best[i], sigma, in)
+				for i, n := range tree {
+					gc := s.h.gc(n.state, s.ds, tau)
+					if gc > best[i]+1e-9 {
+						t.Fatalf("trial %d %s τ=%d: gc%s=%v exceeds the subtree optimum %v\nΣ=%v\n%s",
+							trial, name, tau, n.state, gc, best[i], sigma, in)
+					}
+					pairs++
 				}
-				pairs++
 			}
 		}
 	}

@@ -38,30 +38,20 @@ import (
 // worker count, so which worker finishes first never influences the
 // search. See run in astar.go.
 
-// lockedWeights makes one weights.Func usable from every worker: the
-// underlying implementations memoize into unsynchronized maps, so all
-// cache misses funnel through one mutex. Per-worker costCaches absorb
-// repeated lookups, keeping the lock off the steady-state path.
+// lockedWeights makes one weights.Func usable from every worker: a
+// caller-supplied weighting has no concurrency contract, so all lookups
+// funnel through one mutex. Per-worker costCaches keep the lock off the
+// steady-state path; a weights.Source holds the shared memo.
 type lockedWeights struct {
-	mu    sync.Mutex
-	w     weights.Func
-	cache map[relation.AttrSet]float64
-}
-
-func newLockedWeights(w weights.Func) *lockedWeights {
-	return &lockedWeights{w: w, cache: make(map[relation.AttrSet]float64)}
+	mu sync.Mutex
+	w  weights.Func
 }
 
 // Weight implements weights.Func.
 func (l *lockedWeights) Weight(y relation.AttrSet) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock() // a panicking weighting must not wedge the other workers
-	v, ok := l.cache[y]
-	if !ok {
-		v = l.w.Weight(y)
-		l.cache[y] = v
-	}
-	return v
+	return l.w.Weight(y)
 }
 
 // Name implements weights.Func.
@@ -101,7 +91,7 @@ func newEvalPool(s *Searcher, n int) *evalPool {
 	// The buffer lets the coordinator queue a pop's cover query, its
 	// prefetch and a child batch without blocking on busy workers.
 	p.tasks = make(chan func(*worker), 4*n)
-	lw := newLockedWeights(s.W)
+	lw := &lockedWeights{w: s.W}
 	for i := range p.workers {
 		costs := &costCache{w: lw}
 		p.workers[i] = &worker{

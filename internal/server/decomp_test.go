@@ -8,23 +8,25 @@ import (
 	"testing"
 )
 
-// TestRepairStreamDecompositionByteIdentical pins the retired engine
-// knobs at the wire: a request carrying no_decomposition and
-// no_partition_cache is accepted and streams a frontier byte-identical to
-// the same request without them, and the subsequent /statz and /metrics
-// expose the component counters of the last finished sweep.
+// retiredKnobs are the engine knobs the wire once accepted and ignored;
+// the strict decoder now rejects them as unknown fields.
+var retiredKnobs = []string{"no_partition_cache", "no_decomposition"}
+
+// TestRepairStreamDecompositionByteIdentical pins the decomposed sweep at
+// the wire: a four-worker frontier stream is byte-identical to the
+// one-worker stream, each retired engine knob is a 400 unknown field, and
+// the subsequent /statz and /metrics expose the component counters of the
+// last finished sweep.
 func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	registerCities(t, ts.URL)
 
-	sweep := func(retired bool) string {
+	sweep := func(workers int) string {
 		resp := postJSON(t, ts.URL+"/v1/repair", RepairRequest{
-			Dataset:          "cities",
-			FDs:              multiFDs,
-			Workers:          4,
-			NoDecomposition:  retired,
-			NoPartitionCache: retired,
-			IncludeChanges:   true,
+			Dataset:        "cities",
+			FDs:            multiFDs,
+			Workers:        workers,
+			IncludeChanges: true,
 		})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -38,13 +40,19 @@ func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 		return string(body)
 	}
 
-	withKnobs := sweep(true)
-	plain := sweep(false)
-	if withKnobs != plain {
-		t.Fatalf("retired knobs changed the stream:\nwithout:\n%s\nwith:\n%s", plain, withKnobs)
+	parallel := sweep(4)
+	inline := sweep(1)
+	if parallel != inline {
+		t.Fatalf("worker count changed the stream:\n1 worker:\n%s\n4 workers:\n%s", inline, parallel)
 	}
-	if !strings.Contains(plain, "\n") {
+	if !strings.Contains(inline, "\n") {
 		t.Fatal("stream carried no frames")
+	}
+	for _, knob := range retiredKnobs {
+		resp := postJSON(t, ts.URL+"/v1/repair", map[string]any{"dataset": "cities", "fds": multiFDs, knob: true})
+		if d := wantErrorCode(t, resp, http.StatusBadRequest, codeBadRequest); !strings.Contains(d.Message, knob) {
+			t.Errorf("%s: error %q does not name the unknown field", knob, d.Message)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/statz")
@@ -92,10 +100,10 @@ func TestRepairStreamDecompositionByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDiscoverThenRepairIgnoresRetiredKnobs: a discover_then_repair
-// request carrying no_decomposition and no_partition_cache is accepted
-// and streams bytes identical to the same request without them.
-func TestDiscoverThenRepairIgnoresRetiredKnobs(t *testing.T) {
+// TestDiscoverThenRepairRejectsRetiredKnobs: a discover_then_repair
+// request carrying a retired engine knob is a 400 unknown field, and the
+// same request without it still streams both sections.
+func TestDiscoverThenRepairRejectsRetiredKnobs(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
 	registerPaper(t, ts.URL)
 
@@ -104,15 +112,15 @@ func TestDiscoverThenRepairIgnoresRetiredKnobs(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, plain)
 	}
-	req.NoDecomposition, req.NoPartitionCache = true, true
-	status, withKnobs := goldenBody(t, http.MethodPost, ts.URL+"/v1/discover", req, "")
-	if status != http.StatusOK {
-		t.Fatalf("status %d with the retired knobs: %s", status, withKnobs)
-	}
-	if string(plain) != string(withKnobs) {
-		t.Fatalf("retired knobs changed the stream:\nwithout:\n%s\nwith:\n%s", plain, withKnobs)
-	}
 	if !strings.Contains(string(plain), `"sigma"`) || strings.Count(string(plain), "\n") < 3 {
 		t.Fatalf("stream lacks the mining and repair sections:\n%s", plain)
+	}
+	for _, knob := range retiredKnobs {
+		resp := postJSON(t, ts.URL+"/v1/discover", map[string]any{
+			"dataset": "paper", "max_lhs": 2, "max_error": 0.3, "mode": modeDiscoverThenRepair, "seed": 9, knob: true,
+		})
+		if d := wantErrorCode(t, resp, http.StatusBadRequest, codeBadRequest); !strings.Contains(d.Message, knob) {
+			t.Errorf("%s: error %q does not name the unknown field", knob, d.Message)
+		}
 	}
 }

@@ -43,16 +43,13 @@ type DiscoverRequest struct {
 	TauLow  int  `json:"tau_low,omitempty"`
 	TauHigh *int `json:"tau_high,omitempty"`
 	// Weights, BestFirst, Workers, Seed, MaxVisited, IncludeChanges tune
-	// the appended sweep exactly as on /v1/repair; NoPartitionCache and
-	// NoDecomposition are accepted and ignored there, and here.
-	Weights          string `json:"weights,omitempty"`
-	BestFirst        bool   `json:"best_first,omitempty"`
-	Workers          int    `json:"workers,omitempty"`
-	Seed             int64  `json:"seed,omitempty"`
-	MaxVisited       int    `json:"max_visited,omitempty"`
-	NoPartitionCache bool   `json:"no_partition_cache,omitempty"`
-	NoDecomposition  bool   `json:"no_decomposition,omitempty"`
-	IncludeChanges   bool   `json:"include_changes,omitempty"`
+	// the appended sweep exactly as on /v1/repair.
+	Weights        string `json:"weights,omitempty"`
+	BestFirst      bool   `json:"best_first,omitempty"`
+	Workers        int    `json:"workers,omitempty"`
+	Seed           int64  `json:"seed,omitempty"`
+	MaxVisited     int    `json:"max_visited,omitempty"`
+	IncludeChanges bool   `json:"include_changes,omitempty"`
 
 	// TimeoutMS imposes a server-side deadline on the whole run (mining
 	// plus the appended sweep); exceeding it reports deadline_exceeded.
@@ -249,7 +246,7 @@ func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverReques
 		Workers:    req.Workers,
 		Seed:       req.Seed,
 		MaxVisited: req.MaxVisited,
-	}, in, sess)
+	}, sess)
 	if err != nil {
 		return 0, err
 	}

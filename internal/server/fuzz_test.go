@@ -1,9 +1,10 @@
 package server
 
 // Native fuzz targets for the service's untrusted decode paths: the JSON
-// repair- and discover-request bodies and the CSV dataset upload. Plain `go test`
-// replays the f.Add seeds plus the checked-in corpora under testdata/fuzz
-// (CI's fuzz-regression step); `go test -fuzz FuzzX` explores further.
+// repair- and discover-request bodies, the PATCH row-op batch, and the CSV
+// dataset upload. Plain `go test` replays the f.Add seeds plus the
+// checked-in corpora under testdata/fuzz (CI's fuzz-regression step);
+// `go test -fuzz FuzzX` explores further.
 
 import (
 	"bytes"
@@ -94,6 +95,68 @@ func FuzzDecodeDiscoverRequest(f *testing.F) {
 			req.MaxLHS != again.MaxLHS || req.MaxError != again.MaxError || req.MaxResults != again.MaxResults ||
 			(req.TauHigh == nil) != (again.TauHigh == nil) {
 			t.Fatalf("round trip changed the request: %+v vs %+v", req, again)
+		}
+	})
+}
+
+// FuzzDecodeRowOps drives the PATCH body decode — the strict
+// mutateRequest decode, then decodeRowOps against a fixed schema. A batch
+// decodeRowOps accepts must translate op for op: the same kind and row,
+// and for insert/update a full tuple carrying every named value in its
+// attribute's position.
+func FuzzDecodeRowOps(f *testing.F) {
+	seeds := [][]byte{
+		[]byte(`{"ops":[{"op":"insert","values":{"City":"A","ZIP":"1","State":"X"}}]}`),
+		[]byte(`{"ops":[{"op":"update","row":0,"values":{"City":"A","ZIP":"2","State":"Y"}},{"op":"delete","row":1}]}`),
+		[]byte(`{"ops":[{"op":"delete","row":-1}]}`),
+		[]byte(`{"ops":[{"op":"update","values":{"City":"A","ZIP":"1","State":"X"}}]}`),
+		[]byte(`{"ops":[{"op":"insert","values":{"City":"A","ZIP":"1"}}]}`),
+		[]byte(`{"ops":[{"op":"insert","values":{"City":"A","ZIP":"1","Nope":"X"}}]}`),
+		[]byte(`{"ops":[{"op":"upsert","row":0}]}`),
+		[]byte(`{"ops":[],"extra":1}`),
+		[]byte(`{"ops":null}`),
+		[]byte(`{"ops":[{"op":"delete","row":0}]}{"ops":[]}`),
+		[]byte("{\"ops\":[{\"op\":\"insert\",\"values\":{\"City\":\"\xff\",\"ZIP\":\"\",\"State\":\"\"}}]}"),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	schema, err := relatrust.NewSchema("City", "ZIP", "State")
+	if err != nil {
+		f.Fatal(err)
+	}
+	kinds := map[string]relatrust.RowOpKind{"insert": relatrust.RowInsert, "update": relatrust.RowUpdate, "delete": relatrust.RowDelete}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeStrict[mutateRequest](bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		ops, err := decodeRowOps(schema, req.Ops)
+		if err != nil {
+			return
+		}
+		if len(ops) != len(req.Ops) {
+			t.Fatalf("%d wire ops decoded to %d row ops", len(req.Ops), len(ops))
+		}
+		for i, op := range ops {
+			w := req.Ops[i]
+			if kind, ok := kinds[w.Op]; !ok || op.Kind != kind {
+				t.Fatalf("op %d: wire op %q decoded as kind %d", i, w.Op, op.Kind)
+			}
+			if op.Kind != relatrust.RowInsert && op.Row != *w.Row {
+				t.Fatalf("op %d: row %d decoded as %d", i, *w.Row, op.Row)
+			}
+			if op.Kind == relatrust.RowDelete {
+				continue
+			}
+			if len(op.Tuple) != schema.Width() {
+				t.Fatalf("op %d: tuple of width %d, schema width %d", i, len(op.Tuple), schema.Width())
+			}
+			for name, v := range w.Values {
+				if got := op.Tuple[schema.Index(name)]; got.IsVar() || got.Str() != v {
+					t.Fatalf("op %d: %s = %v, want the constant %q", i, name, got, v)
+				}
+			}
 		}
 	})
 }

@@ -126,7 +126,7 @@ func frontierJobSpec(s *Server, body io.Reader) (*dataset, jobs.Spec, RepairRequ
 	if wname == "" {
 		wname = "distinct-count"
 	}
-	if _, err := weights.ByName(wname, in); err != nil {
+	if _, err := weights.ByName(wname, nil); err != nil {
 		return nil, jobs.Spec{}, req, badRequest("%v", err)
 	}
 	return d, jobs.Spec{
@@ -172,7 +172,7 @@ func resumeFrontier(ctx context.Context, s *Server, d *dataset, j *jobs.Job, kno
 		return 0, err
 	}
 	knobs.Weights, knobs.Seed = j.Weights, j.Seed
-	opt, err := s.options(d, knobs, in, sess)
+	opt, err := s.options(d, knobs, sess)
 	if err != nil {
 		return 0, err
 	}

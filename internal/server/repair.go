@@ -15,7 +15,6 @@ import (
 	"relatrust/internal/faultinject"
 	"relatrust/internal/jobs"
 	"relatrust/internal/report"
-	"relatrust/internal/weights"
 )
 
 // RepairRequest is the JSON body shared by the repair-family endpoints.
@@ -47,12 +46,6 @@ type RepairRequest struct {
 	Workers    int   `json:"workers,omitempty"`
 	Seed       int64 `json:"seed,omitempty"`
 	MaxVisited int   `json:"max_visited,omitempty"`
-	// NoPartitionCache and NoDecomposition named engine knobs that no
-	// longer exist. They are accepted and ignored for one release, so
-	// clients that still send them keep working; the sweep is the same
-	// either way.
-	NoPartitionCache bool `json:"no_partition_cache,omitempty"`
-	NoDecomposition  bool `json:"no_decomposition,omitempty"`
 
 	// TimeoutMS imposes a server-side deadline on the sweep; exceeding it
 	// reports deadline_exceeded. 0 means no deadline beyond the client's.
@@ -151,7 +144,7 @@ func (s *Server) prepareCall(body io.Reader) (c repairCall, err error) {
 	if err != nil {
 		return c, err
 	}
-	opt, err := s.options(c.ds, c.req, c.in, sess)
+	opt, err := s.options(c.ds, c.req, sess)
 	if err != nil {
 		return c, badRequest("%v", err)
 	}
@@ -170,9 +163,10 @@ func parseFDs(schema *relatrust.Schema, text string) (relatrust.FDSet, error) {
 
 // options maps the request onto relatrust.Options over the pinned
 // snapshot's session, wiring the progress hook that feeds /statz and
-// Options.Observe. in must be the instance of the same snapshot, so the
-// weighting describes the rows the sweep actually repairs.
-func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, sess *relatrust.Session) (relatrust.Options, error) {
+// Options.Observe. The weighting resolves through the same session, so
+// it describes the rows the sweep actually repairs and shares the
+// snapshot's weight memo with every other sweep over it.
+func (s *Server) options(d *dataset, req RepairRequest, sess *relatrust.Session) (relatrust.Options, error) {
 	opt := relatrust.Options{
 		BestFirst:  req.BestFirst,
 		Seed:       req.Seed,
@@ -184,7 +178,7 @@ func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, 
 		opt.Workers = s.opt.Workers
 	}
 	if req.Weights != "" {
-		w, err := weights.ByName(req.Weights, in)
+		w, err := sess.Weights(req.Weights)
 		if err != nil {
 			return opt, err
 		}

@@ -34,11 +34,7 @@
 // quarantined by the store, never fatal). Row mutations write through
 // before they commit, so a restart never resurrects pre-mutation rows.
 //
-// Request bodies are decoded strictly: an unknown field is a 400. The
-// retired engine knobs no_partition_cache and no_decomposition therefore
-// stay in RepairRequest and DiscoverRequest for one release, accepted and
-// ignored — the search has a single cover path, so they cannot change a
-// response — and job ids never hashed them.
+// Request bodies are decoded strictly: an unknown field is a 400.
 //
 // # Mutations and generations
 //

@@ -41,6 +41,7 @@ import (
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/weights"
 )
 
 // Engine owns one instance and the cached root analyses built against it.
@@ -66,7 +67,8 @@ type Engine struct {
 	// engine's instance, built lazily on first use. Like the roots, it
 	// answers for exactly one snapshot: a live-dataset mutation builds a
 	// new engine and therefore a fresh, empty store.
-	parts *relation.PartitionStore
+	parts   *relation.PartitionStore
+	weights *weights.Source // built on first use, like parts
 }
 
 // rootEntry is one cached root: identified by its FD set (compared
@@ -261,6 +263,18 @@ func (e *Engine) Partitions() *relation.PartitionStore {
 		e.parts = relation.NewPartitionStore()
 	}
 	return e.parts
+}
+
+// Weights returns the engine's shared weight source, creating it on first
+// use. Every sweep over this engine's snapshot prices LHS extensions from
+// its one memo, so no sweep re-refines a set an earlier one priced.
+func (e *Engine) Weights() *weights.Source {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.weights == nil {
+		e.weights = weights.NewSource(e.In)
+	}
+	return e.weights
 }
 
 // Stats reports engine effort: how many analyses were handed out and how

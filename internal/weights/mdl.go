@@ -1,8 +1,6 @@
 package weights
 
 import (
-	"math"
-
 	"relatrust/internal/relation"
 )
 
@@ -21,47 +19,19 @@ import (
 // base-free form DL(Y) = |Π_Y(I)| · log₂(avg column cardinality), which is
 // non-negative, monotone (projections refine), and zero for the empty set
 // — ordering candidate extensions the same way the relative form does for
-// a fixed FD.
-type MDL struct {
-	in      *relation.Instance
-	part    *relation.Partitioner
-	valBits float64
-	cache   map[relation.AttrSet]float64
-}
+// a fixed FD. It is a view over a Source.
+type MDL struct{ src *Source }
 
-// NewMDL builds the description-length weighting bound to an instance.
-func NewMDL(in *relation.Instance) *MDL {
-	m := &MDL{
-		in:    in,
-		part:  relation.NewPartitioner(in),
-		cache: make(map[relation.AttrSet]float64),
-	}
-	// Average per-column cardinality sets the per-table-row cost; the
-	// distinct count per column is the size of its code dictionary.
-	total := 0.0
-	width := in.Schema.Width()
-	for a := 0; a < width; a++ {
-		_, n := in.Codes(a)
-		total += float64(n)
-	}
-	avg := total / math.Max(float64(width), 1)
-	m.valBits = math.Log2(math.Max(avg, 2))
-	return m
-}
+// NewMDL builds the description-length weighting over a private source
+// bound to the instance.
+func NewMDL(in *relation.Instance) *MDL { return &MDL{NewSource(in)} }
 
 // Weight returns |Π_Y(I)| · log₂(avg cardinality), 0 for the empty set.
 func (m *MDL) Weight(y relation.AttrSet) float64 {
 	if y.IsEmpty() {
 		return 0
 	}
-	if w, ok := m.cache[y]; ok {
-		return w
-	}
-	m.part.BeginAll()
-	m.part.RefineSet(y)
-	w := float64(m.part.Partition().NumGroups()) * m.valBits
-	m.cache[y] = w
-	return w
+	return m.src.profile(y).groups * m.src.valueBits()
 }
 
 // Name implements Func.

@@ -4,11 +4,18 @@
 // relies on for pruning, and they evaluate against the *initial* instance
 // only — the paper's simplifying assumption that repairing a small number
 // of cells does not materially change attribute statistics.
+//
+// So w(Y) is a function of one dataset snapshot, and the instance-backed
+// weightings (distinct-count, entropy, MDL) are views over one Source per
+// snapshot: a memo keyed by AttrSet. A session engine owns one Source,
+// which lives as long as the engine; a live-dataset mutation builds a new
+// engine, so the memo never answers for another generation's rows.
 package weights
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"relatrust/internal/relation"
 )
@@ -31,42 +38,101 @@ func (AttrCount) Weight(y relation.AttrSet) float64 { return float64(y.Len()) }
 // Name implements Func.
 func (AttrCount) Name() string { return "attr-count" }
 
-// DistinctCount prices Y by the number of distinct values of the projection
-// Π_Y(I) — the paper's experimental choice: the more informative an
-// attribute set, the more expensive it is to append (a near-key makes the
-// FD almost trivially satisfied, which should be discouraged). Results are
-// memoized per attribute set; the zero value is not usable, construct with
-// NewDistinctCount.
-type DistinctCount struct {
-	in    *relation.Instance
-	part  *relation.Partitioner
-	cache map[relation.AttrSet]float64
+// Source memoizes the profile of π(Y) — the partition of an instance's
+// tuples by their Y-projection — per attribute set. It is safe for
+// concurrent use: one mutex guards the partitioner and the memo, so the
+// sweeps and search workers of one snapshot share every computed profile.
+type Source struct {
+	in *relation.Instance
+
+	mu   sync.Mutex
+	part *relation.Partitioner
+	memo map[relation.AttrSet]profile
+
+	bitsOnce sync.Once
+	valBits  float64 // MDL's per-table-row cost; see valueBits
 }
 
-// NewDistinctCount builds a distinct-value weighting bound to an instance.
-func NewDistinctCount(in *relation.Instance) *DistinctCount {
-	return &DistinctCount{
-		in:    in,
-		part:  relation.NewPartitioner(in),
-		cache: make(map[relation.AttrSet]float64),
+// profile is what the weightings read of π(Y): |Π_Y(I)| and H(Π_Y(I)) in bits.
+type profile struct{ groups, entropy float64 }
+
+// NewSource returns an empty source over the instance, which must not be
+// mutated while the source is in use.
+func NewSource(in *relation.Instance) *Source {
+	return &Source{
+		in:   in,
+		part: relation.NewPartitioner(in),
+		memo: make(map[relation.AttrSet]profile),
 	}
 }
 
-// Weight returns |Π_Y(I)|, and 0 for the empty set. Distinct projections
-// are counted as groups of a code-based partition refinement, not by
-// materializing projection keys.
+// Len returns the number of memoized attribute sets.
+func (s *Source) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.memo)
+}
+
+// profile returns the memoized profile of π(y), computing both numbers in
+// one code-based refinement pass on a miss. y must be non-empty.
+func (s *Source) profile(y relation.AttrSet) profile {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.memo[y]; ok {
+		return p
+	}
+	s.part.BeginAll()
+	s.part.RefineSet(y)
+	pt := s.part.Partition()
+	// Every term −q·log₂q is ≥ 0 for q ∈ (0, 1], so the sum starts and
+	// stays at +0 or above; an empty instance has no groups and sums to 0.
+	p := profile{groups: float64(pt.NumGroups())}
+	n := float64(s.in.N())
+	for gi := 0; gi < pt.NumGroups(); gi++ {
+		q := float64(len(pt.Group(gi))) / n
+		p.entropy -= q * math.Log2(q)
+	}
+	s.memo[y] = p
+	return p
+}
+
+// valueBits returns log₂ of the average per-column cardinality (at least
+// 1 bit), computed once. The distinct count per column is the size of its
+// code dictionary.
+func (s *Source) valueBits() float64 {
+	s.bitsOnce.Do(func() {
+		total := 0.0
+		width := s.in.Schema.Width()
+		for a := 0; a < width; a++ {
+			_, n := s.in.Codes(a)
+			total += float64(n)
+		}
+		avg := total / math.Max(float64(width), 1)
+		s.valBits = math.Log2(math.Max(avg, 2))
+	})
+	return s.valBits
+}
+
+// DistinctCount prices Y by the number of distinct values of the projection
+// Π_Y(I) — the paper's experimental choice: the more informative an
+// attribute set, the more expensive it is to append (a near-key makes the
+// FD almost trivially satisfied, which should be discouraged). It is a
+// view over a Source; the zero value is not usable.
+type DistinctCount struct{ src *Source }
+
+// NewDistinctCount builds a distinct-value weighting over a private
+// source bound to the instance.
+func NewDistinctCount(in *relation.Instance) *DistinctCount { return NewSource(in).DistinctCount() }
+
+// DistinctCount returns the distinct-value view over the source.
+func (s *Source) DistinctCount() *DistinctCount { return &DistinctCount{s} }
+
+// Weight returns |Π_Y(I)|, and 0 for the empty set.
 func (d *DistinctCount) Weight(y relation.AttrSet) float64 {
 	if y.IsEmpty() {
 		return 0
 	}
-	if w, ok := d.cache[y]; ok {
-		return w
-	}
-	d.part.BeginAll()
-	d.part.RefineSet(y)
-	w := float64(d.part.Partition().NumGroups())
-	d.cache[y] = w
-	return w
+	return d.src.profile(y).groups
 }
 
 // Name implements Func.
@@ -75,75 +141,37 @@ func (d *DistinctCount) Name() string { return "distinct-count" }
 // Entropy prices Y by the Shannon entropy (in bits) of the empirical
 // distribution of Π_Y(I): another "informativeness" metric the paper
 // suggests. Entropy is monotone under projection refinement, so the Func
-// contract holds. Construct with NewEntropy.
-type Entropy struct {
-	in    *relation.Instance
-	part  *relation.Partitioner
-	cache map[relation.AttrSet]float64
-}
+// contract holds. It is a view over a Source.
+type Entropy struct{ src *Source }
 
-// NewEntropy builds an entropy weighting bound to an instance.
-func NewEntropy(in *relation.Instance) *Entropy {
-	return &Entropy{
-		in:    in,
-		part:  relation.NewPartitioner(in),
-		cache: make(map[relation.AttrSet]float64),
-	}
-}
+// NewEntropy builds an entropy weighting over a private source bound to
+// the instance.
+func NewEntropy(in *relation.Instance) *Entropy { return &Entropy{NewSource(in)} }
 
-// Weight returns H(Π_Y(I)) in bits, and 0 for the empty set. Group sizes
-// come from a code-based partition refinement.
+// Weight returns H(Π_Y(I)) in bits, and 0 for the empty set.
 func (e *Entropy) Weight(y relation.AttrSet) float64 {
 	if y.IsEmpty() {
 		return 0
 	}
-	if w, ok := e.cache[y]; ok {
-		return w
-	}
-	n := e.in.N()
-	if n == 0 {
-		return 0
-	}
-	e.part.BeginAll()
-	e.part.RefineSet(y)
-	pt := e.part.Partition()
-	h := 0.0
-	for gi := 0; gi < pt.NumGroups(); gi++ {
-		p := float64(len(pt.Group(gi))) / float64(n)
-		h -= p * math.Log2(p)
-	}
-	if h < 0 { // guard against -0 from rounding
-		h = 0
-	}
-	e.cache[y] = h
-	return h
+	return e.src.profile(y).entropy
 }
 
 // Name implements Func.
 func (e *Entropy) Name() string { return "entropy" }
 
-// VectorCost sums a weighting over an extension vector:
-// dist_c(Σ, Σ′) = Σ_Y∈Δc(Σ,Σ′) w(Y).
-func VectorCost(w Func, ext []relation.AttrSet) float64 {
-	total := 0.0
-	for _, y := range ext {
-		total += w.Weight(y)
-	}
-	return total
-}
-
-// ByName constructs a weighting by its report name; instance-backed
-// weightings are bound to in.
-func ByName(name string, in *relation.Instance) (Func, error) {
+// ByName resolves a weighting by its report name; the instance-backed
+// weightings are views over src. A nil src only validates the name: the
+// instance-backed views it returns must not be weighed.
+func ByName(name string, src *Source) (Func, error) {
 	switch name {
 	case "attr-count", "count", "":
 		return AttrCount{}, nil
 	case "distinct-count", "distinct":
-		return NewDistinctCount(in), nil
+		return src.DistinctCount(), nil
 	case "entropy":
-		return NewEntropy(in), nil
+		return &Entropy{src}, nil
 	case "mdl":
-		return NewMDL(in), nil
+		return &MDL{src}, nil
 	}
 	return nil, fmt.Errorf("weights: unknown weighting %q (want attr-count, distinct-count, entropy, or mdl)", name)
 }

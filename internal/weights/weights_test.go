@@ -87,21 +87,17 @@ func TestMonotonicity(t *testing.T) {
 	}
 }
 
-func TestVectorCost(t *testing.T) {
-	ext := []relation.AttrSet{relation.NewAttrSet(0), relation.NewAttrSet(1, 2)}
-	if got := VectorCost(AttrCount{}, ext); got != 3 {
-		t.Errorf("VectorCost = %v, want 3", got)
-	}
-}
-
 func TestByName(t *testing.T) {
-	in := sample()
-	for _, name := range []string{"attr-count", "count", "", "distinct-count", "distinct", "entropy"} {
-		if _, err := ByName(name, in); err != nil {
+	src := NewSource(sample())
+	for _, name := range []string{"attr-count", "count", "", "distinct-count", "distinct", "entropy", "mdl"} {
+		if _, err := ByName(name, src); err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 		}
+		if _, err := ByName(name, nil); err != nil {
+			t.Errorf("ByName(%q, nil): %v", name, err)
+		}
 	}
-	if _, err := ByName("nope", in); err == nil {
+	if _, err := ByName("nope", src); err == nil {
 		t.Error("unknown name must fail")
 	}
 }
@@ -119,9 +115,6 @@ func TestMDL(t *testing.T) {
 	}
 	if w.Name() != "mdl" {
 		t.Error("name")
-	}
-	if _, err := ByName("mdl", in); err != nil {
-		t.Errorf("ByName(mdl): %v", err)
 	}
 }
 

@@ -35,10 +35,6 @@
 // search effort), and ErrNoRepairInBudget. Long sweeps are observable
 // through Options.Progress.
 //
-// The free functions (SuggestRepairs, RepairWithBudget, MaxBudget, …) are
-// deprecated back-compat wrappers that construct a Repairer and call it
-// with context.Background(); each names the Repairer method to use.
-//
 // The heavy lifting lives in the internal packages (relation, fd, conflict,
 // search, repair, …); this package is the stable entry point.
 package relatrust
@@ -163,12 +159,12 @@ func ParseFD(s *Schema, spec string) (FD, error) { return fd.Parse(s, spec) }
 func ParseFDs(s *Schema, specs string) (FDSet, error) { return fd.ParseSet(s, specs) }
 
 // Session shares one repair-session engine — the conflict-analysis
-// cluster arenas, dictionary-code columns, and pooled scratch of one
-// instance — across facade calls. Create one per instance and pass it via
-// Options.Session when issuing several repair calls over the same data
-// (a budget sweep, MaxBudget followed by Frontier, repeated sampling):
-// every call after the first forks the warm analysis instead
-// of re-scanning the instance. The instance must not be mutated while the
+// cluster arenas, dictionary-code columns, pooled scratch and weight memo
+// of one instance — across facade calls. Create one per instance and pass
+// it via Options.Session when issuing several repair calls over the same
+// data (a budget sweep, MaxBudget followed by Frontier, repeated
+// sampling): every call after the first forks the warm analysis and
+// reads the warm weights instead of re-scanning the instance. The instance must not be mutated while the
 // session is in use. Sessions are safe for concurrent use.
 //
 // A Repairer owns a Session implicitly; explicit Sessions remain useful to
@@ -192,10 +188,18 @@ type SessionStats = session.Stats
 // call concurrently with repair calls using the session.
 func (s *Session) Stats() SessionStats { return s.eng.Stats() }
 
+// Weights resolves a weighting by name: attr-count (also "count" or ""),
+// distinct-count (also "distinct"), entropy, or mdl. The instance-backed
+// ones are views over the session's one weight source and share its memo.
+func (s *Session) Weights(name string) (WeightFunc, error) {
+	return weights.ByName(name, s.eng.Weights())
+}
+
 // Options tunes the repair entry points.
 type Options struct {
-	// Weights prices LHS extensions. Nil selects DistinctCountWeights on
-	// the input instance — the paper's experimental choice.
+	// Weights prices LHS extensions. Nil selects distinct-count — the
+	// paper's experimental choice — over the session's weight source, so
+	// every call on one session shares its memo (see Session.Weights).
 	Weights WeightFunc
 	// BestFirst disables the A* heuristic (mainly for comparison runs).
 	BestFirst bool
@@ -226,10 +230,11 @@ type Options struct {
 	Generation int64
 }
 
-func (o Options) config(in *Instance) repair.Config {
+// config maps the options onto a repair configuration (o.Session is set).
+func (o Options) config() repair.Config {
 	w := o.Weights
 	if w == nil {
-		w = weights.NewDistinctCount(in)
+		w = o.Session.eng.Weights().DistinctCount()
 	}
 	return repair.Config{
 		Weights: w,
@@ -239,18 +244,10 @@ func (o Options) config(in *Instance) repair.Config {
 			Workers:    o.Workers,
 		},
 		Seed:       o.Seed,
-		Engine:     o.engine(),
+		Engine:     o.Session.eng,
 		Progress:   o.Progress,
 		Generation: o.Generation,
 	}
-}
-
-// engine returns the session engine selected by the options, or nil.
-func (o Options) engine() *session.Engine {
-	if o.Session == nil {
-		return nil
-	}
-	return o.Session.eng
 }
 
 // AttrCountWeights prices an extension by its number of attributes.
@@ -335,7 +332,7 @@ func (r *Repairer) FrontierRange(ctx context.Context, tauLow, tauHigh int) iter.
 // frontier is the shared iterator; tauHigh < 0 means δP(Σ, I).
 func (r *Repairer) frontier(ctx context.Context, tauLow, tauHigh int) iter.Seq2[*Repair, error] {
 	return func(yield func(*Repair, error) bool) {
-		s, err := repair.NewSession(r.in, r.sigma, r.opt.config(r.in))
+		s, err := repair.NewSession(r.in, r.sigma, r.opt.config())
 		if err != nil {
 			yield(nil, err)
 			return
@@ -367,7 +364,7 @@ func (r *Repairer) RepairWithBudget(ctx context.Context, tau int) (*Repair, erro
 	if tau < 0 {
 		return nil, fmt.Errorf("relatrust: negative cell-change budget %d", tau)
 	}
-	s, err := repair.NewSession(r.in, r.sigma, r.opt.config(r.in))
+	s, err := repair.NewSession(r.in, r.sigma, r.opt.config())
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +386,7 @@ func (r *Repairer) MaxBudget(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, context.Cause(ctx)
 	}
-	s, err := repair.NewSession(r.in, r.sigma, r.opt.config(r.in))
+	s, err := repair.NewSession(r.in, r.sigma, r.opt.config())
 	if err != nil {
 		return 0, err
 	}
@@ -402,7 +399,7 @@ func (r *Repairer) MaxBudget(ctx context.Context) (int, error) {
 // resolved; see the paper's reference [3]. Cancelling ctx aborts between
 // draws with context.Cause(ctx).
 func (r *Repairer) Sample(ctx context.Context, k int) ([]*DataRepair, error) {
-	return repair.SampleDataRepairs(ctx, r.in, r.sigma, k, r.opt.Seed, 0, r.opt.engine())
+	return repair.SampleDataRepairs(ctx, r.in, r.sigma, k, r.opt.Seed, 0, r.opt.Session.eng)
 }
 
 // RepairDataOnly materializes a data repair for the fixed FD set without
@@ -414,102 +411,9 @@ func (r *Repairer) RepairDataOnly(ctx context.Context, pinned map[CellRef]bool) 
 		return nil, context.Cause(ctx)
 	}
 	if pinned == nil {
-		return repair.RepairData(r.in, r.sigma, nil, r.opt.Seed, r.opt.engine())
+		return repair.RepairData(r.in, r.sigma, nil, r.opt.Seed, r.opt.Session.eng)
 	}
-	return repair.RepairDataPinned(r.in, r.sigma, pinned, r.opt.Seed, r.opt.engine())
-}
-
-// RepairWithBudget is the back-compat wrapper around
-// Repairer.RepairWithBudget with context.Background(); it keeps the
-// original contract of returning nil (the paper's (φ, φ)) instead of
-// ErrNoRepairInBudget when no relaxation fits the budget.
-//
-// Deprecated: Use NewRepairer and Repairer.RepairWithBudget.
-func RepairWithBudget(in *Instance, sigma FDSet, tau int, opt Options) (*Repair, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.RepairWithBudget(context.Background(), tau)
-	if errors.Is(err, ErrNoRepairInBudget) {
-		return nil, nil
-	}
-	return rep, err
-}
-
-// SuggestRepairs is the back-compat wrapper collecting Repairer.Frontier
-// with context.Background(): one repair per distinct trust level, ordered
-// from "trust the FDs" to "trust the data", Pareto-optimal with respect to
-// (FD distance, cell changes).
-//
-// Deprecated: Use NewRepairer and Repairer.Frontier.
-func SuggestRepairs(in *Instance, sigma FDSet, opt Options) ([]*Repair, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return nil, err
-	}
-	return collectFrontier(r.Frontier(context.Background()))
-}
-
-// SuggestRepairsInRange restricts SuggestRepairs to τ ∈ [tauLow, tauHigh].
-//
-// Deprecated: Use NewRepairer and Repairer.FrontierRange.
-func SuggestRepairsInRange(in *Instance, sigma FDSet, tauLow, tauHigh int, opt Options) ([]*Repair, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return nil, err
-	}
-	return collectFrontier(r.FrontierRange(context.Background(), tauLow, tauHigh))
-}
-
-// collectFrontier drains a frontier stream into the batch form.
-func collectFrontier(seq iter.Seq2[*Repair, error]) ([]*Repair, error) {
-	var out []*Repair
-	for r, err := range seq {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// MaxBudget is the back-compat wrapper around Repairer.MaxBudget with
-// context.Background().
-//
-// Deprecated: Use NewRepairer and Repairer.MaxBudget.
-func MaxBudget(in *Instance, sigma FDSet, opt Options) (int, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return 0, err
-	}
-	return r.MaxBudget(context.Background())
-}
-
-// SampleRepairs is the back-compat wrapper around Repairer.Sample with
-// context.Background().
-//
-// Deprecated: Use NewRepairer and Repairer.Sample.
-func SampleRepairs(in *Instance, sigma FDSet, k int, opt Options) ([]*DataRepair, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return nil, err
-	}
-	return r.Sample(context.Background(), k)
-}
-
-// RepairDataOnly is the back-compat wrapper around Repairer.RepairDataOnly
-// with context.Background(). Unlike the pre-Repairer versions it honors
-// opt.Session — a warm engine also serves the τ = δP end of the spectrum —
-// and validates the pair like every other entry point.
-//
-// Deprecated: Use NewRepairer and Repairer.RepairDataOnly.
-func RepairDataOnly(in *Instance, sigma FDSet, pinned map[CellRef]bool, opt Options) (*DataRepair, error) {
-	r, err := NewRepairer(in, sigma, opt)
-	if err != nil {
-		return nil, err
-	}
-	return r.RepairDataOnly(context.Background(), pinned)
+	return repair.RepairDataPinned(r.in, r.sigma, pinned, r.opt.Seed, r.opt.Session.eng)
 }
 
 // Violations reports up to max violating tuple pairs (0 = all; beware of

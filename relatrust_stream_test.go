@@ -231,8 +231,8 @@ func TestFrontierCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestSampleCancel: a cancelled context aborts Sample (and the
-// SampleRepairs wrapper keeps working without one).
+// TestSampleCancel: a cancelled context aborts Sample, and the same
+// Repairer samples normally afterwards.
 func TestSampleCancel(t *testing.T) {
 	in, sigma := loadMulti(t)
 	rp, err := relatrust.NewRepairer(in, sigma, relatrust.Options{Seed: 1})
@@ -305,8 +305,7 @@ func TestStructuredErrors(t *testing.T) {
 	}
 
 	// An unextendable two-attribute schema at τ=0 has no repair: the
-	// handle reports ErrNoRepairInBudget with τ attached; the back-compat
-	// wrapper keeps returning (nil, nil).
+	// handle reports ErrNoRepairInBudget with τ attached.
 	two, err := relatrust.ReadCSV(strings.NewReader("City,ZIP\nA,1\nA,2\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -326,10 +325,6 @@ func TestStructuredErrors(t *testing.T) {
 	var be *relatrust.BudgetError
 	if !errors.As(err, &be) || be.Tau != 0 {
 		t.Errorf("budget error does not carry τ: %v", err)
-	}
-	r, err := relatrust.RepairWithBudget(two, sig2, 0, relatrust.Options{})
-	if r != nil || err != nil {
-		t.Errorf("wrapper contract broken: repair=%v err=%v, want nil, nil", r, err)
 	}
 }
 
@@ -370,4 +365,52 @@ func collect(t *testing.T, rp *relatrust.Repairer) []*relatrust.Repair {
 		out = append(out, r)
 	}
 	return out
+}
+
+// TestSessionSharesWeightSource: the default weighting is a view over the
+// session's one weight source, so a second sweep on the session — even
+// through a second Repairer, or a weighting resolved by name — prices
+// every extension from the memo the first sweep filled.
+func TestSessionSharesWeightSource(t *testing.T) {
+	in, sigma := loadMulti(t)
+	sess := relatrust.NewSession(in)
+	sweep := func(opt relatrust.Options) []*relatrust.Repair {
+		t.Helper()
+		opt.Session = sess
+		rp, err := relatrust.NewRepairer(in, sigma, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*relatrust.Repair
+		for r, err := range rp.Frontier(context.Background()) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	first := sweep(relatrust.Options{})
+	n := relatrust.WeightMemoLen(sess)
+	if n == 0 {
+		t.Fatal("the first sweep priced no extension through the session's source")
+	}
+	named, err := sess.Weights("distinct-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []relatrust.Options{{}, {Weights: named, Workers: 2}} {
+		again := sweep(opt)
+		if got := relatrust.WeightMemoLen(sess); got != n {
+			t.Fatalf("a repeated sweep grew the memo from %d to %d entries", n, got)
+		}
+		if len(again) != len(first) {
+			t.Fatalf("repeated sweep returned %d points, want %d", len(again), len(first))
+		}
+		for i := range first {
+			if !equalRepair(first[i], again[i]) {
+				t.Fatalf("point %d differs on the warm source", i)
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package relatrust_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -72,23 +73,21 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeRepairWithBudget(t *testing.T) {
 	in, sigma := load(t)
+	rp := newRepairer(t, in, sigma, relatrust.Options{})
 	// The two-attribute schema offers no attribute to append (City is the
 	// LHS, ZIP the RHS), so τ=0 is infeasible: the paper's (φ, φ).
-	r, err := relatrust.RepairWithBudget(in, sigma, 0, relatrust.Options{})
-	if err != nil {
-		t.Fatal(err)
+	r, err := rp.RepairWithBudget(context.Background(), 0)
+	if !errors.Is(err, relatrust.ErrNoRepairInBudget) || r != nil {
+		t.Fatalf("τ=0 on an unextendable FD: repair=%v err=%v, want nil and ErrNoRepairInBudget", r, err)
 	}
-	if r != nil {
-		t.Fatalf("τ=0 on an unextendable FD must return nil, got %v", r)
-	}
-	r, err = relatrust.RepairWithBudget(in, sigma, 1, relatrust.Options{})
+	r, err = rp.RepairWithBudget(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r == nil || r.Data.NumChanges() > 1 {
 		t.Fatalf("τ=1 repair broken: %+v", r)
 	}
-	if _, err := relatrust.RepairWithBudget(in, sigma, -1, relatrust.Options{}); err == nil {
+	if _, err := rp.RepairWithBudget(context.Background(), -1); err == nil {
 		t.Error("negative τ must error")
 	}
 }
