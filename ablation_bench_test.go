@@ -1,10 +1,9 @@
 package relatrust_test
 
 // Ablation benchmarks for the design decisions documented in DESIGN.md:
-// the A* heuristic's difference-set budget, the edge-sampling cap, the
-// choice of weighting function, and the tuple-wise vs cell-wise data
-// repair strategy. Each reports the figure of merit that motivates the
-// chosen default.
+// the A* heuristic's difference-set budget, the edge-sampling cap and the
+// choice of weighting function. Each reports the figure of merit that
+// motivates the chosen default.
 
 import (
 	"context"
@@ -13,7 +12,6 @@ import (
 	"relatrust/internal/conflict"
 	"relatrust/internal/experiments"
 	"relatrust/internal/gen"
-	"relatrust/internal/repair"
 	"relatrust/internal/search"
 	"relatrust/internal/weights"
 )
@@ -101,31 +99,6 @@ func BenchmarkAblationWeights(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationRepairStrategy compares the paper's tuple-wise repair
-// (bounded changes per tuple) against the cell-wise chase of the paper's
-// reference [3]; the changed-cells metric shows the quality difference.
-func BenchmarkAblationRepairStrategy(b *testing.B) {
-	w := ablationWorkload(b)
-	b.Run("tuple-wise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := repair.RepairData(w.Dirty, w.SigmaD, nil, int64(i), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(rep.NumChanges()), "changed-cells")
-		}
-	})
-	b.Run("cell-wise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := repair.RepairDataCellwise(w.Dirty, w.SigmaD, nil, int64(i), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(rep.NumChanges()), "changed-cells")
-		}
-	})
 }
 
 func benchName(k string, v int) string {

@@ -18,7 +18,10 @@
 // minimal relaxation whose certified repair budget fits τ. The conflict
 // structure restricted to pattern-matching tuples is exactly the FD case,
 // so the guarantees (2-approximate covers, change bound per rewritten
-// tuple) transfer.
+// tuple) transfer. The data repair is the FD one too: repair.Rewrite, the
+// shared Algorithm 4 loop, with each CFD's LHS pattern as its
+// constraint's tuple filter and its constant RHS pattern as the
+// constraint's required RHS.
 package cfd
 
 import (

@@ -3,11 +3,12 @@ package cfd
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"slices"
 	"strings"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/repair"
 	"relatrust/internal/search"
 	"relatrust/internal/session"
 	"relatrust/internal/weights"
@@ -60,8 +61,10 @@ type Config struct {
 // future-work direction). Single-tuple pattern violations cannot be
 // resolved by any relaxation, so they charge the budget up front; pair
 // violations go through the same conflict-cover search as plain FDs,
-// restricted to pattern-matching tuples. Cancelling ctx aborts the
-// relaxation search with context.Cause(ctx).
+// restricted to pattern-matching tuples. The data repair runs Algorithm
+// 4's shared loop (repair.Rewrite) over the cover and the single
+// violators. Cancelling ctx aborts the relaxation search with
+// context.Cause(ctx).
 func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau int, cfg Config) (*Repair, error) {
 	if len(set) == 0 {
 		return nil, fmt.Errorf("cfd: empty CFD set")
@@ -160,144 +163,22 @@ func singleViolators(in *relation.Instance, set Set) []int32 {
 }
 
 // materialize rewrites the cover tuples and the single violators so the
-// result satisfies the relaxed CFD set — the tuple-by-tuple repair of
-// Algorithm 4 with a pattern-aware clean index.
+// result satisfies the relaxed CFD set: Algorithm 4's shared loop
+// (repair.Rewrite) with each CFD's LHS pattern as the constraint's tuple
+// filter and its RHS pattern as the constant RHS.
 func materialize(in *relation.Instance, set Set, cover, singles []int32, seed int64) (*relation.Instance, []relation.CellRef, error) {
-	out := in.Clone()
-	rng := rand.New(rand.NewSource(seed))
-	var vg relation.VarGen
-
-	dirty := make(map[int32]bool, len(cover)+len(singles))
-	for _, t := range cover {
-		dirty[t] = true
+	cons := make([]repair.Constraint, len(set))
+	for i, c := range set {
+		cons[i] = repair.Constraint{FD: c.Embedded, Match: c.Matches, Const: c.RHSPattern}
 	}
-	for _, t := range singles {
-		dirty[t] = true
+	dirty := slices.Concat(cover, singles)
+	slices.Sort(dirty)
+	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cfd: %w", err)
 	}
-	ci := newCFDIndex(out, set, dirty)
-
-	order := make([]int32, 0, len(dirty))
-	for t := range dirty {
-		order = append(order, t)
-	}
-	// Deterministic base order before shuffling (map iteration is random).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j-1] > order[j]; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	width := in.Schema.Width()
-	var changed []relation.CellRef
-	for _, ti := range order {
-		t := out.Tuples[ti]
-		attrs := rng.Perm(width)
-		fixed := relation.NewAttrSet(attrs[0])
-		tc, ok := ci.findAssignment(t, fixed, &vg)
-		if !ok {
-			return nil, nil, fmt.Errorf("cfd: no valid assignment for tuple %d with one fixed attribute", ti)
-		}
-		for _, a := range attrs[1:] {
-			fixed = fixed.Add(a)
-			if tc2, ok := ci.findAssignment(t, fixed, &vg); ok {
-				tc = tc2
-				continue
-			}
-			if !t[a].Equal(tc[a]) {
-				t[a] = tc[a]
-				changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: a})
-			}
-		}
-		ci.add(t)
-	}
-	// SatisfiedBy reads cached code columns, so drop any built before the
-	// in-place rewrites above (none today; this guards reordering).
-	out.InvalidateCodes()
 	if !set.SatisfiedBy(out) {
 		return nil, nil, fmt.Errorf("cfd: repair left violations; cover or singles incomplete")
 	}
 	return out, changed, nil
-}
-
-// cfdIndex is the pattern-aware clean index: per CFD, the RHS value of
-// each LHS projection code among clean matching tuples. Projections are
-// interned by per-CFD ProjCoders over shared dictionaries instead of
-// building string keys.
-type cfdIndex struct {
-	set    Set
-	coders []*relation.ProjCoder
-	idx    []map[int32]relation.Value
-}
-
-func newCFDIndex(in *relation.Instance, set Set, dirty map[int32]bool) *cfdIndex {
-	dicts := relation.NewDicts(in.Schema.Width())
-	ci := &cfdIndex{
-		set:    set,
-		coders: make([]*relation.ProjCoder, len(set)),
-		idx:    make([]map[int32]relation.Value, len(set)),
-	}
-	for i, c := range set {
-		ci.coders[i] = relation.NewProjCoder(c.Embedded.LHS, dicts)
-		ci.idx[i] = make(map[int32]relation.Value, in.N())
-	}
-	for t := 0; t < in.N(); t++ {
-		if dirty[int32(t)] {
-			continue
-		}
-		ci.add(in.Tuples[t])
-	}
-	return ci
-}
-
-func (ci *cfdIndex) add(t relation.Tuple) {
-	for i, c := range ci.set {
-		if c.Matches(t) {
-			ci.idx[i][ci.coders[i].Code(t)] = t[c.Embedded.RHS]
-		}
-	}
-}
-
-// violation returns the first CFD (in set order) violated by tc against a
-// clean tuple or a constant RHS pattern, with the value tc's RHS must take.
-func (ci *cfdIndex) violation(tc relation.Tuple) (int, relation.Value, bool) {
-	for i, c := range ci.set {
-		if !c.Matches(tc) {
-			continue
-		}
-		rhs := tc[c.Embedded.RHS]
-		if c.RHSPattern != "" && (rhs.IsVar() || rhs.Str() != c.RHSPattern) {
-			return i, relation.Const(c.RHSPattern), true
-		}
-		if k, ok := ci.coders[i].Lookup(tc); ok {
-			if v, ok := ci.idx[i][k]; ok && !rhs.Equal(v) {
-				return i, v, true
-			}
-		}
-	}
-	return 0, relation.Value{}, false
-}
-
-func (ci *cfdIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, vg *relation.VarGen) (relation.Tuple, bool) {
-	tc := make(relation.Tuple, len(t))
-	for a := range t {
-		if fixed.Contains(a) {
-			tc[a] = t[a]
-		} else {
-			tc[a] = vg.Fresh()
-		}
-	}
-	for step := 0; step <= len(t)+len(ci.set); step++ {
-		fi, v, found := ci.violation(tc)
-		if !found {
-			return tc, true
-		}
-		a := ci.set[fi].Embedded.RHS
-		if fixed.Contains(a) {
-			return nil, false
-		}
-		tc[a] = v
-		fixed = fixed.Add(a)
-	}
-	return nil, false
 }

@@ -16,8 +16,8 @@ package relation
 //     grown to the working-set size.
 //   - ProjCoder interns projections of standalone tuples (tuples under
 //     construction, not rows of an instance) to a single int32 via pair
-//     interning, replacing string projection keys in the clean indexes of
-//     the repair algorithms.
+//     interning, replacing string projection keys in the clean index of
+//     the data repair (Algorithm 4).
 
 import (
 	"math/bits"
@@ -341,7 +341,7 @@ func NewDicts(width int) []*Dict {
 // ProjCoder interns the projection of standalone tuples on a fixed
 // attribute set X to a single int32: two tuples receive the same code iff
 // they agree (cell-wise Equal) on every attribute of X. It replaces the
-// string keys of the repair clean indexes. Coding folds per-attribute value
+// string keys of the data repair's clean index. Coding folds per-attribute value
 // codes through a pair-interning table, so a code computation is |X| map
 // probes of comparable keys — no string building, no allocation.
 //

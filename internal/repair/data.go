@@ -4,6 +4,11 @@
 // generators of Section 7 (Range-Repair, Algorithm 6, and the
 // Sampling-Repair baseline).
 //
+// Algorithm 4 has one implementation, Rewrite, over one clean index whose
+// constraints are FDs optionally narrowed by a tuple filter and a constant
+// RHS. It has three callers: RepairData (plain FDs), RepairDataPinned
+// (FDs under user-pinned cells) and the cfd package's CFD repair.
+//
 // The entry points are context-first: the FD-modification searches honor
 // cancellation (returning context.Cause), Session.StreamRange delivers
 // Range-Repair's frontier incrementally with Config.Progress observability,
@@ -46,42 +51,142 @@ func (d *DataRepair) NumChanges() int { return len(d.Changed) }
 // when cover is nil.
 func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, eng *session.Engine) (*DataRepair, error) {
 	if cover == nil {
-		eng, err := session.For(eng, in)
-		if err != nil {
-			return nil, fmt.Errorf("repair: %w", err)
+		var err error
+		if cover, err = coverOf(eng, in, sigma, nil); err != nil {
+			return nil, err
 		}
-		an := eng.Acquire(sigma)
-		cover = an.Cover(nil)
-		eng.Release(an)
 	}
+	return repairFDs(in, sigma, cover, nil, seed)
+}
+
+// RepairDataPinned is Repair_Data under hard constraints in the spirit of
+// the paper's reference [3] ("… under hard constraints"): cells in pinned
+// must keep their values — they are user-verified ground truth. The
+// algorithm seeds each rewritten tuple's Fixed_Attrs with its pinned
+// attributes, so the chase never overwrites them; if a violating tuple's
+// pinned cells alone already contradict the clean part (no valid
+// assignment exists even before any free attribute is fixed), the repair
+// is infeasible and an error identifies the tuple.
+//
+// Pinning also constrains the vertex cover: it keeps pinned tuples out
+// whenever a valid cover allows it, and a conflict edge between two
+// fully-pinned tuples cannot be repaired at all. With no pins the result
+// is RepairData's.
+//
+// A non-nil eng shares its warm conflict-analysis arenas for the cover
+// computation (it must be bound to in); nil uses a private engine.
+func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.CellRef]bool, seed int64, eng *session.Engine) (*DataRepair, error) {
+	pins := make(map[int32]relation.AttrSet)
+	for c, ok := range pinned {
+		if !ok {
+			continue
+		}
+		p := pins[int32(c.Tuple)]
+		if c.Attr >= 0 && c.Attr < in.Schema.Width() {
+			p = p.Add(c.Attr)
+		}
+		pins[int32(c.Tuple)] = p
+	}
+	cover, err := coverOf(eng, in, sigma, func(t int32) bool { _, ok := pins[t]; return ok })
+	if err != nil {
+		return nil, err
+	}
+	return repairFDs(in, sigma, cover, pins, seed)
+}
+
+// coverOf returns the 2-approximate vertex cover of sigma's conflict graph
+// over in, keeping tuples protected reports (nil: none) out of it where a
+// valid cover allows.
+func coverOf(eng *session.Engine, in *relation.Instance, sigma fd.Set, protected func(int32) bool) ([]int32, error) {
+	eng, err := session.For(eng, in)
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
+	}
+	an := eng.Acquire(sigma)
+	defer eng.Release(an)
+	return an.CoverAvoiding(nil, protected), nil
+}
+
+// repairFDs rewrites the cover tuples for plain FDs and verifies the result.
+func repairFDs(in *relation.Instance, sigma fd.Set, cover []int32, pins map[int32]relation.AttrSet, seed int64) (*DataRepair, error) {
+	cons := make([]Constraint, len(sigma))
+	for i, f := range sigma {
+		cons[i] = Constraint{FD: f}
+	}
+	out, changed, err := Rewrite(in, cons, cover, pins, seed)
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
+	}
+	// Safety net: a wrong cover (not actually covering every conflict)
+	// would leave violations among the "clean" tuples that the per-tuple
+	// loop never examines. One linear verification pass catches it.
+	if v := sigma.FirstViolation(out); v != nil {
+		return nil, fmt.Errorf("repair: instance still violates %s between tuples %d and %d; the supplied cover is not a vertex cover",
+			sigma[v.FD], v.T1, v.T2)
+	}
+	return &DataRepair{Instance: out, Changed: changed, Cover: cover}, nil
+}
+
+// Constraint is one constraint of the clean index: an FD, optionally
+// restricted to the tuples Match accepts (a CFD's LHS pattern) and
+// optionally requiring every such tuple's RHS to be the constant Const (a
+// CFD's constant RHS pattern). With Match nil and Const empty it is the
+// plain FD.
+type Constraint struct {
+	fd.FD
+	Match func(relation.Tuple) bool
+	Const string
+}
+
+// Rewrite is Algorithm 4's loop, the one every data repair runs: it
+// clones in, then visits the dirty tuples of order in a seeded random
+// order, replacing each by a valid assignment against the clean part
+// (every tuple outside order, plus the tuples already rewritten) while
+// keeping as many of its cells as the random attribute order allows. A
+// tuple's pins are its Fixed_Attrs from the start; an unpinned tuple
+// starts from one random attribute. It returns the rewritten instance and
+// the changed cells, or an error naming the first tuple whose starting
+// attributes admit no valid assignment. The caller verifies the result:
+// Rewrite only sees conflicts that involve a dirty tuple.
+func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*relation.Instance, []relation.CellRef, error) {
 	out := in.Clone()
 	rng := rand.New(rand.NewSource(seed))
 	var vg relation.VarGen
 
-	inCover := make(map[int32]bool, len(cover))
-	for _, t := range cover {
-		inCover[t] = true
+	dirty := make(map[int32]bool, len(order))
+	for _, t := range order {
+		dirty[t] = true
 	}
-	ci := newCleanIndex(out, sigma, inCover)
+	ci := newCleanIndex(out, cons, dirty)
 
-	order := append([]int32(nil), cover...)
+	order = append([]int32(nil), order...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	width := in.Schema.Width()
 	var changed []relation.CellRef
 	for _, ti := range order {
 		t := out.Tuples[ti]
+		pin := pins[ti]
 		attrs := rng.Perm(width)
 
-		fixed := relation.NewAttrSet(attrs[0])
+		fixed := pin
+		if fixed.IsEmpty() {
+			fixed = relation.NewAttrSet(attrs[0])
+		}
 		tc, ok := ci.findAssignment(t, fixed, &vg)
 		if !ok {
 			// Theorem 3 shows a valid assignment always exists with one
-			// fixed attribute; reaching here means the cover is not a
-			// vertex cover of sigma's conflict graph.
-			return nil, fmt.Errorf("repair: no valid assignment for tuple %d with a single fixed attribute; cover does not cover all conflicts", ti)
+			// fixed attribute when the clean part is consistent; pins may
+			// rule it out.
+			if pin.IsEmpty() {
+				return nil, nil, fmt.Errorf("no valid assignment for tuple %d with one fixed attribute", ti)
+			}
+			return nil, nil, fmt.Errorf("tuple %d cannot be repaired: its pinned cells %s conflict with the clean part of the instance", ti, pin)
 		}
-		for _, a := range attrs[1:] {
+		for _, a := range attrs {
+			if fixed.Contains(a) {
+				continue
+			}
 			fixed = fixed.Add(a)
 			if tc2, ok := ci.findAssignment(t, fixed, &vg); ok {
 				tc = tc2
@@ -96,43 +201,36 @@ func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, 
 		}
 		ci.add(t)
 	}
-	// Safety net: a wrong cover (not actually covering every conflict)
-	// would leave violations among the "clean" tuples that the per-tuple
-	// loop never examines. One linear verification pass catches it.
-	// FirstViolation reads cached code columns, so drop any built before
-	// the in-place rewrites above (none today; this guards reordering).
-	out.InvalidateCodes()
-	if v := sigma.FirstViolation(out); v != nil {
-		return nil, fmt.Errorf("repair: instance still violates %s between tuples %d and %d; the supplied cover is not a vertex cover",
-			sigma[v.FD], v.T1, v.T2)
-	}
-	return &DataRepair{Instance: out, Changed: changed, Cover: cover}, nil
+	out.InvalidateCodes() // the loop above rewrote cells in place
+	return out, changed, nil
 }
 
 // cleanIndex indexes the satisfied part of the instance (I′ \ C2opt) per
-// FD: LHS projection code → the unique RHS value of that group. Because the
-// clean part satisfies sigma, the RHS value per code is single-valued.
-// Projections are interned by per-FD ProjCoders over dictionaries shared
-// across the FDs, so indexing and probing never build string keys.
+// constraint: LHS projection code → the unique RHS value of that group
+// among the tuples the constraint applies to. Because the clean part
+// satisfies the constraints, the RHS value per code is single-valued.
+// Projections are interned by per-constraint ProjCoders over dictionaries
+// shared across the constraints, so indexing and probing never build
+// string keys.
 type cleanIndex struct {
-	sigma  fd.Set
+	cons   []Constraint
 	coders []*relation.ProjCoder
 	idx    []map[int32]relation.Value
 }
 
-func newCleanIndex(in *relation.Instance, sigma fd.Set, inCover map[int32]bool) *cleanIndex {
+func newCleanIndex(in *relation.Instance, cons []Constraint, dirty map[int32]bool) *cleanIndex {
 	dicts := relation.NewDicts(in.Schema.Width())
 	ci := &cleanIndex{
-		sigma:  sigma,
-		coders: make([]*relation.ProjCoder, len(sigma)),
-		idx:    make([]map[int32]relation.Value, len(sigma)),
+		cons:   cons,
+		coders: make([]*relation.ProjCoder, len(cons)),
+		idx:    make([]map[int32]relation.Value, len(cons)),
 	}
-	for i, f := range sigma {
-		ci.coders[i] = relation.NewProjCoder(f.LHS, dicts)
+	for i, c := range cons {
+		ci.coders[i] = relation.NewProjCoder(c.LHS, dicts)
 		ci.idx[i] = make(map[int32]relation.Value, in.N())
 	}
 	for t := 0; t < in.N(); t++ {
-		if inCover[int32(t)] {
+		if dirty[int32(t)] {
 			continue
 		}
 		ci.add(in.Tuples[t])
@@ -142,23 +240,33 @@ func newCleanIndex(in *relation.Instance, sigma fd.Set, inCover map[int32]bool) 
 
 // add registers a tuple as clean.
 func (ci *cleanIndex) add(t relation.Tuple) {
-	for i, f := range ci.sigma {
-		ci.idx[i][ci.coders[i].Code(t)] = t[f.RHS]
+	for i, c := range ci.cons {
+		if c.Match == nil || c.Match(t) {
+			ci.idx[i][ci.coders[i].Code(t)] = t[c.RHS]
+		}
 	}
 }
 
-// violation returns the first FD (in Σ order) that tc violates against some
-// clean tuple, along with the clean side's RHS value. The non-interning
-// Lookup keeps the fresh variables of candidate assignments out of the
-// dictionaries: an unseen cell means no clean tuple can share the key.
-func (ci *cleanIndex) violation(tc relation.Tuple) (fdIdx int, rhs relation.Value, found bool) {
-	for i, f := range ci.sigma {
+// violation returns the first constraint (in order) that tc violates —
+// against its constant RHS or against some clean tuple — along with the
+// value tc's RHS must take. The non-interning Lookup keeps the fresh
+// variables of candidate assignments out of the dictionaries: an unseen
+// cell means no clean tuple can share the key.
+func (ci *cleanIndex) violation(tc relation.Tuple) (idx int, rhs relation.Value, found bool) {
+	for i, c := range ci.cons {
+		if c.Match != nil && !c.Match(tc) {
+			continue
+		}
+		got := tc[c.RHS]
+		if c.Const != "" && (got.IsVar() || got.Str() != c.Const) {
+			return i, relation.Const(c.Const), true
+		}
 		k, ok := ci.coders[i].Lookup(tc)
 		if !ok {
 			continue
 		}
 		v, ok := ci.idx[i][k]
-		if ok && !tc[f.RHS].Equal(v) {
+		if ok && !got.Equal(v) {
 			return i, v, true
 		}
 	}
@@ -167,10 +275,11 @@ func (ci *cleanIndex) violation(tc relation.Tuple) (fdIdx int, rhs relation.Valu
 
 // findAssignment implements Algorithm 5: starting from tc agreeing with t
 // on the fixed attributes and holding fresh variables elsewhere, it chases
-// violations against the clean part, copying the clean RHS value whenever
-// the violated FD's RHS is not fixed. It returns ok=false iff a violated
-// FD's RHS is fixed — no valid assignment exists (Lemma 2: sound and
-// complete).
+// violations against the clean part, copying the required RHS value
+// whenever the violated constraint's RHS is not fixed. It returns ok=false
+// iff a violated constraint's RHS is fixed — no valid assignment exists
+// (Lemma 2: sound and complete). Every step fixes one more attribute, so
+// the chase ends within |R| steps.
 func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, vg *relation.VarGen) (relation.Tuple, bool) {
 	tc := make(relation.Tuple, len(t))
 	for a := range t {
@@ -181,11 +290,11 @@ func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, v
 		}
 	}
 	for {
-		fi, v, found := ci.violation(tc)
+		i, v, found := ci.violation(tc)
 		if !found {
 			return tc, true
 		}
-		a := ci.sigma[fi].RHS
+		a := ci.cons[i].RHS
 		if fixed.Contains(a) {
 			return nil, false
 		}

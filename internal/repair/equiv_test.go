@@ -13,15 +13,16 @@ import (
 // refCleanIndex is the seed's string-keyed clean index, kept as the
 // equivalence oracle for the ProjCoder-based cleanIndex: same adds, same
 // violations, on tuple streams mixing constants, shared variables, and the
-// fresh variables findAssignment generates.
+// fresh variables findAssignment generates. It applies a constraint's
+// tuple filter and constant RHS the way the CFD definition reads.
 type refCleanIndex struct {
-	sigma fd.Set
-	idx   []map[string]relation.Value
+	cons []Constraint
+	idx  []map[string]relation.Value
 }
 
-func newRefCleanIndex(sigma fd.Set) *refCleanIndex {
-	r := &refCleanIndex{sigma: sigma, idx: make([]map[string]relation.Value, len(sigma))}
-	for i := range sigma {
+func newRefCleanIndex(cons []Constraint) *refCleanIndex {
+	r := &refCleanIndex{cons: cons, idx: make([]map[string]relation.Value, len(cons))}
+	for i := range cons {
 		r.idx[i] = map[string]relation.Value{}
 	}
 	return r
@@ -37,16 +38,26 @@ func refKeyOf(t relation.Tuple, X relation.AttrSet) string {
 	return b.String()
 }
 
+func refApplies(c Constraint, t relation.Tuple) bool { return c.Match == nil || c.Match(t) }
+
 func (r *refCleanIndex) add(t relation.Tuple) {
-	for i, f := range r.sigma {
-		r.idx[i][refKeyOf(t, f.LHS)] = t[f.RHS]
+	for i, c := range r.cons {
+		if refApplies(c, t) {
+			r.idx[i][refKeyOf(t, c.LHS)] = t[c.RHS]
+		}
 	}
 }
 
 func (r *refCleanIndex) violation(tc relation.Tuple) (int, relation.Value, bool) {
-	for i, f := range r.sigma {
-		v, ok := r.idx[i][refKeyOf(tc, f.LHS)]
-		if ok && !tc[f.RHS].Equal(v) {
+	for i, c := range r.cons {
+		if !refApplies(c, tc) {
+			continue
+		}
+		if c.Const != "" && !tc[c.RHS].Equal(relation.Const(c.Const)) {
+			return i, relation.Const(c.Const), true
+		}
+		v, ok := r.idx[i][refKeyOf(tc, c.LHS)]
+		if ok && !tc[c.RHS].Equal(v) {
 			return i, v, true
 		}
 	}
@@ -55,7 +66,8 @@ func (r *refCleanIndex) violation(tc relation.Tuple) (int, relation.Value, bool)
 
 // TestQuickCleanIndexMatchesStringReference drives the code-based
 // cleanIndex and the string-keyed reference through identical random
-// add/violation interleavings and asserts identical answers at every step.
+// add/violation interleavings — plain FDs, filtered ones and constant-RHS
+// ones — and asserts identical answers at every step.
 func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -68,18 +80,28 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 		in := relation.NewInstance(schema)
 
 		nfd := 1 + rng.Intn(3)
-		sigma := make(fd.Set, 0, nfd)
-		for len(sigma) < nfd {
+		cons := make([]Constraint, 0, nfd)
+		for len(cons) < nfd {
 			rhs := rng.Intn(width)
 			lhs := relation.NewAttrSet((rhs + 1) % width)
 			if rng.Intn(2) == 0 {
 				lhs = lhs.Add((rhs + 2) % width)
 			}
-			sigma = append(sigma, fd.MustNew(lhs, rhs))
+			c := Constraint{FD: fd.MustNew(lhs, rhs)}
+			// A third of the constraints apply only to tuples holding a
+			// given constant on some attribute, and a third pin their RHS.
+			if rng.Intn(3) == 0 {
+				a, want := rng.Intn(width), relation.Const(string(rune('a'+rng.Intn(3))))
+				c.Match = func(t relation.Tuple) bool { return t[a].Equal(want) }
+			}
+			if rng.Intn(3) == 0 {
+				c.Const = string(rune('a' + rng.Intn(3)))
+			}
+			cons = append(cons, c)
 		}
 
-		ci := newCleanIndex(in, sigma, nil) // empty instance: index built incrementally below
-		ref := newRefCleanIndex(sigma)
+		ci := newCleanIndex(in, cons, nil) // empty instance: index built incrementally below
+		ref := newRefCleanIndex(cons)
 
 		var vg relation.VarGen
 		shared := []relation.Value{vg.Fresh(), vg.Fresh()}

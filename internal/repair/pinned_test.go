@@ -2,6 +2,7 @@ package repair
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relatrust/internal/fd"
@@ -79,17 +80,27 @@ func TestPinnedInfeasibleDetected(t *testing.T) {
 	}
 }
 
+// TestPinnedNoPinsEquivalentToPlainRepair pins what the facade's
+// RepairDataOnly relies on: with no pins, RepairDataPinned is RepairData
+// byte for byte — same cover, same changed cells, same V-instance.
 func TestPinnedNoPinsEquivalentToPlainRepair(t *testing.T) {
-	in, sigma := testkit.Paper4x4()
-	rep, err := RepairDataPinned(in, sigma, nil, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sigma.SatisfiedBy(rep.Instance) {
-		t.Fatal("violates Σ")
-	}
-	alpha := 2
-	if rep.NumChanges() > alpha*len(rep.Cover) {
-		t.Errorf("unpinned run exceeds the usual bound: %d > %d", rep.NumChanges(), alpha*len(rep.Cover))
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 100; trial++ {
+		width := 3 + rng.Intn(3)
+		in := testkit.RandomInstance(rng, 6+rng.Intn(12), width, 2+rng.Intn(2))
+		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2)
+		want, err := RepairData(in, sigma, nil, int64(trial), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RepairDataPinned(in, sigma, nil, int64(trial), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Cover, want.Cover) || !slices.Equal(got.Changed, want.Changed) ||
+			got.Instance.String() != want.Instance.String() {
+			t.Fatalf("trial %d: pinned repair without pins differs from RepairData:\n%v %v\n%s\nwant %v %v\n%s",
+				trial, got.Cover, got.Changed, got.Instance, want.Cover, want.Changed, want.Instance)
+		}
 	}
 }

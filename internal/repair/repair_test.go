@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -215,23 +216,78 @@ func TestMinimalityAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestFrontierAgainstBruteForce checks the streamed Range-Repair frontier
+// against the exhaustive Pareto set on random instances: over every
+// extension vector of the lattice, the non-dominated (Σ|y|, α·|cover|)
+// pairs — on equal cost only the smaller δP survives — must be exactly the
+// (FDCost, DeltaP) pairs the stream yields over [0, δP(Σ, I)].
+func TestFrontierAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 30; trial++ {
+		width := 4
+		in := testkit.RandomInstance(rng, 8, width, 2)
+		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
+		s, err := NewSession(in, sigma, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps, err := streamAll(s, 0, s.DeltaPOriginal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[[2]int]bool{}
+		for _, r := range reps {
+			got[[2]int{int(r.FDCost), r.DeltaP}] = true
+		}
+		if len(got) != len(reps) {
+			t.Fatalf("trial %d: frontier repeats a (cost, δP) point: %d points, %d distinct", trial, len(reps), len(got))
+		}
+
+		var points [][2]int
+		walkLattice(s, sigma, width, func(cost, deltaP int) { points = append(points, [2]int{cost, deltaP}) })
+		want := map[[2]int]bool{}
+		for _, p := range points {
+			dominated := false
+			for _, q := range points {
+				if q[0] <= p[0] && q[1] <= p[1] && q != p {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				want[p] = true
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("trial %d: frontier %v, brute-force Pareto set %v\nΣ=%v\n%s", trial, got, want, sigma, in)
+		}
+	}
+}
+
 // bruteForceBestCost enumerates every extension vector and returns the
 // minimum |ext| whose δP fits τ, or -1 if none.
 func bruteForceBestCost(s *Session, sigma fd.Set, width, tau int) int {
-	alpha := s.Searcher.Alpha()
 	best := -1
+	walkLattice(s, sigma, width, func(cost, deltaP int) {
+		if deltaP <= tau && (best < 0 || cost < best) {
+			best = cost
+		}
+	})
+	return best
+}
+
+// walkLattice visits every extension vector of sigma over width
+// attributes with its cost Σ|y| and its δP = α·|cover|.
+func walkLattice(s *Session, sigma fd.Set, width int, visit func(cost, deltaP int)) {
+	alpha := s.Searcher.Alpha()
 	var walk func(st search.State, fi int)
 	walk = func(st search.State, fi int) {
 		if fi == len(sigma) {
-			if s.Analysis.CoverSize(st)*alpha <= tau {
-				cost := 0
-				for _, y := range st {
-					cost += y.Len()
-				}
-				if best < 0 || cost < best {
-					best = cost
-				}
+			cost := 0
+			for _, y := range st {
+				cost += y.Len()
 			}
+			visit(cost, s.Analysis.CoverSize(st)*alpha)
 			return
 		}
 		free := relation.FullSet(width).Diff(sigma[fi].LHS).Remove(sigma[fi].RHS)
@@ -249,5 +305,4 @@ func bruteForceBestCost(s *Session, sigma fd.Set, width, tau int) int {
 		st[fi] = 0
 	}
 	walk(search.Root(len(sigma)), 0)
-	return best
 }

@@ -34,15 +34,12 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 	if maxTries <= 0 {
 		maxTries = 8 * k
 	}
-	eng, err := session.For(eng, in)
-	if err != nil {
-		return nil, fmt.Errorf("repair: %w", err)
-	}
 	// One shared cover keeps the samples comparable: the variety comes
 	// from the repair order, not from re-running the matching.
-	an := eng.Acquire(sigma)
-	cover := an.Cover(nil)
-	eng.Release(an)
+	cover, err := coverOf(eng, in, sigma, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	seen := make(map[string]bool, k)
 	var out []*DataRepair
@@ -50,7 +47,7 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
-		rep, err := RepairData(in, sigma, cover, seed+int64(try), eng)
+		rep, err := repairFDs(in, sigma, cover, nil, seed+int64(try))
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +70,9 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 // repairSignature canonicalizes a repair for deduplication: the sorted
 // changed cells with their new values, with variables abstracted to "?" —
 // two repairs differing only in variable identities are the same repair
-// (V-instance semantics make variable names immaterial).
+// (V-instance semantics make variable names immaterial). Constants are
+// quoted, so a constant "?" never reads as a variable and no value can
+// spell out further cells.
 func repairSignature(rep *DataRepair) string {
 	cells := append([]relation.CellRef(nil), rep.Changed...)
 	sort.Slice(cells, func(i, j int) bool {
@@ -85,13 +84,11 @@ func repairSignature(rep *DataRepair) string {
 	var b strings.Builder
 	for _, c := range cells {
 		v := rep.Instance.Tuples[c.Tuple][c.Attr]
-		fmt.Fprintf(&b, "%d:%d=", c.Tuple, c.Attr)
 		if v.IsVar() {
-			b.WriteByte('?')
+			fmt.Fprintf(&b, "%d:%d=?;", c.Tuple, c.Attr)
 		} else {
-			b.WriteString(v.Str())
+			fmt.Fprintf(&b, "%d:%d=%q;", c.Tuple, c.Attr, v.Str())
 		}
-		b.WriteByte(';')
 	}
 	return b.String()
 }

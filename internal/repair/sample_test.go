@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"relatrust/internal/fd"
+	"relatrust/internal/relation"
 	"relatrust/internal/testkit"
 )
 
@@ -85,5 +86,45 @@ func TestSampleVariableIdentityAbstraction(t *testing.T) {
 			t.Fatalf("duplicate after variable abstraction: %q", sig)
 		}
 		seen[sig] = true
+	}
+}
+
+// TestRepairSignatureSeparatesDistinctRepairs builds repairs by hand whose
+// raw "t:a=value;" renderings collide: a constant "?" against a variable,
+// and one change whose value spells out a second cell against two
+// changes. Each pair must sign differently, while repairs differing only
+// in variable identities must sign the same.
+func TestRepairSignatureSeparatesDistinctRepairs(t *testing.T) {
+	schema := relation.MustSchema("A", "B")
+	var vg relation.VarGen
+	mk := func(cells map[relation.CellRef]relation.Value) *DataRepair {
+		in := relation.NewInstance(schema)
+		if err := in.AppendConsts("a", "b"); err != nil {
+			t.Fatal(err)
+		}
+		rep := &DataRepair{Instance: in}
+		for _, c := range []relation.CellRef{{Tuple: 0, Attr: 0}, {Tuple: 0, Attr: 1}} {
+			if v, ok := cells[c]; ok {
+				in.Tuples[0][c.Attr] = v
+				rep.Changed = append(rep.Changed, c)
+			}
+		}
+		return rep
+	}
+	a0, b0 := relation.CellRef{Tuple: 0, Attr: 0}, relation.CellRef{Tuple: 0, Attr: 1}
+	distinct := [][2]*DataRepair{
+		{mk(map[relation.CellRef]relation.Value{a0: relation.Const("?")}),
+			mk(map[relation.CellRef]relation.Value{a0: vg.Fresh()})},
+		{mk(map[relation.CellRef]relation.Value{a0: relation.Const("x;0:1=y")}),
+			mk(map[relation.CellRef]relation.Value{a0: relation.Const("x"), b0: relation.Const("y")})},
+	}
+	for i, p := range distinct {
+		if s := repairSignature(p[0]); s == repairSignature(p[1]) {
+			t.Errorf("pair %d: distinct repairs share signature %q", i, s)
+		}
+	}
+	x, y := mk(map[relation.CellRef]relation.Value{a0: vg.Fresh()}), mk(map[relation.CellRef]relation.Value{a0: vg.Fresh()})
+	if repairSignature(x) != repairSignature(y) {
+		t.Errorf("variable identities leak into signatures: %q vs %q", repairSignature(x), repairSignature(y))
 	}
 }

@@ -410,9 +410,6 @@ func (r *Repairer) RepairDataOnly(ctx context.Context, pinned map[CellRef]bool) 
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	if pinned == nil {
-		return repair.RepairData(r.in, r.sigma, nil, r.opt.Seed, r.opt.Session.eng)
-	}
 	return repair.RepairDataPinned(r.in, r.sigma, pinned, r.opt.Seed, r.opt.Session.eng)
 }
 
