@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "default search parallelism per sweep (0 = GOMAXPROCS; requests may override)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown window for in-flight requests")
 		dataDir   = fs.String("data-dir", "", "directory for durable dataset snapshots (empty = in-memory registry only)")
-		mmapSnaps = fs.Bool("mmap-snapshots", false, "memory-map snapshot files when loading datasets (falls back to buffered reads on any mmap failure)")
 		jobsDir   = fs.String("jobs-dir", "", "directory for durable job records and frontier checkpoints (empty = in-memory jobs only)")
 		maxWarm   = fs.Int("max-warm-sessions", 0, "maximum datasets keeping a warm session; least recently swept is evicted (0 = unbounded)")
 		maxJobRes = fs.Int64("max-job-results-bytes", 0, "maximum bytes of finished jobs' result logs before the oldest are evicted (0 = unbounded)")
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxJobResultsBytes:  *maxJobRes,
 	}
 	if *dataDir != "" {
-		st, err := store.Open(*dataDir, store.Options{Mmap: *mmapSnaps})
+		st, err := store.Open(*dataDir, store.Options{})
 		if err != nil {
 			fmt.Fprintln(stderr, "relatrustd:", err)
 			return 1

@@ -24,6 +24,10 @@ func TestFlagErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-nope"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown flag: code %d", code)
 	}
+	// The mmap load path is gone; its flag is an unknown flag like any other.
+	if code := run(context.Background(), []string{"-mmap-snapshots"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-mmap-snapshots: code %d", code)
+	}
 	stderr.Reset()
 	if code := run(context.Background(), []string{"-dataset", "missing-equals"}, &stdout, &stderr); code != 2 ||
 		!strings.Contains(stderr.String(), "name=path.csv") {

@@ -25,6 +25,11 @@ package faultinject
 const (
 	// StoreWrite fires in store.Save before the snapshot file is written.
 	StoreWrite = "store/write"
+	// StoreGenerationWrite fires in store.SaveGeneration before the
+	// generation sidecar is written. A PATCH writes the sidecar before the
+	// snapshot, so arming this point fails a batch before anything of it
+	// reaches disk.
+	StoreGenerationWrite = "store/generation-write"
 	// StoreLoad fires in store.Load before a snapshot file is decoded.
 	StoreLoad = "store/load"
 	// SweepStart fires at the top of every server sweep, after the

@@ -31,8 +31,9 @@
 // exploits that:
 //
 //  1. Each emitted frame is appended to the job's durable result log
-//     (crc-framed, fsynced) BEFORE it becomes visible to streaming
-//     followers. A frame a client saw is a frame that survives a crash.
+//     (crc-framed, fsynced; the append that creates the log also fsyncs
+//     its directory) BEFORE it becomes visible to streaming followers. A
+//     frame a client saw is a frame that survives a crash.
 //  2. Frames are strictly append-only and never rewritten, so a follower
 //     at offset k and a replay from the log agree byte-for-byte.
 //  3. A resumed sweep continues after its last checkpointed frame, so the

@@ -171,37 +171,6 @@ func ReadSnapshot(r io.Reader) (*Instance, error) {
 	return decodeSnapshotPayload(payload)
 }
 
-// ReadSnapshotBytes is ReadSnapshot over an in-memory document — the
-// zero-copy entry for memory-mapped snapshot files. The slice is only read
-// during the call (the decoder copies every value it keeps), so callers
-// may unmap b as soon as it returns. Validation matches ReadSnapshot: bad
-// magic, checksum, truncation, or trailing bytes all error with
-// ErrSnapshotCorrupt.
-func ReadSnapshotBytes(b []byte) (*Instance, error) {
-	if len(b) < 20 {
-		return nil, corruptf("short header")
-	}
-	if string(b[:8]) != snapMagic {
-		return nil, corruptf("bad magic %q", b[:8])
-	}
-	wantCRC := binary.LittleEndian.Uint32(b[8:12])
-	length := binary.LittleEndian.Uint64(b[12:20])
-	if length > maxSnapshotPayload {
-		return nil, corruptf("payload length %d exceeds limit", length)
-	}
-	if uint64(len(b)-20) < length {
-		return nil, corruptf("truncated payload: %d of %d bytes", len(b)-20, length)
-	}
-	if uint64(len(b)-20) > length {
-		return nil, corruptf("data after the declared payload")
-	}
-	payload := b[20:]
-	if got := crc32.Checksum(payload, snapCRC); got != wantCRC {
-		return nil, corruptf("checksum mismatch: file says %08x, payload is %08x", wantCRC, got)
-	}
-	return decodeSnapshotPayload(payload)
-}
-
 // snapReader walks the checksummed payload; every read failure is a
 // corruption (the checksum already matched, so the structure itself lies).
 type snapReader struct {

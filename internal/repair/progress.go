@@ -42,17 +42,17 @@ type ProgressEvent struct {
 	LargestComponent   int
 	ComponentsParallel int64
 	// Generation is the mutation generation of the dataset snapshot the
-	// sweep runs against (Config.Generation, defaulting to the session
-	// engine's); 0 outside the live mutation tier. Set on every event, so
-	// observers of a long sweep can tell which snapshot it answers for
-	// after later mutations have moved the dataset on.
+	// sweep runs against (session.Engine.Generation); 0 outside the live
+	// mutation tier. Set on every event, so observers of a long sweep can
+	// tell which snapshot it answers for after later mutations have moved
+	// the dataset on.
 	Generation int64
 }
 
 // progress delivers an event to the configured callback, if any.
 func (s *Session) progress(ev ProgressEvent) {
 	if s.cfg.Progress != nil {
-		ev.Generation = s.generation
+		ev.Generation = s.eng.Generation()
 		s.cfg.Progress(ev)
 	}
 }

@@ -56,12 +56,6 @@ type Config struct {
 	// them. It must be bound to the same instance the session is opened
 	// on. Nil builds a private single-use engine.
 	Engine *session.Engine
-	// Generation stamps every ProgressEvent with the mutation generation of
-	// the snapshot the session answers for. 0 defers to the engine's own
-	// generation (session.Engine.Generation), which the live mutation tier
-	// pins — so callers going through a live dataset's engine get stamped
-	// events without threading the number themselves.
-	Generation int64
 	// Progress, when non-nil, observes sweep milestones: range sweeps
 	// (StreamRange) report τ levels starting and finishing, search effort,
 	// and the conflict decomposition; single-τ runs (Run) report start and
@@ -89,9 +83,6 @@ type Session struct {
 	Searcher *search.Searcher
 	cfg      Config
 	eng      *session.Engine
-	// generation is the resolved snapshot generation stamped onto progress
-	// events (Config.Generation, or the engine's when unset).
-	generation int64
 }
 
 // NewSession analyzes the instance against the FD set. Validation errors
@@ -112,18 +103,13 @@ func NewSession(in *relation.Instance, sigma fd.Set, cfg Config) (*Session, erro
 		// it — repeated sweeps reuse the per-component memo.
 		cfg.Search.Decomp = eng.CoverEvaluator(sigma)
 	}
-	gen := cfg.Generation
-	if gen == 0 {
-		gen = eng.Generation()
-	}
 	return &Session{
-		In:         in,
-		Sigma:      sigma,
-		Analysis:   an,
-		Searcher:   search.NewSearcher(an, cfg.Weights, cfg.Search),
-		cfg:        cfg,
-		eng:        eng,
-		generation: gen,
+		In:       in,
+		Sigma:    sigma,
+		Analysis: an,
+		Searcher: search.NewSearcher(an, cfg.Weights, cfg.Search),
+		cfg:      cfg,
+		eng:      eng,
 	}, nil
 }
 

@@ -15,6 +15,16 @@ import (
 	"relatrust/internal/weights"
 )
 
+const (
+	// comboCap bounds the resolution cross-product enumerated per
+	// difference set before the heuristic falls back to an aggregate
+	// lower bound.
+	comboCap = 16
+	// matchSampleCap bounds the vertex-disjoint matching sample behind the
+	// knapsack half of the heuristic.
+	matchSampleCap = 2000
+)
+
 // Options tunes the FD-modification search. The zero value selects the
 // paper's A*-Repair with default knobs.
 type Options struct {
@@ -26,19 +36,12 @@ type Options struct {
 	// MaxDiffSets caps |Ds|, the difference sets the heuristic reasons
 	// about per state. Larger is tighter but more expensive. Default 3.
 	MaxDiffSets int
-	// ComboCap bounds the resolution cross-product enumerated per
-	// difference set before the heuristic falls back to an aggregate
-	// lower bound. Default 16.
-	ComboCap int
 	// CapPerCluster bounds conflict-graph edges sampled per violation
 	// cluster when collecting difference sets. Default 50.
 	CapPerCluster int
 	// MaxVisited aborts the search after this many states have been
 	// popped, as a runaway guard. Default 2,000,000.
 	MaxVisited int
-	// MatchSampleCap bounds the vertex-disjoint matching sample behind
-	// the knapsack half of the heuristic. Default 2000.
-	MatchSampleCap int
 	// Workers sets the number of evaluation workers: successor scoring,
 	// the goal-test cover query, and open-list re-estimation fan out across
 	// this many goroutines, each owning a forked conflict.Analysis and a
@@ -57,17 +60,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxDiffSets <= 0 {
 		o.MaxDiffSets = 3
 	}
-	if o.ComboCap <= 0 {
-		o.ComboCap = 16
-	}
 	if o.CapPerCluster <= 0 {
 		o.CapPerCluster = 50
 	}
 	if o.MaxVisited <= 0 {
 		o.MaxVisited = 2_000_000
-	}
-	if o.MatchSampleCap <= 0 {
-		o.MatchSampleCap = 2000
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -151,9 +148,8 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		w:          s.costs,
 		alpha:      alpha,
 		maxDs:      opt.MaxDiffSets,
-		comboCap:   opt.ComboCap,
 		width:      width,
-		matchDiffs: matchDiffs(an, opt.MatchSampleCap),
+		matchDiffs: matchDiffs(an),
 	}
 	s.decomp = opt.Decomp
 	if s.decomp == nil {
@@ -494,9 +490,9 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 }
 
 // matchDiffs extracts the difference sets of the analysis' matching
-// sample.
-func matchDiffs(an *conflict.Analysis, cap int) []relation.AttrSet {
-	edges := an.MatchingEdgeSample(cap)
+// sample (at most matchSampleCap edges).
+func matchDiffs(an *conflict.Analysis) []relation.AttrSet {
+	edges := an.MatchingEdgeSample(matchSampleCap)
 	out := make([]relation.AttrSet, len(edges))
 	for i, e := range edges {
 		out[i] = an.In.Tuples[e.T1].DiffSet(an.In.Tuples[e.T2])

@@ -22,12 +22,11 @@ import (
 // relaxes the bound downward, preserving admissibility in the sense of
 // Lemma 1 of the paper.
 type heuristic struct {
-	sigma    fd.Set
-	w        costFunc
-	alpha    int
-	maxDs    int
-	comboCap int
-	width    int
+	sigma fd.Set
+	w     costFunc
+	alpha int
+	maxDs int
+	width int
 	// matchDiffs holds the difference sets of a globally vertex-disjoint
 	// matching sample of the base conflict graph; see knapsack.
 	matchDiffs []relation.AttrSet
@@ -262,11 +261,11 @@ func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet
 			return best
 		}
 		cands[k] = c
-		if combos <= h.comboCap {
+		if combos <= comboCap {
 			combos *= len(c)
 		}
 	}
-	if combos > h.comboCap {
+	if combos > comboCap {
 		// Cross-product too large: fall back to an aggregate lower bound —
 		// resolving d costs at least the cheapest marginal per violated FD,
 		// and the remaining difference sets are charged nothing.

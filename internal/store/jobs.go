@@ -2,14 +2,16 @@ package store
 
 // Job persistence: the durable half of the internal/jobs tier. A JobStore
 // owns one directory holding, per job, a record file ("<id>.job", format
-// RTJOB001: magic + crc32c + length + JSON payload, written atomically
-// like dataset snapshots) and an append-only result log ("<id>.rlog",
-// format RTJLOG01: a magic header followed by length+crc32c-framed
-// frames — frontier rows or mined FDs — fsynced per append). The
-// discipline matches RTSNAP01: a crash mid-write leaves either the old
-// record or the new one; a crash mid-append leaves a torn final frame
-// that the next open truncates away, so every frame that survives a
-// reboot is exactly the bytes that were checkpointed. Corrupt records and unrecognizable logs are quarantined
+// RTJOB001: magic + crc32c + length + JSON payload) and an append-only
+// result log ("<id>.rlog", format RTJLOG01: a magic header followed by
+// length+crc32c-framed frames — frontier rows or mined FDs). Records go
+// through the same atomic writer as dataset snapshots (dir.writeAtomic),
+// so a crash mid-write leaves either the old record or the new one. Each
+// append is fsynced, and the append that creates a log also fsyncs the
+// directory, so a frame a client saw survives a crash. A crash mid-append
+// leaves a torn final frame that the next open truncates away, so every
+// frame that survives a reboot is exactly the bytes that were
+// checkpointed. Corrupt records and unrecognizable logs are quarantined
 // ("<file>.corrupt"), never fatal.
 
 import (
@@ -21,13 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"relatrust/internal/faultinject"
 )
@@ -127,10 +128,7 @@ type JobRecord struct {
 // for concurrent use across distinct jobs; callers serialize per job (the
 // job manager owns each job's lifecycle).
 type JobStore struct {
-	dir string
-	log *slog.Logger
-
-	quarantined atomic.Int64
+	dir
 }
 
 // OpenJobs returns a job store over dir, creating the directory if needed.
@@ -138,42 +136,32 @@ func OpenJobs(dir string, opt Options) (*JobStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty jobs directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	s := &JobStore{}
+	if err := s.open(dir, "job file", opt); err != nil {
+		return nil, err
 	}
-	log := opt.Logger
-	if log == nil {
-		log = slog.Default()
-	}
-	return &JobStore{dir: dir, log: log}, nil
+	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *JobStore) Dir() string { return s.dir }
 
 // Quarantined returns how many corrupt job files were renamed aside.
 func (s *JobStore) Quarantined() int64 { return s.quarantined.Load() }
 
-// validJobID guards the id→filename mapping, like validName for datasets.
+// validJobID guards the id→filename mapping for jobs (see validStem).
 func validJobID(id string) error {
-	if id == "" || len(id) > 128 || strings.ContainsAny(id, "/\\\x00") ||
-		strings.HasPrefix(id, ".") || strings.Contains(id, jobExt) || strings.Contains(id, logExt) {
+	if validStem(id, jobExt, logExt) != "" {
 		return fmt.Errorf("store: invalid job id %q", id)
 	}
 	return nil
 }
 
-func (s *JobStore) recordPath(id string) string { return filepath.Join(s.dir, id+jobExt) }
-func (s *JobStore) logPath(id string) string    { return filepath.Join(s.dir, id+logExt) }
+func (s *JobStore) recordPath(id string) string { return s.file(id + jobExt) }
+func (s *JobStore) logPath(id string) string    { return s.file(id + logExt) }
 
 // SaveRecord persists the record, atomically replacing any previous one
-// (temp file + fsync + rename, exactly like dataset snapshots).
+// (see writeAtomic).
 func (s *JobStore) SaveRecord(rec JobRecord) error {
 	if err := validJobID(rec.ID); err != nil {
 		return err
-	}
-	if err := faultinject.Hit(faultinject.JobRecordWrite); err != nil {
-		return fmt.Errorf("store: saving job record %q: %w", rec.ID, err)
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -184,27 +172,11 @@ func (s *JobStore) SaveRecord(rec JobRecord) error {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, jobCRC))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-
-	tmp, err := os.CreateTemp(s.dir, rec.ID+".tmp-*")
+	err = s.writeAtomic(faultinject.JobRecordWrite, rec.ID+jobExt, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: saving job record %q: %w", rec.ID, err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: saving job record %q: %w", rec.ID, err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), s.recordPath(rec.ID)); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("store: saving job record %q: %w", rec.ID, err)
 	}
 	return nil
@@ -244,7 +216,8 @@ func (s *JobStore) loadRecord(path string) (JobRecord, error) {
 
 // AppendResult appends one checkpointed frame to the job's result
 // log and fsyncs it, creating the log (with its magic header) on first
-// use. It returns the bytes written to disk. A crash mid-append leaves a
+// use; the append that creates the log also fsyncs the directory, so the
+// log's directory entry is as durable as its first frame. It returns the bytes written to disk. A crash mid-append leaves a
 // torn tail that readResultLog truncates on the next boot, so the log
 // never replays a partially-written frame.
 func (s *JobStore) AppendResult(id string, frame []byte) (int64, error) {
@@ -263,8 +236,9 @@ func (s *JobStore) AppendResult(id string, frame []byte) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: checkpointing job %q: %w", id, err)
 	}
+	created := st.Size() == 0
 	buf := make([]byte, 0, len(logMagic)+logFrameOverhead+len(frame))
-	if st.Size() == 0 {
+	if created {
 		buf = append(buf, logMagic...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frame)))
@@ -275,6 +249,11 @@ func (s *JobStore) AppendResult(id string, frame []byte) (int64, error) {
 	}
 	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("store: checkpointing job %q: %w", id, err)
+	}
+	if created {
+		if err := syncDir(s.root); err != nil {
+			return 0, fmt.Errorf("store: checkpointing job %q: %w", id, err)
+		}
 	}
 	return int64(len(buf)), nil
 }
@@ -354,7 +333,7 @@ type RecoveredJob struct {
 // I/O failure. An orphaned result log (no record) is left in place: its
 // record may reappear, and DeleteJob clears both.
 func (s *JobStore) LoadAll() ([]RecoveredJob, error) {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := os.ReadDir(s.root)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -395,18 +374,4 @@ func (s *JobStore) LoadAll() ([]RecoveredJob, error) {
 		out = append(out, RecoveredJob{Record: rec, Frames: frames, LogBytes: size})
 	}
 	return out, nil
-}
-
-// quarantine moves a corrupt job file aside (shared spelling with the
-// dataset store's quarantine, counted separately).
-func (s *JobStore) quarantine(path string, cause error) {
-	s.quarantined.Add(1)
-	qpath := path + corruptExt
-	if err := os.Rename(path, qpath); err != nil {
-		s.log.Error("store: quarantining corrupt job file failed",
-			"file", path, "cause", cause, "err", err)
-		return
-	}
-	s.log.Error("store: quarantined corrupt job file",
-		"file", path, "quarantined_as", qpath, "err", cause)
 }

@@ -8,10 +8,15 @@
 // "<name>.snap" holding one relation snapshot (format RTSNAP01, see
 // relation.WriteSnapshot): per-attribute value dictionaries plus int32
 // code columns, checksummed, so loading rehydrates the instance together
-// with its dictionary-code columns and pays no re-interning. Save writes
-// atomically — the snapshot goes to a temp file in the same directory,
-// is fsynced, and is renamed over the target — so a crash mid-write
-// leaves either the old snapshot or the new one, never a torn file.
+// with its dictionary-code columns and pays no re-interning.
+//
+// Every file the package replaces — dataset snapshots, generation
+// sidecars, job records (jobs.go) — goes through one writer: the bytes go
+// to a temp file in the same directory, which is fsynced and renamed over
+// the target, and then the directory itself is fsynced so the rename
+// survives a crash. A crash mid-write leaves either the old file or the
+// new one, never a torn file. Every load decodes through the one fuzzed
+// reader, relation.ReadSnapshot.
 //
 // # Corruption
 //
@@ -26,6 +31,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -52,27 +58,16 @@ type Options struct {
 	// Logger receives quarantine and skip events. nil selects
 	// slog.Default().
 	Logger *slog.Logger
-	// Mmap memory-maps snapshot files for decoding instead of reading
-	// them through a buffer — one copy fewer per load, which matters when
-	// a boot rehydrates many large datasets. Decoding copies every value
-	// it keeps, so the mapping is dropped before Load returns. Any
-	// mmap-path failure (including platforms without mmap support) falls
-	// back silently to the buffered read path, whose error is then
-	// authoritative.
-	Mmap bool
 }
 
 // Store is a directory of dataset snapshots. Methods are safe for
 // concurrent use; concurrent Saves of the same name serialize on the
 // atomic rename (last writer wins).
 type Store struct {
-	dir  string
-	log  *slog.Logger
-	mmap bool
+	dir
 
-	saves       atomic.Int64
-	loads       atomic.Int64
-	quarantined atomic.Int64
+	saves atomic.Int64
+	loads atomic.Int64
 }
 
 // Stats counts a store's lifetime activity (exported via /statz and
@@ -91,18 +86,12 @@ func Open(dir string, opt Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	s := &Store{}
+	if err := s.open(dir, "snapshot", opt); err != nil {
+		return nil, err
 	}
-	log := opt.Logger
-	if log == nil {
-		log = slog.Default()
-	}
-	return &Store{dir: dir, log: log, mmap: opt.Mmap}, nil
+	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats returns the lifetime counters.
 func (s *Store) Stats() Stats {
@@ -113,59 +102,27 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// validName guards the name→filename mapping: a dataset name is used
-// verbatim as the file stem, so anything that could escape the directory
-// or collide with the store's own suffixes is rejected.
+// validName guards the name→filename mapping for datasets (see
+// validStem).
 func validName(name string) error {
-	switch {
-	case name == "" || len(name) > 128:
-		return fmt.Errorf("store: invalid dataset name %q (need 1-128 chars)", name)
-	case strings.ContainsAny(name, "/\\\x00") || strings.HasPrefix(name, "."):
-		return fmt.Errorf("store: invalid dataset name %q (no path separators or leading dots)", name)
-	case strings.Contains(name, snapExt):
-		return fmt.Errorf("store: invalid dataset name %q (reserved suffix %s)", name, snapExt)
-	case strings.Contains(name, genExt):
-		return fmt.Errorf("store: invalid dataset name %q (reserved suffix %s)", name, genExt)
+	if why := validStem(name, snapExt, genExt); why != "" {
+		return fmt.Errorf("store: invalid dataset name %q (%s)", name, why)
 	}
 	return nil
 }
 
-func (s *Store) path(name string) string {
-	return filepath.Join(s.dir, name+snapExt)
-}
+func (s *Store) path(name string) string { return s.file(name + snapExt) }
 
 // Save persists the instance under the name, atomically replacing any
-// previous snapshot: the bytes land in a temp file first and are renamed
-// over the target only after a successful write and fsync.
+// previous snapshot (see writeAtomic).
 func (s *Store) Save(name string, in *relation.Instance) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	if err := faultinject.Hit(faultinject.StoreWrite); err != nil {
-		return fmt.Errorf("store: saving %q: %w", name, err)
-	}
-	tmp, err := os.CreateTemp(s.dir, name+".tmp-*")
+	err := s.writeAtomic(faultinject.StoreWrite, name+snapExt, func(w io.Writer) error {
+		return relation.WriteSnapshot(w, in)
+	})
 	if err != nil {
-		return fmt.Errorf("store: saving %q: %w", name, err)
-	}
-	// Any failure below removes the temp file; the old snapshot (if any)
-	// is untouched until the final rename.
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: saving %q: %w", name, err)
-	}
-	if err := relation.WriteSnapshot(tmp, in); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(name)); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("store: saving %q: %w", name, err)
 	}
 	s.saves.Add(1)
@@ -186,17 +143,6 @@ func (s *Store) loadFile(path string) (*relation.Instance, error) {
 	if err := faultinject.Hit(faultinject.StoreLoad); err != nil {
 		return nil, fmt.Errorf("store: loading %s: %w", filepath.Base(path), err)
 	}
-	if s.mmap {
-		// The mmap fast path decodes straight off the page cache. Only a
-		// successful decode is trusted: corruption found there is
-		// re-checked through the buffered path below, so the reported
-		// error (and quarantine decision) always comes from one code
-		// path regardless of the flag.
-		if in, err := loadMapped(path); err == nil {
-			s.loads.Add(1)
-			return in, nil
-		}
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -210,33 +156,13 @@ func (s *Store) loadFile(path string) (*relation.Instance, error) {
 	return in, nil
 }
 
-// mmapSnapshot maps a file read-only and returns the bytes plus an unmap
-// function. A package variable so the fallback test can force the mmap
-// path to fail; the real implementation is per-platform (mmap_unix.go,
-// mmap_stub.go).
-var mmapSnapshot = mmapSnapshotImpl
-
-// loadMapped decodes a snapshot through the memory-mapped fast path. The
-// decoder copies everything it keeps, so the mapping is dropped before
-// returning.
-func loadMapped(path string) (*relation.Instance, error) {
-	b, unmap, err := mmapSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	defer unmap()
-	return relation.ReadSnapshotBytes(b)
-}
-
 // genPath is the generation sidecar of a dataset: a small text file next
 // to the snapshot holding the live mutation generation the snapshot
 // represents.
-func (s *Store) genPath(name string) string {
-	return filepath.Join(s.dir, name+genExt)
-}
+func (s *Store) genPath(name string) string { return s.file(name + genExt) }
 
 // SaveGeneration persists the dataset's mutation generation, atomically
-// (temp + fsync + rename) like Save. The serving layer writes it BEFORE
+// like Save. The serving layer writes it BEFORE
 // the mutated snapshot: if a crash separates the two writes, the
 // directory claims a newer generation than its rows — which at worst
 // costs a redundant fresh sweep — instead of serving mutated rows under
@@ -246,26 +172,11 @@ func (s *Store) SaveGeneration(name string, gen int64) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, name+".tmp-*")
+	err := s.writeAtomic(faultinject.StoreGenerationWrite, name+genExt, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", gen)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: saving generation of %q: %w", name, err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: saving generation of %q: %w", name, err)
-	}
-	if _, err := fmt.Fprintf(tmp, "%d\n", gen); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp.Name(), s.genPath(name)); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("store: saving generation of %q: %w", name, err)
 	}
 	return nil
@@ -309,7 +220,7 @@ func (s *Store) Delete(name string) error {
 
 // List returns the persisted dataset names in sorted order.
 func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := os.ReadDir(s.root)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -355,18 +266,4 @@ func (s *Store) LoadAll() ([]Dataset, error) {
 		out = append(out, Dataset{Name: name, Instance: in})
 	}
 	return out, nil
-}
-
-// quarantine moves a corrupt snapshot aside so it is preserved for
-// inspection but never reloaded, and logs the event.
-func (s *Store) quarantine(path string, cause error) {
-	s.quarantined.Add(1)
-	qpath := path + corruptExt
-	if err := os.Rename(path, qpath); err != nil {
-		s.log.Error("store: quarantining corrupt snapshot failed",
-			"file", path, "cause", cause, "err", err)
-		return
-	}
-	s.log.Error("store: quarantined corrupt snapshot",
-		"file", path, "quarantined_as", qpath, "err", cause)
 }

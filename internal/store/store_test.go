@@ -178,6 +178,18 @@ func TestLoadAllQuarantinesCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Load reports the damage but leaves the file where it is: only
+	// LoadAll, the boot path, quarantines.
+	if _, err := s.Load("bad"); !errors.Is(err, relation.ErrSnapshotCorrupt) {
+		t.Fatalf("Load of a corrupt snapshot: err = %v, want ErrSnapshotCorrupt", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("Load moved the corrupt snapshot: %v", err)
+	}
+	if st := s.Stats(); st.Quarantined != 0 {
+		t.Fatalf("Load quarantined: stats = %+v", st)
+	}
+
 	got, err := s.LoadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -152,8 +152,7 @@ func TestLiveDatasetSnapshotSurvivesMutations(t *testing.T) {
 }
 
 // TestLiveDatasetProgressGeneration checks the generation flows from the
-// snapshot's engine into every ProgressEvent without the caller setting
-// Options.Generation, and that an explicit Options.Generation wins.
+// snapshot's engine into every ProgressEvent.
 func TestLiveDatasetProgressGeneration(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const width, dom = 3, 2
@@ -185,26 +184,6 @@ func TestLiveDatasetProgressGeneration(t *testing.T) {
 	frontierFingerprint(t, rp)
 	if seen == 0 {
 		t.Fatalf("no progress events observed")
-	}
-
-	seen = 0
-	rp, err = relatrust.NewRepairer(in, sigma, relatrust.Options{
-		Seed:       1,
-		Session:    sess,
-		Generation: 99,
-		Progress: func(ev relatrust.ProgressEvent) {
-			seen++
-			if ev.Generation != 99 {
-				t.Errorf("event %d: generation %d, want explicit 99", seen, ev.Generation)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frontierFingerprint(t, rp)
-	if seen == 0 {
-		t.Fatalf("no progress events observed with explicit generation")
 	}
 }
 

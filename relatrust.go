@@ -223,11 +223,6 @@ type Options struct {
 	// Callbacks run synchronously on the sweeping goroutine and must be
 	// fast; they must not call back into the Repairer.
 	Progress func(ProgressEvent)
-	// Generation stamps every ProgressEvent with the mutation generation of
-	// the dataset snapshot the sweep answers for. 0 defers to the session
-	// engine's own generation, which LiveDataset.Snapshot sessions carry —
-	// so sweeps over a live snapshot report their generation automatically.
-	Generation int64
 }
 
 // config maps the options onto a repair configuration (o.Session is set).
@@ -243,10 +238,9 @@ func (o Options) config() repair.Config {
 			MaxVisited: o.MaxVisited,
 			Workers:    o.Workers,
 		},
-		Seed:       o.Seed,
-		Engine:     o.Session.eng,
-		Progress:   o.Progress,
-		Generation: o.Generation,
+		Seed:     o.Seed,
+		Engine:   o.Session.eng,
+		Progress: o.Progress,
 	}
 }
 
