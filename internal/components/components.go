@@ -45,7 +45,7 @@
 //
 // # Concurrency
 //
-// A Decomposition is immutable after Decompose. An Evaluator may be shared
+// A Decomposition is immutable once built. An Evaluator may be shared
 // by any number of goroutines (the search's evaluation workers, concurrent
 // searchers over the same session root): memo tables are striped by
 // component, values are pure functions of the projected query, and callers
@@ -80,7 +80,7 @@ type Component struct {
 
 // Decomposition is the component structure of one analyzed (instance, Σ)
 // pair, with the per-component base cover responses (ext = nil)
-// precomputed. Immutable after Decompose.
+// precomputed. Immutable once built.
 type Decomposition struct {
 	Comps []Component
 	// compsOf[fi] lists the components containing a cluster of FD fi,
@@ -99,138 +99,11 @@ type Decomposition struct {
 	basePairsS int64
 
 	largest int // max Component.Tuples
-	// alive counts non-tombstone components. Decompose never produces
-	// tombstones; SpliceEvaluator leaves a dead slot behind when dirty
-	// components merge, so surviving components keep their ids (and their
-	// striped memo tables) across splices.
+	// alive counts non-tombstone components. SpliceEvaluator leaves a dead
+	// slot behind when dirty components merge, so surviving components keep
+	// their ids (and their striped memo tables) across splices; the cold
+	// build frees no ids, so it leaves none.
 	alive int
-}
-
-// Decompose computes the connected components of an analysis' conflict
-// hypergraph in O(violating tuples · α(n)) plus one base cover pass. The
-// analysis is only read; the returned decomposition shares its immutable
-// cluster arenas and stays valid for every fork of the same root.
-func Decompose(an *conflict.Analysis) *Decomposition {
-	n := an.N()
-	sigma := an.Sigma
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1 // not violating
-	}
-	var find func(t int32) int32
-	find = func(t int32) int32 {
-		if parent[t] == t {
-			return t
-		}
-		r := find(parent[t])
-		parent[t] = r
-		return r
-	}
-	for fi := range sigma {
-		for ci := 0; ci < an.NumClusters(fi); ci++ {
-			g := an.ClusterTuples(fi, ci)
-			for _, t := range g {
-				if parent[t] == -1 {
-					parent[t] = t
-				}
-			}
-			r := find(g[0])
-			for _, t := range g[1:] {
-				rt := find(t)
-				if rt != r {
-					parent[rt] = r
-				}
-			}
-		}
-	}
-
-	// Component IDs by first appearance in global (fi, ci) cluster order,
-	// so the decomposition is deterministic for a fixed analysis.
-	compOf := make(map[int32]int32)
-	d := &Decomposition{
-		compsOf: make([][]int32, len(sigma)),
-		lhs:     make([]relation.AttrSet, len(sigma)),
-	}
-	for fi, f := range sigma {
-		d.lhs[fi] = f.LHS
-	}
-	for fi := range sigma {
-		for ci := 0; ci < an.NumClusters(fi); ci++ {
-			g := an.ClusterTuples(fi, ci)
-			r := find(g[0])
-			c, ok := compOf[r]
-			if !ok {
-				c = int32(len(d.Comps))
-				compOf[r] = c
-				d.Comps = append(d.Comps, Component{})
-			}
-			comp := &d.Comps[c]
-			comp.Clusters = append(comp.Clusters, conflict.ClusterRef{FD: int32(fi), Cluster: int32(ci)})
-			if len(comp.FDs) == 0 || comp.FDs[len(comp.FDs)-1] != int32(fi) {
-				comp.FDs = append(comp.FDs, int32(fi))
-				d.compsOf[fi] = append(d.compsOf[fi], c)
-			}
-		}
-	}
-
-	// Tuple counts and relevant-attribute sets: one pass over each
-	// component's cluster tuples, deduplicated by stamping.
-	width := an.In.Schema.Width()
-	cols := make([][]int32, width)
-	for a := 0; a < width; a++ {
-		cols[a], _ = an.In.Codes(a)
-	}
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	full := relation.FullSet(width)
-	for c := range d.Comps {
-		comp := &d.Comps[c]
-		var first int32 = -1
-		for _, ref := range comp.Clusters {
-			for _, t := range an.ClusterTuples(int(ref.FD), int(ref.Cluster)) {
-				if stamp[t] == int32(c) {
-					continue
-				}
-				stamp[t] = int32(c)
-				comp.Tuples++
-				if first < 0 {
-					first = t
-					continue
-				}
-				if comp.Relevant == full {
-					continue
-				}
-				for a := 0; a < width; a++ {
-					if !comp.Relevant.Contains(a) && cols[a][t] != cols[a][first] {
-						comp.Relevant = comp.Relevant.Add(a)
-					}
-				}
-			}
-		}
-		if comp.Tuples > d.largest {
-			d.largest = comp.Tuples
-		}
-	}
-	// The stamp array ends holding exactly the component of every violating
-	// tuple (-1 elsewhere) — keep it as the tuple→component map.
-	d.compOf = stamp
-	d.alive = len(d.Comps)
-
-	// Base responses: the component covers of the unmodified Σ. Their sums
-	// with the global fallback rule equal CoverSize(nil) by the argument in
-	// the package doc.
-	d.baseLen2 = make([]int32, len(d.Comps))
-	d.basePairs = make([]int32, len(d.Comps))
-	for c := range d.Comps {
-		l2, p := an.SubsetCover(d.Comps[c].Clusters, nil, d.Comps[c].Relevant)
-		d.baseLen2[c] = int32(l2)
-		d.basePairs[c] = int32(p)
-		d.baseLen2S += int64(l2)
-		d.basePairsS += int64(p)
-	}
-	return d
 }
 
 // Components returns the number of live connected components (splice
@@ -296,19 +169,26 @@ type Evaluator struct {
 }
 
 // NewEvaluator decomposes the analysis and returns a shared evaluator
-// over it. The analysis is only used during construction; later queries
-// run against whatever fork the caller passes.
+// over it. The cold build is a splice of an empty predecessor in which
+// every cluster is new, so it runs the one union–find and base cover pass
+// of SpliceEvaluator. The analysis is only used during construction; the
+// decomposition shares its immutable cluster arenas, and later queries run
+// against whatever fork the caller passes.
 func NewEvaluator(an *conflict.Analysis) *Evaluator {
-	d := Decompose(an)
-	return &Evaluator{
-		d:       d,
-		stripes: new([memoStripes]sync.Mutex),
-		// Fixed-size so concurrent stripes never reallocate the slices;
-		// the maps themselves are created lazily under their stripe.
-		memo1:  make([]map[relation.AttrSet]compVal, len(d.Comps)),
-		memoK:  make([]map[string]compVal, len(d.Comps)),
-		affect: make(map[uint64][]int32),
+	lhs := make([]relation.AttrSet, len(an.Sigma))
+	info := SpliceInfo{OldPos: make([]int32, an.N())}
+	for fi, f := range an.Sigma {
+		lhs[fi] = f.LHS
+		for ci := 0; ci < an.NumClusters(fi); ci++ {
+			info.Dirty = append(info.Dirty, conflict.ClusterRef{FD: int32(fi), Cluster: int32(ci)})
+		}
 	}
+	for t := range info.OldPos {
+		info.OldPos[t] = -1
+	}
+	empty := &Evaluator{d: &Decomposition{lhs: lhs}, stripes: new([memoStripes]sync.Mutex)}
+	ev, _ := SpliceEvaluator(empty, an, info)
+	return ev
 }
 
 // Decomposition returns the underlying component structure.

@@ -133,7 +133,7 @@ func TestComponentsPartitionClusters(t *testing.T) {
 	for _, sh := range shapes(rng) {
 		t.Run(sh.name, func(t *testing.T) {
 			an := conflict.New(sh.in, sh.sigma)
-			d := Decompose(an)
+			d := NewEvaluator(an).Decomposition()
 			seen := make(map[conflict.ClusterRef]bool)
 			total := 0
 			for fi := range sh.sigma {
@@ -165,6 +165,38 @@ func TestComponentsPartitionClusters(t *testing.T) {
 				t.Fatalf("components cover %d clusters, analysis has %d", len(seen), total)
 			}
 		})
+	}
+}
+
+// TestComponentListsAscendingDisjoint checks the cold build's contract on
+// random instances: every per-FD component list (what Affected returns for
+// a single extended FD) is strictly ascending, and no tuple lies in two
+// components.
+func TestComponentListsAscendingDisjoint(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		in := testkit.RandomInstance(rng, 60, 5, 3)
+		sigma := testkit.RandomFDs(rng, 5, 3, 2)
+		an := conflict.New(in, sigma)
+		d := NewEvaluator(an).Decomposition()
+		for fi, list := range d.compsOf {
+			for i := 1; i < len(list); i++ {
+				if list[i] <= list[i-1] {
+					t.Fatalf("seed %d: compsOf[%d] = %v, not strictly ascending", seed, fi, list)
+				}
+			}
+		}
+		owner := make(map[int32]int)
+		for c, comp := range d.Comps {
+			for _, ref := range comp.Clusters {
+				for _, tu := range an.ClusterTuples(int(ref.FD), int(ref.Cluster)) {
+					if o, ok := owner[tu]; ok && o != c {
+						t.Fatalf("seed %d: tuple %d in components %d and %d", seed, tu, o, c)
+					}
+					owner[tu] = c
+				}
+			}
+		}
 	}
 }
 

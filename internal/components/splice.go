@@ -46,6 +46,9 @@ type SpliceInfo struct {
 // tombstones (zero Component) skipped by Components() and absent from
 // compsOf, so they are never evaluated.
 //
+// NewEvaluator's cold build is the degenerate case: an empty predecessor
+// and every cluster of the analysis dirty.
+//
 // The second return value is the number of old components invalidated by
 // the batch (their memoized state discarded) — the live tier's
 // components_dirtied observability counter.
@@ -82,8 +85,8 @@ func SpliceEvaluator(old *Evaluator, an *conflict.Analysis, info SpliceInfo) (*E
 
 	// The clusters to re-group: the dirty components' surviving clusters
 	// (remapped to new indices) plus the batch's new/changed clusters, in
-	// ascending (FD, cluster) order — the order Decompose visits, so each
-	// rebuilt component's cluster list comes out in construction order.
+	// ascending (FD, cluster) order, so each rebuilt component's cluster
+	// list comes out in global construction order.
 	var refs []conflict.ClusterRef
 	for c := range od.Comps {
 		if !dirty[c] {
@@ -216,8 +219,8 @@ func SpliceEvaluator(old *Evaluator, an *conflict.Analysis, info SpliceInfo) (*E
 		nd.basePairsS -= int64(od.basePairs[c])
 	}
 
-	// Rebuilt components: cluster lists in construction order, then the
-	// same tuple/Relevant/base pass Decompose runs — restricted to them.
+	// Rebuilt components: cluster lists in construction order, then their
+	// tuple counts, Relevant sets and base responses.
 	prev = conflict.ClusterRef{FD: -1, Cluster: -1}
 	for _, ref := range refs {
 		if ref == prev {
@@ -269,7 +272,7 @@ func SpliceEvaluator(old *Evaluator, an *conflict.Analysis, info SpliceInfo) (*E
 	}
 
 	// compsOf and largest: one pass over all live components, ascending, so
-	// each per-FD list comes out sorted like Decompose's.
+	// each per-FD list comes out sorted.
 	for c := range nd.Comps {
 		comp := &nd.Comps[c]
 		if len(comp.Clusters) == 0 {
@@ -286,9 +289,11 @@ func SpliceEvaluator(old *Evaluator, an *conflict.Analysis, info SpliceInfo) (*E
 	ev := &Evaluator{
 		d:       nd,
 		stripes: old.stripes,
-		memo1:   make([]map[relation.AttrSet]compVal, newLen),
-		memoK:   make([]map[string]compVal, newLen),
-		affect:  make(map[uint64][]int32),
+		// Fixed-size so concurrent stripes never reallocate the slices;
+		// the maps themselves are created lazily under their stripe.
+		memo1:  make([]map[relation.AttrSet]compVal, newLen),
+		memoK:  make([]map[string]compVal, newLen),
+		affect: make(map[uint64][]int32),
 	}
 	// Survivors keep their memo tables by reference — safe because both
 	// evaluators lock the same shared stripe for the same component id.

@@ -65,7 +65,9 @@ func randExt(rng *rand.Rand, sigma fd.Set, width int) []relation.AttrSet {
 // evaluator for sigma answer bit-identically to a from-scratch rebuild of
 // the current instance: cluster arenas equal in content AND order (the
 // capped samplers are order-sensitive), and CoverSize equal over random
-// extension vectors through both the analysis and the spliced evaluator.
+// extension vectors through both the analysis and the spliced evaluator,
+// whose Affected lists — the per-FD lists verbatim for a single extended
+// FD — must be strictly ascending.
 func checkAgainstRebuild(t *testing.T, tb *Table, sigma fd.Set, rng *rand.Rand, trials int) {
 	t.Helper()
 	cur, eng, _ := tb.Snapshot()
@@ -90,8 +92,23 @@ func checkAgainstRebuild(t *testing.T, tb *Table, sigma fd.Set, rng *rand.Rand, 
 	}
 	ev := eng.CoverEvaluator(sigma)
 	width := cur.Schema.Width()
+	checkAscending := func(ext []relation.AttrSet) {
+		t.Helper()
+		aff := ev.Affected(ext)
+		for i := 1; i < len(aff); i++ {
+			if aff[i] <= aff[i-1] {
+				t.Fatalf("Affected(%v) = %v, not strictly ascending", ext, aff)
+			}
+		}
+	}
+	for fi := range sigma {
+		ext := make([]relation.AttrSet, len(sigma))
+		ext[fi] = relation.FullSet(width)
+		checkAscending(ext)
+	}
 	for trial := 0; trial < trials; trial++ {
 		ext := randExt(rng, sigma, width)
+		checkAscending(ext)
 		want := fresh.CoverSize(ext)
 		if got := spliced.CoverSize(ext); got != want {
 			t.Fatalf("trial %d: spliced CoverSize = %d, rebuild = %d (ext %v)", trial, got, want, ext)

@@ -51,7 +51,7 @@ type Options struct {
 	Workers int
 	// Decomp supplies a pre-built component evaluator sharing this
 	// searcher's analysis root (the session engine caches one per root, so
-	// repeated sweeps skip the Decompose pass). Nil means the searcher
+	// repeated sweeps skip the component build). Nil means the searcher
 	// builds its own.
 	Decomp *components.Evaluator
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,18 +84,23 @@ func TestPaperTau0(t *testing.T) {
 
 // TestAStarMatchesBestFirst: best-first search is exhaustive by cost, so it
 // returns the true minimum-cost goal; A* must match that cost on random
-// instances across a range of τ, under every weighting the server ships.
+// instances across a range of τ, under every weighting the server ships,
+// for each of seeds 31–40.
 func TestAStarMatchesBestFirst(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		width := 4 + rng.Intn(2)
-		in := testkit.RandomInstance(rng, 8+rng.Intn(6), width, 2)
-		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
-		for _, w := range []weights.Func{
-			weights.AttrCount{}, weights.NewDistinctCount(in), weights.NewEntropy(in), weights.NewMDL(in),
-		} {
-			checkAStarMatchesBestFirst(t, trial, in, sigma, w)
-		}
+	for seed := int64(31); seed <= 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 60; trial++ {
+				width := 4 + rng.Intn(2)
+				in := testkit.RandomInstance(rng, 8+rng.Intn(6), width, 2)
+				sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
+				for _, w := range []weights.Func{
+					weights.AttrCount{}, weights.NewDistinctCount(in), weights.NewEntropy(in), weights.NewMDL(in),
+				} {
+					checkAStarMatchesBestFirst(t, trial, in, sigma, w)
+				}
+			}
+		})
 	}
 }
 

@@ -81,7 +81,7 @@ type rootEntry struct {
 	root      *conflict.Analysis
 	// decomp is the root's conflict-hypergraph component evaluator, built
 	// on first request (see CoverEvaluator) and shared by every searcher
-	// over this root — so repeated sweeps skip the Decompose pass and
+	// over this root — so repeated sweeps skip the component build and
 	// share one per-component memo.
 	decomp *components.Evaluator
 }

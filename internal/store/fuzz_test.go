@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +125,41 @@ func FuzzReadResultLog(f *testing.F) {
 		again, size2, err := s.readResultLog(id)
 		if err != nil || size2 != size || !reflect.DeepEqual(again, frames) {
 			t.Fatalf("second replay drifted: %d frames/%d bytes (err %v), want %d/%d", len(again), size2, err, len(frames), size)
+		}
+	})
+}
+
+// FuzzLoadGeneration: arbitrary generation sidecar bytes must load or fail
+// as malformed, never panic, and a loaded generation is one SaveGeneration
+// writes back as exactly the input bytes.
+func FuzzLoadGeneration(f *testing.F) {
+	s, err := Open(f.TempDir(), Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{"0\n", "12\n", "9223372036854775807\n", "12abc", "1\x002", "0x10"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(s.genPath("d"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := s.LoadGeneration("d")
+		if err != nil {
+			if !strings.Contains(err.Error(), "malformed") {
+				t.Fatalf("load failure not marked malformed: %v", err)
+			}
+			return
+		}
+		if err := s.SaveGeneration("d", gen); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := os.ReadFile(s.genPath("d"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved, data) {
+			t.Fatalf("accepted %q as generation %d, which saves as %q", data, gen, saved)
 		}
 	})
 }

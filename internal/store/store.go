@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -184,7 +185,10 @@ func (s *Store) SaveGeneration(name string, gen int64) error {
 
 // LoadGeneration reads the dataset's persisted mutation generation. A
 // missing sidecar is generation 0 (never mutated, or persisted before the
-// live tier existed), not an error; an unreadable one is.
+// live tier existed), not an error; an unreadable one is. The sidecar must
+// hold exactly the bytes SaveGeneration writes — decimal digits and one
+// newline — so a damaged file is malformed rather than misread as a
+// different generation.
 func (s *Store) LoadGeneration(name string) (int64, error) {
 	if err := validName(name); err != nil {
 		return 0, err
@@ -196,8 +200,8 @@ func (s *Store) LoadGeneration(name string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: loading generation of %q: %w", name, err)
 	}
-	var gen int64
-	if _, err := fmt.Sscanf(string(b), "%d", &gen); err != nil || gen < 0 {
+	gen, err := strconv.ParseInt(strings.TrimSuffix(string(b), "\n"), 10, 64)
+	if err != nil || gen < 0 || string(b) != strconv.FormatInt(gen, 10)+"\n" {
 		return 0, fmt.Errorf("store: generation sidecar of %q is malformed: %q", name, b)
 	}
 	return gen, nil

@@ -128,6 +128,26 @@ func TestDeleteIdempotent(t *testing.T) {
 	}
 }
 
+// TestLoadGenerationStrict: a sidecar holding anything but the bytes
+// SaveGeneration writes is malformed, never read as a prefix of itself.
+func TestLoadGenerationStrict(t *testing.T) {
+	s, _ := openTest(t)
+	if err := s.SaveGeneration("d", 12); err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := s.LoadGeneration("d"); err != nil || gen != 12 {
+		t.Fatalf("round trip: %d, %v", gen, err)
+	}
+	for _, raw := range []string{"12abc", "1\x002", "0x10"} {
+		if err := os.WriteFile(s.genPath("d"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if gen, err := s.LoadGeneration("d"); err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Errorf("sidecar %q: got generation %d, err %v; want malformed", raw, gen, err)
+		}
+	}
+}
+
 func TestListSorted(t *testing.T) {
 	s, _ := openTest(t)
 	for _, n := range []string{"zeta", "alpha", "mid"} {
