@@ -98,9 +98,9 @@ type Result struct {
 
 // Searcher runs FD-modification searches over one analyzed instance. The
 // Searcher itself is not safe for concurrent use (it shares the analysis'
-// scratch space); with Options.Workers > 1 each search call internally
-// fans evaluations out over forked analyses while keeping results
-// bit-identical to Workers: 1.
+// and the heuristic's scratch space); with Options.Workers > 1 each search
+// call internally fans evaluations out over forked analyses while keeping
+// results bit-identical to Workers: 1.
 type Searcher struct {
 	An    *conflict.Analysis
 	W     weights.Func
@@ -149,6 +149,7 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		alpha:      alpha,
 		maxDs:      opt.MaxDiffSets,
 		width:      width,
+		tuples:     an.In.N(),
 		matchDiffs: matchDiffs(an),
 	}
 	s.decomp = opt.Decomp

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -21,15 +22,47 @@ import (
 // the aggregate fallback when the resolution cross-product is too large)
 // relaxes the bound downward, preserving admissibility in the sense of
 // Lemma 1 of the paper.
+//
+// The exclusion budget test needs the size of a greedy matching over the
+// edges of every difference set excluded so far on the recursion path.
+// Greedy matching is prefix-stable — the matching of acc ++ d.Edges is the
+// matching of acc extended over d.Edges — so descend carries only the
+// matched-edge count down the recursion and the matching itself lives in
+// scratch: extend marks the endpoints of the edges it adds, and the
+// exclusion branch rolls them back with unmark before the resolve branch
+// runs, leaving the marks exactly as its caller saw them. The scratch makes
+// a heuristic single-goroutine; fork gives every worker its own.
 type heuristic struct {
-	sigma fd.Set
-	w     costFunc
-	alpha int
-	maxDs int
-	width int
+	sigma  fd.Set
+	w      costFunc
+	alpha  int
+	maxDs  int
+	width  int
+	tuples int // instance size: the range of conflict.Edge endpoints
 	// matchDiffs holds the difference sets of a globally vertex-disjoint
 	// matching sample of the base conflict graph; see knapsack.
 	matchDiffs []relation.AttrSet
+
+	scratch gcScratch
+}
+
+// gcScratch is the per-fork working memory of gc, reused across calls so
+// a steady-state evaluation allocates little beyond the resolve branch's
+// child states.
+type gcScratch struct {
+	// marked flags the tuples matched by the exclusion matching of the
+	// current recursion path; undo lists them in marking order.
+	marked []bool
+	undo   []int32
+	// Knapsack: counts holds one row of per-attribute hit counts per FD,
+	// used flags the rows filled by the current call, hits/costs are one
+	// FD's options, and dp/next are the DP row and its successor.
+	counts   []int
+	used     []bool
+	hits     []int
+	costs    []float64
+	dp, next []float64
+	ds       []conflict.DiffSet // pickDs' result
 }
 
 // costFunc prices an extension vector and single sets; split out so the
@@ -40,14 +73,15 @@ type costFunc interface {
 }
 
 // fork returns a copy of the heuristic wired to a different cost function,
-// sharing the read-only configuration and matching-sample slice. The worker
-// pool gives each worker a fork over a private costCache so gc runs
-// lock-free; gc is a pure function of (state, ds, τ) given deterministic
-// weights — no map iteration influences any branch — so every fork returns
-// bit-identical bounds.
+// sharing the read-only configuration and matching-sample slice but owning
+// fresh scratch. The worker pool gives each worker a fork over a private
+// costCache so gc runs lock-free; gc is a pure function of (state, ds, τ)
+// given deterministic weights — no map iteration influences any branch —
+// so every fork returns bit-identical bounds.
 func (h *heuristic) fork(w costFunc) *heuristic {
 	c := *h
 	c.w = w
+	c.scratch = gcScratch{}
 	return &c
 }
 
@@ -60,12 +94,18 @@ func (h *heuristic) fork(w costFunc) *heuristic {
 // accumulate. Returns +Inf when no goal state can descend from s within
 // tau.
 func (h *heuristic) gc(s State, all []conflict.DiffSet, tau int) float64 {
+	// A panic raised mid-descend (a weighting's) skips the rollbacks; start
+	// from an empty matching so stale marks never reach this bound.
+	if h.scratch.marked == nil {
+		h.scratch.marked = make([]bool, h.tuples)
+	}
+	h.unmark(0)
 	bound := h.knapsack(s, tau)
 	if math.IsInf(bound, 1) {
 		return bound
 	}
 	ds := h.pickDs(s, all)
-	if rec := h.descend(s, nil, ds, tau); rec > bound {
+	if rec := h.descend(s, 0, ds, tau); rec > bound {
 		bound = rec
 	}
 	return bound
@@ -94,10 +134,15 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 		return base
 	}
 	budget := tau / h.alpha
+	sc := &h.scratch
+	if sc.used == nil {
+		sc.used = make([]bool, len(h.sigma))
+		sc.counts = make([]int, len(h.sigma)*h.width)
+	}
+	clear(sc.used)
 	// Count unresolved edges and, per FD, aggregate per-attribute hit
 	// counts over the edges violating that FD.
 	unresolved := 0
-	perFD := make([][]int, len(h.sigma)) // attr -> hits, lazily allocated
 	for _, d := range h.matchDiffs {
 		edgeViolated := false
 		for i, f := range h.sigma {
@@ -106,10 +151,11 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 				continue
 			}
 			edgeViolated = true
-			if perFD[i] == nil {
-				perFD[i] = make([]int, h.width)
+			counts := sc.counts[i*h.width : (i+1)*h.width]
+			if !sc.used[i] {
+				sc.used[i] = true
+				clear(counts)
 			}
-			counts := perFD[i]
 			d.ForEach(func(a int) bool {
 				counts[a]++
 				return true
@@ -126,27 +172,29 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 	// dp[k] = min cost to accumulate ≥ k hits (k capped at need) with one
 	// option from each FD seen so far.
 	inf := math.Inf(1)
-	dp := make([]float64, need+1)
+	dp := slices.Grow(sc.dp[:0], need+1)[:need+1]
+	next := slices.Grow(sc.next[:0], need+1)[:need+1]
+	dp[0] = 0
 	for k := 1; k <= need; k++ {
 		dp[k] = inf
 	}
 	for i, f := range h.sigma {
-		if perFD[i] == nil {
+		if !sc.used[i] {
 			continue
 		}
 		lhs := f.LHS.Union(s[i])
-		var hits []int
-		var costs []float64
-		for a, n := range perFD[i] {
+		hits, costs := sc.hits[:0], sc.costs[:0]
+		for a, n := range sc.counts[i*h.width : (i+1)*h.width] {
 			if n == 0 || a == f.RHS || lhs.Contains(a) {
 				continue
 			}
 			hits = append(hits, n)
 			costs = append(costs, h.w.Marginal(s[i], a))
 		}
-		sort.Sort(sort.Reverse(sort.IntSlice(hits)))
+		sc.hits, sc.costs = hits, costs
+		slices.SortFunc(hits, func(a, b int) int { return cmp.Compare(b, a) })
 		sort.Float64s(costs)
-		next := slices.Clone(dp)
+		copy(next, dp)
 		for k, cost := range dp {
 			got := k
 			for j, n := range hits {
@@ -156,8 +204,9 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 				}
 			}
 		}
-		dp = next
+		dp, next = next, dp
 	}
+	sc.dp, sc.next = dp, next
 	if math.IsInf(dp[need], 1) {
 		// Even appending everything appendable cannot resolve enough
 		// edges: no goal descends from s within τ.
@@ -169,27 +218,30 @@ func (h *heuristic) knapsack(s State, tau int) float64 {
 // pickDs selects up to maxDs difference sets that are violated at state s,
 // favoring large edge counts and low attribute overlap (Section 5.2). The
 // first pass skips sets fully covered by already-picked attributes; a
-// second pass fills remaining slots in count order.
+// second pass fills remaining slots in count order. The result lives in
+// the heuristic's scratch until the next call.
 func (h *heuristic) pickDs(s State, all []conflict.DiffSet) []conflict.DiffSet {
-	out := make([]conflict.DiffSet, 0, h.maxDs)
+	out := h.scratch.ds[:0]
 	var picked relation.AttrSet
-	taken := make(map[relation.AttrSet]bool, h.maxDs)
+	taken := func(d conflict.DiffSet) bool {
+		return slices.ContainsFunc(out, func(o conflict.DiffSet) bool { return o.Attrs == d.Attrs })
+	}
 	for pass := 0; pass < 2 && len(out) < h.maxDs; pass++ {
 		for _, d := range all {
 			if len(out) >= h.maxDs {
 				break
 			}
-			if taken[d.Attrs] || !h.violated(s, d.Attrs) {
+			if taken(d) || !h.violated(s, d.Attrs) {
 				continue
 			}
 			if pass == 0 && !picked.IsEmpty() && d.Attrs.SubsetOf(picked) {
 				continue // heavily overlapping; defer to the second pass
 			}
-			taken[d.Attrs] = true
 			picked = picked.Union(d.Attrs)
 			out = append(out, d)
 		}
 	}
+	h.scratch.ds = out
 	return out
 }
 
@@ -218,8 +270,10 @@ func (h *heuristic) violatedFDs(s State, d relation.AttrSet) []int {
 
 // descend is the recursive core of Algorithm 3, returning the minimum cost
 // over goal states reachable from sc that resolve or exclude every set in
-// dc, given acc — the edges of already-excluded difference sets.
-func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet, tau int) float64 {
+// dc, given acc — the size of the greedy matching over the edges of the
+// already-excluded difference sets, whose endpoints are marked in scratch.
+// descend returns with the marks as it found them.
+func (h *heuristic) descend(sc State, acc int, dc []conflict.DiffSet, tau int) float64 {
 	if len(dc) == 0 {
 		return h.w.StateCost(sc)
 	}
@@ -232,13 +286,14 @@ func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet
 	// the full conflict graph — rather than the paper's 2·|M| cover, and ≤
 	// rather than <: both changes keep gc(S) admissible (never above the
 	// cost of a real goal descendant), at the price of a slightly looser
-	// bound.
-	accWithD := make([]conflict.Edge, 0, len(acc)+len(d.Edges))
-	accWithD = append(accWithD, acc...)
-	accWithD = append(accWithD, d.Edges...)
-	if matchingSize(accWithD)*h.alpha <= tau {
-		best = h.descend(sc, accWithD, dc[1:], tau)
+	// bound. The matching over the excluded edges grows incrementally:
+	// extending it over d.Edges gives the greedy matching of acc ++ d.Edges
+	// (see heuristic), and unmark restores it for the resolve branch.
+	mark := len(h.scratch.undo)
+	if withD := acc + h.extend(d.Edges); withD*h.alpha <= tau {
+		best = h.descend(sc, withD, dc[1:], tau)
 	}
+	h.unmark(mark)
 
 	// Option 2: resolve d by appending one of its attributes to the LHS of
 	// every FD it violates (lines 12-15).
@@ -335,22 +390,30 @@ func filterViolated(h *heuristic, s State, dc []conflict.DiffSet) []conflict.Dif
 	return out
 }
 
-// matchingSize returns the size of a greedy maximal matching of the given
-// edge list. Every vertex cover of any supergraph has at least this many
-// vertices, which is exactly the property the exclusion budget test needs.
-func matchingSize(edges []conflict.Edge) int {
-	matched := make(map[int32]struct{}, len(edges))
-	size := 0
+// extend grows the greedy matching of the current recursion path over the
+// given edges, marking the endpoints of every edge it adds, and returns how
+// many it added. Every vertex cover of any supergraph has at least as many
+// vertices as the matching has edges, which is exactly the property the
+// exclusion budget test needs.
+func (h *heuristic) extend(edges []conflict.Edge) int {
+	marked := h.scratch.marked
+	added := 0
 	for _, e := range edges {
-		if _, ok := matched[e.T1]; ok {
+		if marked[e.T1] || marked[e.T2] {
 			continue
 		}
-		if _, ok := matched[e.T2]; ok {
-			continue
-		}
-		matched[e.T1] = struct{}{}
-		matched[e.T2] = struct{}{}
-		size++
+		marked[e.T1], marked[e.T2] = true, true
+		h.scratch.undo = append(h.scratch.undo, e.T1, e.T2)
+		added++
 	}
-	return size
+	return added
+}
+
+// unmark rolls the matching back to the point where the undo list held n
+// tuples.
+func (h *heuristic) unmark(n int) {
+	for _, t := range h.scratch.undo[n:] {
+		h.scratch.marked[t] = false
+	}
+	h.scratch.undo = h.scratch.undo[:n]
 }
