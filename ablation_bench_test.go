@@ -1,9 +1,8 @@
 package relatrust_test
 
-// Ablation benchmarks for the design decisions documented in DESIGN.md:
-// the A* heuristic's difference-set budget, the edge-sampling cap and the
-// choice of weighting function. Each reports the figure of merit that
-// motivates the chosen default.
+// Ablation benchmark for the choice of weighting function. The heuristic's
+// difference-set budget and edge-sampling cap are package constants of
+// internal/search; their ablations live in that package's bench_test.go.
 
 import (
 	"context"
@@ -29,55 +28,6 @@ func ablationWorkload(b *testing.B) *experiments.Workload {
 	return w
 }
 
-// BenchmarkAblationHeuristicBudget sweeps MaxDiffSets: 0 disables the
-// heuristic entirely (best-first), larger values tighten gc(S) at higher
-// per-state cost. The visited-states metric shows the pruning payoff.
-func BenchmarkAblationHeuristicBudget(b *testing.B) {
-	w := ablationWorkload(b)
-	for _, maxDs := range []int{1, 2, 3, 6} {
-		b.Run(benchName("maxDiffSets", maxDs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				an := conflict.New(w.Dirty, w.SigmaD)
-				s := search.NewSearcher(an, weights.NewDistinctCount(w.Dirty), search.Options{
-					MaxDiffSets: maxDs,
-				})
-				res, err := s.Find(context.Background(), s.DeltaPOriginal()/100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res != nil {
-					b.ReportMetric(float64(res.Stats.Visited), "visited")
-					b.ReportMetric(float64(res.Stats.GCCalls), "gc-calls")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEdgeSampling sweeps the per-cluster edge cap feeding
-// difference-set multiplicities: smaller caps are cheaper but loosen the
-// heuristic.
-func BenchmarkAblationEdgeSampling(b *testing.B) {
-	w := ablationWorkload(b)
-	for _, cap := range []int{5, 50, 500} {
-		b.Run(benchName("capPerCluster", cap), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				an := conflict.New(w.Dirty, w.SigmaD)
-				s := search.NewSearcher(an, weights.NewDistinctCount(w.Dirty), search.Options{
-					CapPerCluster: cap,
-				})
-				res, err := s.Find(context.Background(), s.DeltaPOriginal()/100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res != nil {
-					b.ReportMetric(float64(res.Stats.Visited), "visited")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWeights compares the weighting functions: attr-count is
 // free to evaluate, distinct-count (the paper's choice) and entropy price
 // informativeness but cost a scan per new attribute set.
@@ -99,19 +49,4 @@ func BenchmarkAblationWeights(b *testing.B) {
 			}
 		})
 	}
-}
-
-func benchName(k string, v int) string {
-	return k + "=" + itoa(v)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf []byte
-	for ; v > 0; v /= 10 {
-		buf = append([]byte{byte('0' + v%10)}, buf...)
-	}
-	return string(buf)
 }

@@ -176,13 +176,10 @@ type Evaluator struct {
 // against whatever fork the caller passes.
 func NewEvaluator(an *conflict.Analysis) *Evaluator {
 	lhs := make([]relation.AttrSet, len(an.Sigma))
-	info := SpliceInfo{OldPos: make([]int32, an.N())}
 	for fi, f := range an.Sigma {
 		lhs[fi] = f.LHS
-		for ci := 0; ci < an.NumClusters(fi); ci++ {
-			info.Dirty = append(info.Dirty, conflict.ClusterRef{FD: int32(fi), Cluster: int32(ci)})
-		}
 	}
+	info := SpliceInfo{OldPos: make([]int32, an.N()), Dirty: an.Clusters()}
 	for t := range info.OldPos {
 		info.OldPos[t] = -1
 	}
@@ -285,65 +282,45 @@ func (e *Evaluator) EvalDelta(an *conflict.Analysis, comps []int32, ext []relati
 	var keyArr [128]byte
 	for _, c := range comps {
 		comp := &e.d.Comps[c]
-		if len(comp.FDs) == 1 {
-			fi := int(comp.FDs[0])
-			y := ext[fi].Diff(e.d.lhs[fi]).Intersect(comp.Relevant)
-			if y.IsEmpty() {
-				hits++ // projected to the base query: no partition work
-				continue
-			}
-			stripe := &e.stripes[int(c)%memoStripes]
-			stripe.Lock()
-			m := e.memoAt1(c)
-			v, ok := m[y]
-			stripe.Unlock()
-			if !ok {
-				evals++
-				l2, p := an.SubsetCover(comp.Clusters, ext, comp.Relevant)
-				v = compVal{len2: int32(l2), pairs: int32(p)}
-				stripe.Lock()
-				if len(m) >= memoCap {
-					clear(m)
-				}
-				m[y] = v
-				stripe.Unlock()
-			} else {
-				hits++
-			}
-			dLen2 += int64(v.len2 - e.d.baseLen2[c])
-			dPairs += int64(v.pairs - e.d.basePairs[c])
-			continue
-		}
+		// The local query: each FD's extension projected onto the
+		// component. A single-FD component keys its memo by that set, a
+		// multi-FD one by the packed sets.
+		var y relation.AttrSet
 		key := keyArr[:0]
 		zero := true
 		for _, fi := range comp.FDs {
-			y := ext[fi].Diff(e.d.lhs[fi]).Intersect(comp.Relevant)
-			if !y.IsEmpty() {
-				zero = false
-			}
+			y = ext[fi].Diff(e.d.lhs[fi]).Intersect(comp.Relevant)
+			zero = zero && y.IsEmpty()
 			key = appendUint64(key, uint64(y))
 		}
 		if zero {
-			hits++
+			hits++ // projected to the base query: no partition work
 			continue
 		}
+		single := len(comp.FDs) == 1
 		stripe := &e.stripes[int(c)%memoStripes]
+		var v compVal
+		var ok bool
 		stripe.Lock()
-		m := e.memoAtK(c)
-		v, ok := m[string(key)]
+		if single {
+			v, ok = e.memo1[c][y]
+		} else {
+			v, ok = e.memoK[c][string(key)]
+		}
 		stripe.Unlock()
-		if !ok {
+		if ok {
+			hits++
+		} else {
 			evals++
 			l2, p := an.SubsetCover(comp.Clusters, ext, comp.Relevant)
 			v = compVal{len2: int32(l2), pairs: int32(p)}
 			stripe.Lock()
-			if len(m) >= memoCap {
-				clear(m)
+			if single {
+				e.memo1[c] = memoPut(e.memo1[c], y, v)
+			} else {
+				e.memoK[c] = memoPut(e.memoK[c], string(key), v)
 			}
-			m[string(key)] = v
 			stripe.Unlock()
-		} else {
-			hits++
 		}
 		dLen2 += int64(v.len2 - e.d.baseLen2[c])
 		dPairs += int64(v.pairs - e.d.basePairs[c])
@@ -353,21 +330,17 @@ func (e *Evaluator) EvalDelta(an *conflict.Analysis, comps []int32, ext []relati
 	return dLen2, dPairs
 }
 
-// memoAt1 returns component c's single-FD memo table, creating it on first
-// use. Caller holds c's stripe.
-func (e *Evaluator) memoAt1(c int32) map[relation.AttrSet]compVal {
-	if e.memo1[c] == nil {
-		e.memo1[c] = make(map[relation.AttrSet]compVal)
+// memoPut stores v under k in a component's memo table, creating the table
+// on first use and clearing it once full, and returns the table. Caller
+// holds the component's stripe.
+func memoPut[K comparable](m map[K]compVal, k K, v compVal) map[K]compVal {
+	if m == nil {
+		m = make(map[K]compVal)
+	} else if len(m) >= memoCap {
+		clear(m)
 	}
-	return e.memo1[c]
-}
-
-// memoAtK is memoAt1 for multi-FD components.
-func (e *Evaluator) memoAtK(c int32) map[string]compVal {
-	if e.memoK[c] == nil {
-		e.memoK[c] = make(map[string]compVal)
-	}
-	return e.memoK[c]
+	m[k] = v
+	return m
 }
 
 // Combine folds summed deltas into the global cover size, applying the

@@ -9,7 +9,10 @@
 // matching; within one LHS-cluster the conflict graph is complete
 // multipartite with the RHS subgroups as parts, so a maximal matching is
 // found cluster-by-cluster in time linear in the number of violating
-// tuples.
+// tuples. One pass driver serves every cover query: the global Cover,
+// CoverSize and MatchingSize run it over all clusters, SubsetCover over
+// one component's; and one two-pointer sweep (appendMatching) builds every
+// matching, including the leading pairs of the edge samplers.
 //
 // A key structural fact drives the design: for every Σ′ ∈ S(Σ) (LHS
 // extensions only), a tuple pair violating an extended FD XiYi→Ai also
@@ -37,9 +40,7 @@
 package conflict
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"relatrust/internal/fd"
@@ -102,6 +103,10 @@ type Analysis struct {
 	// values. Only such groups can contribute violations for any
 	// extension of FD i.
 	clusters [][][]int32
+	// all lists every cluster in FD-major construction order: the cluster
+	// list of the global queries, which run the same pass driver as the
+	// component-restricted SubsetCover.
+	all []ClusterRef
 
 	// protected, when set, steers pass-2 cover construction away from
 	// the marked tuples (see CoverAvoiding).
@@ -194,6 +199,7 @@ func NewFiltered(in *relation.Instance, sigma fd.Set, filters []func(relation.Tu
 		}
 		a.clusters[fi] = cl
 	}
+	a.all = clusterRefs(a.clusters)
 	return a
 }
 
@@ -210,10 +216,22 @@ func NewFromClusters(in *relation.Instance, sigma fd.Set, clusters [][][]int32) 
 		In:       in,
 		Sigma:    sigma,
 		clusters: clusters,
+		all:      clusterRefs(clusters),
 		matched:  make([]int, in.N()),
 		part:     relation.NewPartitioner(in),
 		forkPool: &sync.Pool{},
 	}
+}
+
+// clusterRefs lists every cluster of clusters in FD-major order.
+func clusterRefs(clusters [][][]int32) []ClusterRef {
+	var all []ClusterRef
+	for fi, cl := range clusters {
+		for ci := range cl {
+			all = append(all, ClusterRef{FD: int32(fi), Cluster: int32(ci)})
+		}
+	}
+	return all
 }
 
 // mixedRHS reports whether the group spans ≥2 distinct RHS codes.
@@ -250,6 +268,7 @@ func (a *Analysis) Fork() *Analysis {
 		In:       a.In,
 		Sigma:    a.Sigma,
 		clusters: a.clusters,
+		all:      a.all,
 		matched:  make([]int, a.In.N()),
 		part:     relation.NewPartitioner(a.In),
 		forkPool: a.forkPool,
@@ -264,24 +283,6 @@ func (a *Analysis) Release() {
 	a.protected = nil
 	a.stats = CoverStats{}
 	a.forkPool.Put(a)
-}
-
-// ViolatingTuples returns how many tuples participate in at least one
-// violating cluster of the base FD set; useful for sizing reports.
-func (a *Analysis) ViolatingTuples() int {
-	seen := make([]bool, a.In.N())
-	count := 0
-	for _, cl := range a.clusters {
-		for _, g := range cl {
-			for _, t := range g {
-				if !seen[t] {
-					seen[t] = true
-					count++
-				}
-			}
-		}
-	}
-	return count
 }
 
 // CoverSize returns |C2opt(Σ′, I)| where Σ′ extends the base set by ext
@@ -308,7 +309,7 @@ func (a *Analysis) CoverAvoiding(ext []relation.AttrSet, protected func(int32) b
 }
 
 // cover computes a 2-approximate minimum vertex cover of the conflict
-// graph of Σ′ in two passes over the violation clusters:
+// graph of Σ′ in two passes over the violation clusters (see passes):
 //
 //  1. a maximal matching M — the classical certificate |VC_opt| ≥ |M| —
 //     found by pairing unmatched tuples across RHS subgroups of each
@@ -326,24 +327,7 @@ func (a *Analysis) CoverAvoiding(ext []relation.AttrSet, protected func(int32) b
 // slice aliases internal scratch; callers that retain it must copy (Cover
 // does).
 func (a *Analysis) cover(ext []relation.AttrSet) []int32 {
-	matchedPairs := 0
-	a.epoch++
-	a.matchedList = a.matchedList[:0]
-	for fi, f := range a.Sigma {
-		y := a.extOf(ext, fi)
-		for ci := range a.clusters[fi] {
-			matchedPairs += a.matchCluster(fi, ci, f.RHS, y)
-		}
-	}
-
-	a.epoch++
-	a.coverScratch = a.coverScratch[:0]
-	for fi, f := range a.Sigma {
-		y := a.extOf(ext, fi)
-		for ci := range a.clusters[fi] {
-			a.coverCluster(fi, ci, f.RHS, y, a.protected)
-		}
-	}
+	matchedPairs := a.passes(a.all, ext, allAttrs, true)
 	if len(a.coverScratch) <= 2*matchedPairs {
 		return a.coverScratch
 	}
@@ -355,6 +339,34 @@ func (a *Analysis) cover(ext []relation.AttrSet) []int32 {
 	// overlap.)
 	a.coverScratch = append(a.coverScratch[:0], a.matchedList...)
 	return a.coverScratch
+}
+
+// allAttrs is the relevance mask of the global queries: it keeps every
+// extension attribute.
+const allAttrs = ^relation.AttrSet(0)
+
+// passes is the one driver of the cover passes. Pass 1 runs matchCluster
+// over refs, leaving the matching's endpoints in matchedList, and returns
+// its pair count; with withCover, pass 2 runs coverCluster over the same
+// clusters into coverScratch. Each cluster is refined by its FD's
+// extension attributes intersected with relevant.
+func (a *Analysis) passes(refs []ClusterRef, ext []relation.AttrSet, relevant relation.AttrSet, withCover bool) (pairs int) {
+	a.epoch++
+	a.matchedList = a.matchedList[:0]
+	for _, r := range refs {
+		fi := int(r.FD)
+		pairs += a.matchCluster(fi, int(r.Cluster), a.extOf(ext, fi).Intersect(relevant))
+	}
+	if !withCover {
+		return pairs
+	}
+	a.epoch++
+	a.coverScratch = a.coverScratch[:0]
+	for _, r := range refs {
+		fi := int(r.FD)
+		a.coverCluster(fi, int(r.Cluster), a.extOf(ext, fi).Intersect(relevant))
+	}
+	return pairs
 }
 
 // extOf returns the extension attributes of FD fi beyond its own LHS.
@@ -370,16 +382,7 @@ func (a *Analysis) extOf(ext []relation.AttrSet, fi int) relation.AttrSet {
 // every vertex cover of that graph — any algorithm's, not just this
 // package's — which makes it the right quantity for feasibility floors.
 func (a *Analysis) MatchingSize(ext []relation.AttrSet) int {
-	a.epoch++
-	a.matchedList = a.matchedList[:0]
-	pairs := 0
-	for fi, f := range a.Sigma {
-		y := a.extOf(ext, fi)
-		for ci := range a.clusters[fi] {
-			pairs += a.matchCluster(fi, ci, f.RHS, y)
-		}
-	}
-	return pairs
+	return a.passes(a.all, ext, allAttrs, false)
 }
 
 // PermanentMatching returns the size of a maximal matching over the
@@ -419,53 +422,62 @@ func (a *Analysis) refineGroups(fi, ci int, y relation.AttrSet) relation.Partiti
 }
 
 // matchCluster greedily matches unmatched tuples across RHS subgroups of
-// each refined group and returns the number of pairs matched.
-func (a *Analysis) matchCluster(fi, ci int, rhs int, y relation.AttrSet) int {
+// each refined group, appending the pairs to matchedList and marking their
+// endpoints, and returns the number of pairs matched.
+func (a *Analysis) matchCluster(fi, ci int, y relation.AttrSet) int {
 	pt := a.refineGroups(fi, ci, y)
-	pairs := 0
+	rhs := a.Sigma[fi].RHS
+	start := len(a.matchedList)
 	for gi := 0; gi < pt.NumGroups(); gi++ {
 		grp := pt.Group(gi)
 		if len(grp) < 2 {
 			continue
 		}
-		sp := a.part.Split(grp, rhs)
-		if sp.NumGroups() < 2 {
-			continue
-		}
-		// Complete multipartite matching: pair the lowest-subgroup entry
-		// with the highest-subgroup entry until the remainder collapses
-		// into a single subgroup (the flat partition layout is grouped by
-		// subgroup already).
-		flat, offs := sp.Tuples, sp.Offsets
-		i, j := 0, len(flat)-1
-		sgi, sgj := 0, sp.NumGroups()-1
-		for i < j && sgi != sgj {
-			a.matched[flat[i]] = a.epoch
-			a.matched[flat[j]] = a.epoch
-			a.matchedList = append(a.matchedList, flat[i], flat[j])
-			pairs++
-			i++
-			j--
-			for int32(i) >= offs[sgi+1] {
-				sgi++
-			}
-			for int32(j) < offs[sgj] {
-				sgj--
-			}
+		if sp := a.part.Split(grp, rhs); sp.NumGroups() >= 2 {
+			a.matchedList = appendMatching(a.matchedList, sp)
 		}
 	}
-	return pairs
+	// The refined groups are disjoint, so marking after the whole cluster
+	// is the same as marking pair by pair.
+	for _, t := range a.matchedList[start:] {
+		a.matched[t] = a.epoch
+	}
+	return (len(a.matchedList) - start) / 2
+}
+
+// appendMatching appends the endpoints of a maximal matching of the
+// complete multipartite graph whose parts are sp's groups, pair by pair.
+// The two-pointer sweep pairs the lowest-subgroup entry with the
+// highest-subgroup entry until the remainder collapses into a single
+// subgroup (the flat partition layout is grouped by subgroup already).
+func appendMatching(dst []int32, sp relation.Partition) []int32 {
+	flat, offs := sp.Tuples, sp.Offsets
+	i, j := 0, len(flat)-1
+	sgi, sgj := 0, sp.NumGroups()-1
+	for i < j && sgi != sgj {
+		dst = append(dst, flat[i], flat[j])
+		i++
+		j--
+		for int32(i) >= offs[sgi+1] {
+			sgi++
+		}
+		for int32(j) < offs[sgj] {
+			sgj--
+		}
+	}
+	return dst
 }
 
 // coverCluster adds, per refined group, every uncovered tuple outside one
 // exempted subgroup to the cover scratch, marking them covered for
 // subsequent clusters. The exempted subgroup is the one with the most
-// uncovered members — or, when a protected predicate is supplied, the one
-// sheltering the most protected tuples (ties broken by size, then by
-// order), so pinned tuples stay out of the cover whenever a valid cover
-// allows it.
-func (a *Analysis) coverCluster(fi, ci int, rhs int, y relation.AttrSet, protected func(int32) bool) {
+// uncovered members — or, while CoverAvoiding supplies a protected
+// predicate, the one sheltering the most protected tuples (ties broken by
+// size, then by order), so pinned tuples stay out of the cover whenever a
+// valid cover allows it.
+func (a *Analysis) coverCluster(fi, ci int, y relation.AttrSet) {
 	pt := a.refineGroups(fi, ci, y)
+	rhs, protected := a.Sigma[fi].RHS, a.protected
 	for gi := 0; gi < pt.NumGroups(); gi++ {
 		grp := pt.Group(gi)
 		if len(grp) < 2 {
@@ -510,69 +522,35 @@ func (a *Analysis) coverCluster(fi, ci int, rhs int, y relation.AttrSet, protect
 	}
 }
 
-// HasViolation reports whether Σ′ (base set extended by ext) still has any
-// violating pair in the instance.
-func (a *Analysis) HasViolation(ext []relation.AttrSet) bool {
-	return a.CoverSize(ext) > 0
-}
-
 // MatchingEdgeSample returns up to cap edges of a maximal matching of the
-// base conflict graph (cap <= 0 means all). The edges are globally
-// vertex-disjoint, so for any Σ′ ∈ S(Σ) the edges of the sample still
-// violating Σ′ form a matching of Σ′'s conflict graph — their count lower
-// bounds every vertex cover of it. This powers the knapsack half of the
-// A* heuristic.
+// base conflict graph (cap <= 0 means all): the leading pairs of pass 1
+// over the unextended clusters. The edges are globally vertex-disjoint, so
+// for any Σ′ ∈ S(Σ) the edges of the sample still violating Σ′ form a
+// matching of Σ′'s conflict graph — their count lower bounds every vertex
+// cover of it. This powers the knapsack half of the A* heuristic.
 func (a *Analysis) MatchingEdgeSample(cap int) []Edge {
 	a.epoch++
-	var out []Edge
-	for fi, f := range a.Sigma {
-		for ci := range a.clusters[fi] {
-			out = a.matchClusterEdges(fi, ci, f.RHS, out, cap)
-			if cap > 0 && len(out) >= cap {
-				return out
-			}
+	a.matchedList = a.matchedList[:0]
+	for _, r := range a.all {
+		a.matchCluster(int(r.FD), int(r.Cluster), 0)
+		if cap > 0 && len(a.matchedList) >= 2*cap {
+			a.matchedList = a.matchedList[:2*cap]
+			break
 		}
+	}
+	var out []Edge
+	for k := 0; k < len(a.matchedList); k += 2 {
+		out = append(out, edge(a.matchedList[k], a.matchedList[k+1]))
 	}
 	return out
 }
 
-// matchClusterEdges is matchCluster collecting the matched pairs.
-func (a *Analysis) matchClusterEdges(fi, ci int, rhs int, out []Edge, cap int) []Edge {
-	pt := a.refineGroups(fi, ci, 0)
-	for gi := 0; gi < pt.NumGroups(); gi++ {
-		grp := pt.Group(gi)
-		if len(grp) < 2 {
-			continue
-		}
-		sp := a.part.Split(grp, rhs)
-		if sp.NumGroups() < 2 {
-			continue
-		}
-		flat, offs := sp.Tuples, sp.Offsets
-		i, j := 0, len(flat)-1
-		sgi, sgj := 0, sp.NumGroups()-1
-		for i < j && sgi != sgj {
-			t1, t2 := flat[i], flat[j]
-			a.matched[t1] = a.epoch
-			a.matched[t2] = a.epoch
-			if t1 > t2 {
-				t1, t2 = t2, t1
-			}
-			out = append(out, Edge{T1: t1, T2: t2})
-			if cap > 0 && len(out) >= cap {
-				return out
-			}
-			i++
-			j--
-			for int32(i) >= offs[sgi+1] {
-				sgi++
-			}
-			for int32(j) < offs[sgj] {
-				sgj--
-			}
-		}
+// edge returns the pair as an Edge with T1 < T2.
+func edge(t1, t2 int32) Edge {
+	if t1 > t2 {
+		t1, t2 = t2, t1
 	}
-	return out
+	return Edge{T1: t1, T2: t2}
 }
 
 // DiffSet aggregates the conflict-graph edges that share one difference set
@@ -646,36 +624,21 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 		return
 	}
 	emitted := 0
-	send := func(t1, t2 int32) bool {
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		emit(Edge{T1: t1, T2: t2})
+	send := func(e Edge) bool {
+		emit(e)
 		emitted++
 		return cap > 0 && emitted >= cap
 	}
-	// Phase 1: a maximal matching via the two-pointer sweep over the
-	// subgroup-ordered flat partition (same construction as matchCluster).
-	flat, offs := sp.Tuples, sp.Offsets
-	inMatching := make(map[[2]int32]bool)
-	i, j := 0, len(flat)-1
-	sgi, sgj := 0, sp.NumGroups()-1
-	for i < j && sgi != sgj {
-		t1, t2 := flat[i], flat[j]
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		inMatching[[2]int32{t1, t2}] = true
-		if send(t1, t2) {
+	// Phase 1: the cluster's maximal matching, swept into matchedList as
+	// pass 1 sweeps an unrefined cluster (no cover pass is running, so the
+	// list is free scratch here).
+	a.matchedList = appendMatching(a.matchedList[:0], sp)
+	inMatching := make(map[Edge]bool)
+	for k := 0; k < len(a.matchedList); k += 2 {
+		e := edge(a.matchedList[k], a.matchedList[k+1])
+		inMatching[e] = true
+		if send(e) {
 			return
-		}
-		i++
-		j--
-		for int32(i) >= offs[sgi+1] {
-			sgi++
-		}
-		for int32(j) < offs[sgj] {
-			sgj--
 		}
 	}
 	// Phase 2: remaining cross pairs in deterministic round-robin order,
@@ -691,14 +654,11 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 					continue
 				}
 				any = true
-				t1, t2 := sx[ai], sy[bj]
-				if t1 > t2 {
-					t1, t2 = t2, t1
-				}
-				if inMatching[[2]int32{t1, t2}] {
+				e := edge(sx[ai], sy[bj])
+				if inMatching[e] {
 					continue
 				}
-				if send(t1, t2) {
+				if send(e) {
 					return
 				}
 			}
@@ -707,40 +667,4 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 			return
 		}
 	}
-}
-
-// EdgeCountExact returns the exact number of conflict-graph edges of the
-// base set (sum over clusters of cross-subgroup pair counts, with pairs
-// violating several FDs counted once per FD, as in the paper's |E|). It is
-// O(|Σ|·n) and never enumerates pairs.
-func (a *Analysis) EdgeCountExact() int64 {
-	var total int64
-	for fi, f := range a.Sigma {
-		for _, g := range a.clusters[fi] {
-			sp := a.part.Split(g, f.RHS)
-			var sum, sq int64
-			for si := 0; si < sp.NumGroups(); si++ {
-				c := int64(len(sp.Group(si)))
-				sum += c
-				sq += c * c
-			}
-			total += (sum*sum - sq) / 2
-		}
-	}
-	return total
-}
-
-// DescribeClusters renders a short human-readable summary, used by the CLI.
-func (a *Analysis) DescribeClusters() string {
-	var b strings.Builder
-	for fi := range a.Sigma {
-		total := 0
-		for _, g := range a.clusters[fi] {
-			total += len(g)
-		}
-		b.WriteString(a.Sigma[fi].String())
-		b.WriteString(": ")
-		fmt.Fprintf(&b, "%d violating clusters, %d tuples involved\n", len(a.clusters[fi]), total)
-	}
-	return b.String()
 }

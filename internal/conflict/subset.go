@@ -3,13 +3,14 @@ package conflict
 // Component-restricted cover queries. internal/components decomposes the
 // conflict hypergraph into connected components (tuple-disjoint sets of
 // violation clusters) and evaluates the two cover passes per component;
-// this file exposes the cluster structure and the restricted passes it
-// needs. The global cover() is exactly recovered from the restricted
-// results: epoch marks never cross components (their tuple sets are
-// disjoint), so pass-1 pairs and pass-2 cover members computed per
-// component sum to the global counts, and the 2·|M| certificate fallback
-// applied to the sums reproduces the global decision. See the package doc
-// of internal/components for the full argument.
+// this file exposes the cluster structure it needs and SubsetCover, which
+// runs the global queries' pass driver over one component's clusters. The
+// global cover() is exactly recovered from the restricted results: epoch
+// marks never cross components (their tuple sets are disjoint), so pass-1
+// pairs and pass-2 cover members computed per component sum to the global
+// counts, and the 2·|M| certificate fallback applied to the sums
+// reproduces the global decision. See the package doc of
+// internal/components for the full argument.
 
 import "relatrust/internal/relation"
 
@@ -18,6 +19,11 @@ import "relatrust/internal/relation"
 type ClusterRef struct {
 	FD, Cluster int32
 }
+
+// Clusters lists every violation cluster in FD-major construction order.
+// The slice is shared with the analysis and its forks and must not be
+// modified.
+func (a *Analysis) Clusters() []ClusterRef { return a.all }
 
 // NumClusters returns the number of violation clusters of FD fi.
 func (a *Analysis) NumClusters(fi int) int { return len(a.clusters[fi]) }
@@ -41,19 +47,6 @@ func (a *Analysis) ClusterTuples(fi, ci int) []int32 { return a.clusters[fi][ci]
 // 2·pairs) summed over all components is CoverSize. Callers own the usual
 // single-goroutine scratch contract.
 func (a *Analysis) SubsetCover(refs []ClusterRef, ext []relation.AttrSet, relevant relation.AttrSet) (coverLen, pairs int) {
-	a.epoch++
-	a.matchedList = a.matchedList[:0]
-	for _, r := range refs {
-		fi := int(r.FD)
-		y := a.extOf(ext, fi).Intersect(relevant)
-		pairs += a.matchCluster(fi, int(r.Cluster), a.Sigma[fi].RHS, y)
-	}
-	a.epoch++
-	a.coverScratch = a.coverScratch[:0]
-	for _, r := range refs {
-		fi := int(r.FD)
-		y := a.extOf(ext, fi).Intersect(relevant)
-		a.coverCluster(fi, int(r.Cluster), a.Sigma[fi].RHS, y, nil)
-	}
+	pairs = a.passes(refs, ext, relevant, true)
 	return len(a.coverScratch), pairs
 }

@@ -23,6 +23,12 @@ const (
 	// matchSampleCap bounds the vertex-disjoint matching sample behind the
 	// knapsack half of the heuristic.
 	matchSampleCap = 2000
+	// maxDiffSets caps |Ds|, the difference sets the heuristic reasons
+	// about per state. Larger is tighter but more expensive.
+	maxDiffSets = 3
+	// capPerCluster bounds conflict-graph edges sampled per violation
+	// cluster when collecting difference sets.
+	capPerCluster = 50
 )
 
 // Options tunes the FD-modification search. The zero value selects the
@@ -33,12 +39,6 @@ type Options struct {
 	// the paper's A*-Repair — deliberately, so an unset Options can never
 	// silently select the baseline algorithm.
 	BestFirst bool
-	// MaxDiffSets caps |Ds|, the difference sets the heuristic reasons
-	// about per state. Larger is tighter but more expensive. Default 3.
-	MaxDiffSets int
-	// CapPerCluster bounds conflict-graph edges sampled per violation
-	// cluster when collecting difference sets. Default 50.
-	CapPerCluster int
 	// MaxVisited aborts the search after this many states have been
 	// popped, as a runaway guard. Default 2,000,000.
 	MaxVisited int
@@ -57,12 +57,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxDiffSets <= 0 {
-		o.MaxDiffSets = 3
-	}
-	if o.CapPerCluster <= 0 {
-		o.CapPerCluster = 50
-	}
 	if o.MaxVisited <= 0 {
 		o.MaxVisited = 2_000_000
 	}
@@ -140,14 +134,14 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		Opt:   opt,
 		alpha: alpha,
 		floor: alpha * an.PermanentMatching(),
-		ds:    an.DiffSets(opt.CapPerCluster),
+		ds:    an.DiffSets(capPerCluster),
 		costs: &costCache{w: w},
 	}
 	s.h = &heuristic{
 		sigma:      an.Sigma,
 		w:          s.costs,
 		alpha:      alpha,
-		maxDs:      opt.MaxDiffSets,
+		maxDs:      maxDiffSets,
 		width:      width,
 		tuples:     an.In.N(),
 		matchDiffs: matchDiffs(an),

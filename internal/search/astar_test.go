@@ -77,7 +77,7 @@ func TestPaperTau0(t *testing.T) {
 	if res.CoverSize != 0 {
 		t.Errorf("CoverSize = %d, want 0", res.CoverSize)
 	}
-	if s.An.HasViolation(res.State) {
+	if s.An.CoverSize(res.State) > 0 {
 		t.Error("returned FD set still has violations")
 	}
 }

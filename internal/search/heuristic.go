@@ -63,6 +63,7 @@ type gcScratch struct {
 	costs    []float64
 	dp, next []float64
 	ds       []conflict.DiffSet // pickDs' result
+	cands    []candidate        // candidates' sort keys
 }
 
 // costFunc prices an extension vector and single sets; split out so the
@@ -322,17 +323,12 @@ func (h *heuristic) descend(sc State, acc int, dc []conflict.DiffSet, tau int) f
 	}
 	if combos > comboCap {
 		// Cross-product too large: fall back to an aggregate lower bound —
-		// resolving d costs at least the cheapest marginal per violated FD,
-		// and the remaining difference sets are charged nothing.
+		// resolving d costs at least the cheapest marginal per violated FD
+		// (the first candidate), and the remaining difference sets are
+		// charged nothing.
 		lb := h.w.StateCost(sc)
 		for k, fi := range viol {
-			cheapest := math.Inf(1)
-			for _, a := range cands[k] {
-				if m := h.w.Marginal(sc[fi], a); m < cheapest {
-					cheapest = m
-				}
-			}
-			lb += cheapest
+			lb += h.w.Marginal(sc[fi], cands[k][0])
 		}
 		if lb < best {
 			best = lb
@@ -363,20 +359,33 @@ func (h *heuristic) descend(sc State, acc int, dc []conflict.DiffSet, tau int) f
 }
 
 // candidates lists the attributes of d that may be appended to FD fi's LHS
-// to resolve a pair with difference set d, sorted by marginal cost so the
-// aggregate fallback and enumeration both favor cheap fixes.
+// to resolve a pair with difference set d, sorted by marginal cost, then by
+// attribute, so the aggregate fallback and enumeration both favor cheap
+// fixes. Each marginal is priced once, before the sort.
 func (h *heuristic) candidates(sc State, fi int, d relation.AttrSet) []int {
 	f := h.sigma[fi]
-	avail := d.Diff(f.LHS.Union(sc[fi])).Remove(f.RHS)
-	attrs := avail.Attrs()
-	sort.Slice(attrs, func(i, j int) bool {
-		mi, mj := h.w.Marginal(sc[fi], attrs[i]), h.w.Marginal(sc[fi], attrs[j])
-		if mi != mj {
-			return mi < mj
+	attrs := d.Diff(f.LHS.Union(sc[fi])).Remove(f.RHS).Attrs()
+	keyed := h.scratch.cands[:0]
+	for _, a := range attrs {
+		keyed = append(keyed, candidate{attr: a, marginal: h.w.Marginal(sc[fi], a)})
+	}
+	slices.SortFunc(keyed, func(x, y candidate) int {
+		if c := cmp.Compare(x.marginal, y.marginal); c != 0 {
+			return c
 		}
-		return attrs[i] < attrs[j]
+		return cmp.Compare(x.attr, y.attr)
 	})
+	for i, c := range keyed {
+		attrs[i] = c.attr
+	}
+	h.scratch.cands = keyed
 	return attrs
+}
+
+// candidate is one attribute candidates ranks, with its marginal cost.
+type candidate struct {
+	attr     int
+	marginal float64
 }
 
 // filterViolated keeps the difference sets still violated at state s.

@@ -14,12 +14,17 @@ import (
 
 // queryFingerprint renders every query surface of an analysis under a few
 // extension vectors into one string, so "byte-identical to conflict.New"
-// is a single comparison: cover sizes and sorted covers, matching sizes,
-// the permanent matching, difference sets with their edge lists, the exact
-// edge count, and the violating-tuple count.
+// is a single comparison: the per-FD cluster lists in order, the permanent
+// matching, cover sizes and sorted covers, matching sizes, difference sets
+// with their edge lists, and the matching edge sample.
 func queryFingerprint(a *conflict.Analysis, exts [][]relation.AttrSet) string {
-	out := fmt.Sprintf("viol=%d permmatch=%d edges=%d\n",
-		a.ViolatingTuples(), a.PermanentMatching(), a.EdgeCountExact())
+	out := ""
+	for fi := range a.Sigma {
+		for ci := 0; ci < a.NumClusters(fi); ci++ {
+			out += fmt.Sprintf("fd=%d cluster=%v\n", fi, a.ClusterTuples(fi, ci))
+		}
+	}
+	out += fmt.Sprintf("permmatch=%d\n", a.PermanentMatching())
 	for _, ext := range exts {
 		out += fmt.Sprintf("ext=%v cover=%v size=%d match=%d\n",
 			ext, a.Cover(ext), a.CoverSize(ext), a.MatchingSize(ext))
