@@ -22,7 +22,8 @@ type Repair struct {
 	Ext []relation.AttrSet
 	// FDCost is the weighting of the appended attributes.
 	FDCost float64
-	// Instance is the repaired V-instance satisfying Set.
+	// Instance is the repaired V-instance satisfying Set. It shares its
+	// unrewritten rows with the input and is read-only.
 	Instance *relation.Instance
 	// Changed lists the modified cells.
 	Changed []relation.CellRef

@@ -166,6 +166,11 @@ type Evaluator struct {
 	evals    atomic.Int64
 	memoHits atomic.Int64
 	parallel atomic.Int64
+
+	// rootData holds what the searchers over this evaluator's root derive
+	// from (instance, Σ) alone; see RootData.
+	rootOnce sync.Once
+	rootData any
 }
 
 // NewEvaluator decomposes the analysis and returns a shared evaluator
@@ -186,6 +191,17 @@ func NewEvaluator(an *conflict.Analysis) *Evaluator {
 	empty := &Evaluator{d: &Decomposition{lhs: lhs}, stripes: new([memoStripes]sync.Mutex)}
 	ev, _ := SpliceEvaluator(empty, an, info)
 	return ev
+}
+
+// RootData returns the value build returns, calling build only on the
+// first call over this evaluator: state that depends only on the
+// evaluator's (instance, Σ) root, computed once and shared read-only by
+// every caller. The search keeps its difference sets and matching sample
+// here, so every session over a cached root reuses them. A splice
+// returns a new evaluator, which starts without the value.
+func (e *Evaluator) RootData(build func() any) any {
+	e.rootOnce.Do(func() { e.rootData = build() })
+	return e.rootData
 }
 
 // Decomposition returns the underlying component structure.

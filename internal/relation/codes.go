@@ -9,7 +9,11 @@ package relation
 //     two cells receive the same code iff Value.Equal holds.
 //   - Instance.Codes(a) lazily materializes the code column of attribute a.
 //     Columns are cached on the instance and dropped by Clone, so a cloned
-//     instance that is subsequently mutated never sees stale codes.
+//     instance that is subsequently mutated never sees stale codes. A
+//     producer that derives a new instance from coded rows can install its
+//     columns instead (SetCodes): the live tier does so per mutation batch,
+//     and the data repair hands its output the source columns patched at
+//     the cells it changed.
 //   - Partitioner refines tuple groups one attribute at a time by direct
 //     code indexing — a radix-style scatter into epoch-versioned scratch
 //     arrays, no hashing — and is allocation-free once its buffers have
@@ -69,15 +73,21 @@ type codeColumn struct {
 type codeCache struct {
 	mu   sync.Mutex
 	cols []*codeColumn
+	// maxVar caches MaxVarID for an instance of maxVarN-1 tuples; a
+	// maxVarN of 0 means not computed.
+	maxVar  int64
+	maxVarN int
 }
 
 // Codes returns the code column of attribute a and the number of distinct
 // codes in it: codes[t] == codes[u] iff Tuples[t][a].Equal(Tuples[u][a]).
-// The column is built on first use and cached; appending tuples invalidates
-// it automatically (the length check fails), but callers that mutate cells
-// in place must call InvalidateCodes before the next Codes call. Clone does
-// not carry the cache over, so the common pattern — clone, then rewrite the
-// clone — needs no invalidation.
+// The column is built on first use and cached, unless SetCodes installed
+// it; appending tuples invalidates it automatically (the length check
+// fails), but callers that mutate cells in place must call InvalidateCodes
+// before the next Codes call. Clone does not carry the cache over, so
+// cloning and then rewriting the clone needs no invalidation; building a
+// new instance and installing its columns with SetCodes needs no
+// re-encoding either.
 func (in *Instance) Codes(a int) ([]int32, int32) {
 	in.codes.mu.Lock()
 	defer in.codes.mu.Unlock()
@@ -97,21 +107,46 @@ func (in *Instance) Codes(a int) ([]int32, int32) {
 	return col.codes, col.n
 }
 
-// InvalidateCodes drops every cached code column. Call it after mutating
-// cells of an instance whose columns may already have been built.
+// InvalidateCodes drops every cached code column and the cached
+// MaxVarID. Call it after mutating cells of an instance whose columns may
+// already have been built.
 func (in *Instance) InvalidateCodes() {
 	in.codes.mu.Lock()
 	in.codes.cols = nil
+	in.codes.maxVarN = 0
 	in.codes.mu.Unlock()
+}
+
+// MaxVarID returns the largest variable identity among the instance's
+// cells, or 0 when it holds no variable. It is cached like the code
+// columns: appends are tracked, in-place mutation needs InvalidateCodes.
+func (in *Instance) MaxVarID() int64 {
+	in.codes.mu.Lock()
+	defer in.codes.mu.Unlock()
+	if in.codes.maxVarN != len(in.Tuples)+1 {
+		var m int64
+		for _, t := range in.Tuples {
+			for _, v := range t {
+				if v.isVar && v.id > m {
+					m = v.id
+				}
+			}
+		}
+		in.codes.maxVar, in.codes.maxVarN = m, len(in.Tuples)+1
+	}
+	return in.codes.maxVar
 }
 
 // SetCodes installs an externally maintained code column for attribute a:
 // codes[t] must be the code of Tuples[t][a] under some dictionary with n
-// distinct codes (codes in [0, n), equal codes iff Equal cells). The live
-// mutation tier uses this to hand a freshly spliced instance columns it
-// already keeps current, instead of paying a full re-encoding scan per
-// batch. len(codes) must equal the instance's tuple count — Codes would
-// otherwise discard the column and rebuild.
+// codes (codes in [0, n), equal codes iff Equal cells; a code need not
+// occur in the column). Producers use it to hand a new instance columns
+// they already hold instead of paying a full re-encoding scan: the live
+// mutation tier installs the columns it keeps current per batch, and the
+// data repair installs the source columns patched at the changed cells.
+// The column is shared, not copied, so neither side may write to it
+// afterwards. len(codes) must equal the instance's tuple count — Codes
+// would otherwise discard the column and rebuild.
 func (in *Instance) SetCodes(a int, codes []int32, n int32) {
 	in.codes.mu.Lock()
 	if in.codes.cols == nil {

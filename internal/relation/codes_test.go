@@ -244,6 +244,31 @@ func TestCodesAppendInvalidates(t *testing.T) {
 	}
 }
 
+// TestMaxVarIDCache: MaxVarID is cached like the code columns — appends
+// are seen, in-place mutation is seen after InvalidateCodes — and a
+// VarGenAfter generator continues past it.
+func TestMaxVarIDCache(t *testing.T) {
+	in := NewInstance(MustSchema("A", "B"))
+	_ = in.AppendConsts("x", "1")
+	if got := in.MaxVarID(); got != 0 {
+		t.Fatalf("const-only instance: MaxVarID %d", got)
+	}
+	g := VarGen{next: 6}
+	_ = in.Append(Tuple{g.Fresh(), Const("2")}) // ?v7
+	if got := in.MaxVarID(); got != 7 {
+		t.Fatalf("after append: MaxVarID %d, want 7", got)
+	}
+	in.Tuples[0][1] = g.Fresh() // ?v8
+	in.InvalidateCodes()
+	if got := in.MaxVarID(); got != 8 {
+		t.Fatalf("after mutate+invalidate: MaxVarID %d, want 8", got)
+	}
+	vg := VarGenAfter(in)
+	if v := vg.Fresh(); v.VarID() != 9 {
+		t.Fatalf("VarGenAfter: first fresh variable %v, want ?v9", v)
+	}
+}
+
 // TestPartitionerEmpty: zero-tuple seeds and empty instances are handled.
 func TestPartitionerEmpty(t *testing.T) {
 	in := NewInstance(MustSchema("A"))

@@ -77,6 +77,13 @@ type VarGen struct {
 	next int64
 }
 
+// VarGenAfter returns a generator whose variables are distinct from every
+// variable of in: numbering continues past in.MaxVarID(), so repairing a
+// V-instance (a previous repair's output) never hands out a "fresh"
+// variable Equal to one already there. On a const-only instance it is the
+// zero VarGen.
+func VarGenAfter(in *Instance) VarGen { return VarGen{next: in.MaxVarID()} }
+
 // Fresh returns a brand-new variable, distinct from every variable returned
 // before by this generator.
 func (g *VarGen) Fresh() Value {

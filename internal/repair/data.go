@@ -7,7 +7,11 @@
 // Algorithm 4 has one implementation, Rewrite, over one clean index whose
 // constraints are FDs optionally narrowed by a tuple filter and a constant
 // RHS. It has three callers: RepairData (plain FDs), RepairDataPinned
-// (FDs under user-pinned cells) and the cfd package's CFD repair.
+// (FDs under user-pinned cells) and the cfd package's CFD repair. Rewrite
+// works on the int32 code columns the input already carries: it copies
+// only the rewritten tuples, shares every other row with the input, and
+// hands its output the input's columns patched at the changed cells, so
+// the final check re-encodes nothing.
 //
 // The entry points are context-first: the FD-modification searches honor
 // cancellation (returning context.Cause), Session.StreamRange delivers
@@ -18,7 +22,9 @@ package repair
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -29,6 +35,10 @@ import (
 // target FD set, the cells changed relative to the input, and the vertex
 // cover whose tuples were rewritten.
 type DataRepair struct {
+	// Instance is the repaired V-instance. It shares every row outside
+	// Cover (and some code columns) with the input, so it is read-only:
+	// Clone it before changing a cell, and do not mutate the input while
+	// the repair is in use.
 	Instance *relation.Instance
 	Changed  []relation.CellRef
 	Cover    []int32
@@ -138,43 +148,65 @@ type Constraint struct {
 	Const string
 }
 
-// Rewrite is Algorithm 4's loop, the one every data repair runs: it
-// clones in, then visits the dirty tuples of order in a seeded random
-// order, replacing each by a valid assignment against the clean part
-// (every tuple outside order, plus the tuples already rewritten) while
-// keeping as many of its cells as the random attribute order allows. A
-// tuple's pins are its Fixed_Attrs from the start; an unpinned tuple
-// starts from one random attribute. It returns the rewritten instance and
-// the changed cells, or an error naming the first tuple whose starting
-// attributes admit no valid assignment. The caller verifies the result:
-// Rewrite only sees conflicts that involve a dirty tuple.
+// Rewrite is Algorithm 4's loop, the one every data repair runs: it visits
+// the dirty tuples of order in a seeded random order, replacing each by a
+// valid assignment against the clean part (every tuple outside order, plus
+// the tuples already rewritten) while keeping as many of its cells as the
+// random attribute order allows. A tuple's pins are its Fixed_Attrs from
+// the start; an unpinned tuple starts from one random attribute. It
+// returns the rewritten instance and the changed cells, or an error naming
+// the first tuple whose starting attributes admit no valid assignment. The
+// caller verifies the result: Rewrite only sees conflicts that involve a
+// dirty tuple. A tuple listed twice in order is rewritten once.
+//
+// The loop runs on the code columns in already carries (Instance.Codes, or
+// columns a producer installed with SetCodes) and builds no value
+// dictionary. The result copies only the order tuples; every other row is
+// shared with in, so the result is read-only and in must not be mutated
+// while it is in use. Its code columns for the constraints' attributes are
+// in's, patched at the changed cells, so checking it re-encodes nothing.
+// Fresh variables continue past in's largest variable identity, so a
+// V-instance input never sees a "fresh" variable equal to one it holds.
 func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*relation.Instance, []relation.CellRef, error) {
-	out := in.Clone()
 	rng := rand.New(rand.NewSource(seed))
-	var vg relation.VarGen
+	vg := relation.VarGenAfter(in)
+	width := in.Schema.Width()
 
-	dirty := make(map[int32]bool, len(order))
+	dirty := make([]bool, in.N())
+	uniq := make([]int32, 0, len(order))
 	for _, t := range order {
-		dirty[t] = true
+		if !dirty[t] {
+			dirty[t] = true
+			uniq = append(uniq, t)
+		}
 	}
-	ci := newCleanIndex(out, cons, dirty)
+	order = uniq
+	out := &relation.Instance{Schema: in.Schema, Tuples: slices.Clone(in.Tuples)}
+	cells := make(relation.Tuple, len(order)*width)
+	for i, t := range order {
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		copy(row, in.Tuples[t])
+		out.Tuples[t] = row
+	}
+	ci := newCleanIndex(in, out.Tuples, cons, dirty)
 
-	order = append([]int32(nil), order...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	width := in.Schema.Width()
+	cur, try := newAssignment(width), newAssignment(width)
+	codes := make([]int32, width)
+	attrs := make([]int, width)
 	var changed []relation.CellRef
 	for _, ti := range order {
 		t := out.Tuples[ti]
+		ci.load(codes, ti)
 		pin := pins[ti]
-		attrs := rng.Perm(width)
+		perm(rng, attrs)
 
 		fixed := pin
 		if fixed.IsEmpty() {
 			fixed = relation.NewAttrSet(attrs[0])
 		}
-		tc, ok := ci.findAssignment(t, fixed, &vg)
-		if !ok {
+		if !ci.findAssignment(cur, t, codes, fixed, &vg) {
 			// Theorem 3 shows a valid assignment always exists with one
 			// fixed attribute when the clean part is consistent; pins may
 			// rule it out.
@@ -188,117 +220,342 @@ func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[i
 				continue
 			}
 			fixed = fixed.Add(a)
-			if tc2, ok := ci.findAssignment(t, fixed, &vg); ok {
-				tc = tc2
+			if ci.findAssignment(try, t, codes, fixed, &vg) {
+				cur, try = try, cur
 				continue
 			}
 			// No assignment keeps t[a]: adopt the previous valid
 			// assignment's value for a (Algorithm 4, line 11).
-			if !t[a].Equal(tc[a]) {
-				t[a] = tc[a]
+			if !t[a].Equal(cur.vals[a]) {
+				t[a] = cur.vals[a]
+				codes[a] = ci.adopt(a, cur.codes[a])
 				changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: a})
 			}
 		}
-		ci.add(t)
+		ci.store(codes, ti)
+		ci.add(t, codes, ti)
 	}
-	out.InvalidateCodes() // the loop above rewrote cells in place
+	ci.install(out)
 	return out, changed, nil
 }
 
-// cleanIndex indexes the satisfied part of the instance (I′ \ C2opt) per
-// constraint: LHS projection code → the unique RHS value of that group
-// among the tuples the constraint applies to. Because the clean part
-// satisfies the constraints, the RHS value per code is single-valued.
-// Projections are interned by per-constraint ProjCoders over dictionaries
-// shared across the constraints, so indexing and probing never build
-// string keys.
-type cleanIndex struct {
-	cons   []Constraint
-	coders []*relation.ProjCoder
-	idx    []map[int32]relation.Value
+// perm fills p with the permutation rng.Perm(len(p)) returns, drawing the
+// same random numbers, without allocating.
+func perm(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }
 
-func newCleanIndex(in *relation.Instance, cons []Constraint, dirty map[int32]bool) *cleanIndex {
-	dicts := relation.NewDicts(in.Schema.Width())
+// assignment is one candidate tuple of Algorithm 5: its cells beside
+// their codes. A fresh variable's code is -1 until the loop adopts it.
+type assignment struct {
+	vals  relation.Tuple
+	codes []int32
+}
+
+func newAssignment(width int) *assignment {
+	return &assignment{vals: make(relation.Tuple, width), codes: make([]int32, width)}
+}
+
+// cleanIndex indexes the satisfied part of the instance (I′ \ C2opt) per
+// constraint: LHS key → the unique RHS of that group among the tuples the
+// constraint applies to, as its code and the row that holds its value.
+// Because the clean part satisfies the constraints, the RHS per key is
+// single-valued.
+//
+// Everything is coded against the source instance's code columns. A
+// cell's code is its row's column code, the code of an RHS copied from the
+// index, a constant's code resolved once per Rewrite, or, for a fresh
+// variable the loop adopts, a new overlay code at or above the column's
+// count. Fresh variables are distinct from every input value, so these
+// codes keep "equal codes iff Equal cells" without a value dictionary. An
+// LHS key is the code of the first LHS attribute, folded with each further
+// attribute's code through a pair table per level.
+type cleanIndex struct {
+	cons   []Constraint
+	tuples []relation.Tuple // the output rows: an entry's RHS value is tuples[row][RHS]
+	lhs    [][]int          // per constraint, its LHS attributes ascending
+	attrs  []int            // every attribute a constraint reads
+	// cols[a] is attribute a's current code column: the source column
+	// until a cell changes, then a patched copy (owned[a]). ncode[a]
+	// counts its codes, overlay codes included.
+	cols   [][]int32
+	owned  []bool
+	ncode  []int32
+	consts []int32       // per constraint, the code of its constant RHS; -1 if none
+	pairs  [][]pairTable // pairs[i][j] folds LHS attribute j+1 of constraint i
+	slots  [][]entry     // slots[i][key]
+}
+
+// entry is one indexed RHS; row < 0 marks a key no clean tuple has.
+type entry struct{ code, row int32 }
+
+// newCleanIndex indexes the rows of in outside dirty, coded by in's
+// columns. tuples are the rows entries refer to: in's rows, where the
+// dirty ones may be copies the caller rewrites.
+func newCleanIndex(in *relation.Instance, tuples []relation.Tuple, cons []Constraint, dirty []bool) *cleanIndex {
+	width, n := in.Schema.Width(), in.N()
 	ci := &cleanIndex{
 		cons:   cons,
-		coders: make([]*relation.ProjCoder, len(cons)),
-		idx:    make([]map[int32]relation.Value, len(cons)),
+		tuples: tuples,
+		lhs:    make([][]int, len(cons)),
+		cols:   make([][]int32, width),
+		owned:  make([]bool, width),
+		ncode:  make([]int32, width),
+		consts: make([]int32, len(cons)),
+		pairs:  make([][]pairTable, len(cons)),
+		slots:  make([][]entry, len(cons)),
 	}
+	var used relation.AttrSet
 	for i, c := range cons {
-		ci.coders[i] = relation.NewProjCoder(c.LHS, dicts)
-		ci.idx[i] = make(map[int32]relation.Value, in.N())
+		ci.lhs[i] = c.LHS.Attrs()
+		used = used.Union(c.LHS).Add(c.RHS)
 	}
-	for t := 0; t < in.N(); t++ {
-		if dirty[int32(t)] {
-			continue
+	ci.attrs = used.Attrs()
+	for _, a := range ci.attrs {
+		ci.cols[a], ci.ncode[a] = in.Codes(a)
+	}
+	for i := range cons {
+		ci.consts[i] = ci.constCode(i)
+	}
+	for i := range cons {
+		switch lhs := ci.lhs[i]; len(lhs) {
+		case 0:
+			ci.slots[i] = []entry{{row: -1}}
+		case 1:
+			ci.slots[i] = make([]entry, ci.ncode[lhs[0]])
+			for k := range ci.slots[i] {
+				ci.slots[i][k].row = -1
+			}
+		default:
+			// Each clean or rewritten tuple adds at most one pair per
+			// level, so n bounds every table and key count.
+			ci.pairs[i] = make([]pairTable, len(lhs)-1)
+			for j := range ci.pairs[i] {
+				ci.pairs[i][j] = newPairTable(n)
+			}
+			ci.slots[i] = make([]entry, 0, n)
 		}
-		ci.add(in.Tuples[t])
+	}
+	codes := make([]int32, width)
+	for t := range n {
+		if !dirty[t] {
+			ci.load(codes, int32(t))
+			ci.add(tuples[t], codes, int32(t))
+		}
 	}
 	return ci
 }
 
-// add registers a tuple as clean.
-func (ci *cleanIndex) add(t relation.Tuple) {
-	for i, c := range ci.cons {
-		if c.Match == nil || c.Match(t) {
-			ci.idx[i][ci.coders[i].Code(t)] = t[c.RHS]
+// constCode returns the code of constraint i's constant RHS in its RHS
+// column: the code of a source cell holding it, or else one overlay code
+// shared by every constraint with the same attribute and constant.
+func (ci *cleanIndex) constCode(i int) int32 {
+	c := ci.cons[i]
+	if c.Const == "" {
+		return -1
+	}
+	for j := range i {
+		if ci.cons[j].RHS == c.RHS && ci.cons[j].Const == c.Const {
+			return ci.consts[j]
 		}
 	}
+	v := relation.Const(c.Const)
+	for t, row := range ci.tuples {
+		if row[c.RHS].Equal(v) {
+			return ci.cols[c.RHS][t]
+		}
+	}
+	code := ci.ncode[c.RHS]
+	ci.ncode[c.RHS]++
+	return code
+}
+
+// load fills codes with row t's current codes on the indexed attributes.
+func (ci *cleanIndex) load(codes []int32, t int32) {
+	for _, a := range ci.attrs {
+		codes[a] = ci.cols[a][t]
+	}
+}
+
+// adopt returns the code a cell gets when the loop adopts a candidate's
+// value of attribute a: the candidate's code, or a new overlay code for a
+// fresh variable.
+func (ci *cleanIndex) adopt(a int, code int32) int32 {
+	if code < 0 {
+		code = ci.ncode[a]
+		ci.ncode[a]++
+	}
+	return code
+}
+
+// store writes row t's codes into the columns, copying a source column on
+// its first change.
+func (ci *cleanIndex) store(codes []int32, t int32) {
+	for _, a := range ci.attrs {
+		if ci.cols[a][t] == codes[a] {
+			continue
+		}
+		if !ci.owned[a] {
+			ci.cols[a] = slices.Clone(ci.cols[a])
+			ci.owned[a] = true
+		}
+		ci.cols[a][t] = codes[a]
+	}
+}
+
+// install hands out the current code columns of the indexed attributes.
+func (ci *cleanIndex) install(out *relation.Instance) {
+	for _, a := range ci.attrs {
+		out.SetCodes(a, ci.cols[a], ci.ncode[a])
+	}
+}
+
+// add registers row t, holding tuple tup with the given codes, as clean.
+func (ci *cleanIndex) add(tup relation.Tuple, codes []int32, t int32) {
+	for i, c := range ci.cons {
+		if c.Match != nil && !c.Match(tup) {
+			continue
+		}
+		var k int32
+		if lhs := ci.lhs[i]; len(lhs) > 0 {
+			k = codes[lhs[0]]
+			for j, a := range lhs[1:] {
+				k = ci.pairs[i][j].intern(k, codes[a])
+			}
+		}
+		s := ci.slots[i]
+		for int(k) >= len(s) {
+			s = append(s, entry{row: -1})
+		}
+		s[k] = entry{code: codes[c.RHS], row: t}
+		ci.slots[i] = s
+	}
+}
+
+// lookup returns the clean RHS entry of constraint i for a tuple with the
+// given codes. A negative code is a fresh variable, which no clean tuple
+// holds.
+func (ci *cleanIndex) lookup(i int, codes []int32) (entry, bool) {
+	var k int32
+	if lhs := ci.lhs[i]; len(lhs) > 0 {
+		if k = codes[lhs[0]]; k < 0 {
+			return entry{}, false
+		}
+		for j, a := range lhs[1:] {
+			c := codes[a]
+			if c < 0 {
+				return entry{}, false
+			}
+			var ok bool
+			if k, ok = ci.pairs[i][j].lookup(k, c); !ok {
+				return entry{}, false
+			}
+		}
+	}
+	s := ci.slots[i]
+	if int(k) >= len(s) || s[k].row < 0 {
+		return entry{}, false
+	}
+	return s[k], true
 }
 
 // violation returns the first constraint (in order) that tc violates —
 // against its constant RHS or against some clean tuple — along with the
-// value tc's RHS must take. The non-interning Lookup keeps the fresh
-// variables of candidate assignments out of the dictionaries: an unseen
-// cell means no clean tuple can share the key.
-func (ci *cleanIndex) violation(tc relation.Tuple) (idx int, rhs relation.Value, found bool) {
+// value tc's RHS must take and its code.
+func (ci *cleanIndex) violation(tc *assignment) (idx int, rhs relation.Value, code int32, found bool) {
 	for i, c := range ci.cons {
-		if c.Match != nil && !c.Match(tc) {
+		if c.Match != nil && !c.Match(tc.vals) {
 			continue
 		}
-		got := tc[c.RHS]
-		if c.Const != "" && (got.IsVar() || got.Str() != c.Const) {
-			return i, relation.Const(c.Const), true
+		got := tc.codes[c.RHS]
+		if c.Const != "" && got != ci.consts[i] {
+			return i, relation.Const(c.Const), ci.consts[i], true
 		}
-		k, ok := ci.coders[i].Lookup(tc)
-		if !ok {
-			continue
-		}
-		v, ok := ci.idx[i][k]
-		if ok && !got.Equal(v) {
-			return i, v, true
+		if e, ok := ci.lookup(i, tc.codes); ok && e.code != got {
+			return i, ci.tuples[e.row][c.RHS], e.code, true
 		}
 	}
-	return 0, relation.Value{}, false
+	return 0, relation.Value{}, 0, false
 }
 
-// findAssignment implements Algorithm 5: starting from tc agreeing with t
-// on the fixed attributes and holding fresh variables elsewhere, it chases
-// violations against the clean part, copying the required RHS value
-// whenever the violated constraint's RHS is not fixed. It returns ok=false
-// iff a violated constraint's RHS is fixed — no valid assignment exists
-// (Lemma 2: sound and complete). Every step fixes one more attribute, so
-// the chase ends within |R| steps.
-func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, vg *relation.VarGen) (relation.Tuple, bool) {
-	tc := make(relation.Tuple, len(t))
+// findAssignment implements Algorithm 5 into tc: starting from t's cells
+// (with their codes) on the fixed attributes and fresh variables
+// elsewhere, it chases violations against the clean part, copying the
+// required RHS whenever the violated constraint's RHS is not fixed. It
+// returns false iff a violated constraint's RHS is fixed — no valid
+// assignment exists (Lemma 2: sound and complete). Every step fixes one
+// more attribute, so the chase ends within |R| steps.
+func (ci *cleanIndex) findAssignment(tc *assignment, t relation.Tuple, codes []int32, fixed relation.AttrSet, vg *relation.VarGen) bool {
 	for a := range t {
 		if fixed.Contains(a) {
-			tc[a] = t[a]
+			tc.vals[a], tc.codes[a] = t[a], codes[a]
 		} else {
-			tc[a] = vg.Fresh()
+			tc.vals[a], tc.codes[a] = vg.Fresh(), -1
 		}
 	}
 	for {
-		i, v, found := ci.violation(tc)
+		i, v, code, found := ci.violation(tc)
 		if !found {
-			return tc, true
+			return true
 		}
 		a := ci.cons[i].RHS
 		if fixed.Contains(a) {
-			return nil, false
+			return false
 		}
-		tc[a] = v
+		tc.vals[a], tc.codes[a] = v, code
 		fixed = fixed.Add(a)
 	}
+}
+
+// pairTable interns (key, code) pairs to dense ids 0, 1, 2, … in an
+// open-addressing table sized once for every pair a Rewrite can insert, so
+// it never grows.
+type pairTable struct {
+	slots []pairSlot
+	shift uint
+	n     int32
+}
+
+// pairSlot holds one interned pair; k is the packed pair plus one, so 0
+// marks an empty slot.
+type pairSlot struct {
+	k  uint64
+	id int32
+}
+
+// newPairTable returns a table for up to capacity pairs at a load of at
+// most 2/3.
+func newPairTable(capacity int) pairTable {
+	b := bits.Len(uint(capacity + capacity/2))
+	return pairTable{slots: make([]pairSlot, 1<<b), shift: uint(64 - b)}
+}
+
+// find returns the slot holding (k, c), or the empty slot where it
+// belongs, and the packed pair. k and c must be non-negative.
+func (p *pairTable) find(k, c int32) (*pairSlot, uint64) {
+	key := (uint64(k)<<32 | uint64(c)) + 1
+	mask := len(p.slots) - 1
+	for i := int((key * 0x9E3779B97F4A7C15) >> p.shift); ; i = (i + 1) & mask {
+		if s := &p.slots[i]; s.k == key || s.k == 0 {
+			return s, key
+		}
+	}
+}
+
+func (p *pairTable) intern(k, c int32) int32 {
+	s, key := p.find(k, c)
+	if s.k == 0 {
+		s.k, s.id = key, p.n
+		p.n++
+	}
+	return s.id
+}
+
+func (p *pairTable) lookup(k, c int32) (int32, bool) {
+	s, _ := p.find(k, c)
+	return s.id, s.k != 0
 }

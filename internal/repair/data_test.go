@@ -2,6 +2,7 @@ package repair
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"relatrust/internal/conflict"
@@ -137,6 +138,30 @@ func TestRepairDataRejectsNonCover(t *testing.T) {
 	}
 }
 
+// TestRepairDataRejectsPartialCover drops one violating pair from a real
+// cover of a larger instance. The output's code columns are the input's,
+// patched at the changed cells, and the final check must still read them
+// and find the pair the loop never saw.
+func TestRepairDataRejectsPartialCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := testkit.RandomInstance(rng, 200, 5, 3)
+	sigma := fd.MustParseSet(in.Schema, "A0,A1->A2; A3->A4")
+	v := sigma.FirstViolation(in)
+	if v == nil {
+		t.Fatal("test instance has no violation")
+	}
+	var partial []int32
+	for _, c := range conflict.New(in, sigma).Cover(nil) {
+		if int(c) != v.T1 && int(c) != v.T2 {
+			partial = append(partial, c)
+		}
+	}
+	_, err := RepairData(in, sigma, partial, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "not a vertex cover") {
+		t.Fatalf("partial cover: got %v, want the safety net's error", err)
+	}
+}
+
 func TestRepairDataDeterministicPerSeed(t *testing.T) {
 	in, _ := testkit.Paper4x4()
 	sigma := fd.MustParseSet(in.Schema, "A->B; C->D")
@@ -208,5 +233,55 @@ func TestRepairDataStressLarger(t *testing.T) {
 	alpha := 3
 	if rep.NumChanges() > alpha*len(rep.Cover) {
 		t.Errorf("changes %d exceed bound %d", rep.NumChanges(), alpha*len(rep.Cover))
+	}
+}
+
+// TestRepairDataFreshVariablesAvoidInputVariables re-repairs repaired
+// random instances under new FD sets. The input is then a V-instance, and
+// a "fresh" variable that reused one of its variable identities would be
+// Equal to an existing cell: the chase would see a phantom agreement, and
+// some tuple would find no valid assignment with one fixed attribute,
+// which Theorem 3 rules out.
+func TestRepairDataFreshVariablesAvoidInputVariables(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rerepairs := 0
+	for trial := 0; trial < 600; trial++ {
+		width := 3 + rng.Intn(3)
+		in := testkit.RandomInstance(rng, 6+rng.Intn(12), width, 2+rng.Intn(2))
+		first, err := RepairData(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
+		if err != nil {
+			t.Fatalf("trial %d: first repair: %v", trial, err)
+		}
+		vin := first.Instance
+		for round := 0; round < 3; round++ {
+			sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2)
+			rep, err := RepairData(vin, sigma, nil, int64(round), nil)
+			if err != nil {
+				t.Fatalf("trial %d round %d: re-repair of a V-instance under %s: %v", trial, round, sigma.Format(vin.Schema), err)
+			}
+			rerepairs++
+			// A changed cell holds a variable copied from its own column
+			// or a fresh one numbered past every input variable.
+			var maxID int64
+			inColumn := map[[2]int64]bool{}
+			for _, tp := range vin.Tuples {
+				for a, v := range tp {
+					if v.IsVar() {
+						maxID = max(maxID, v.VarID())
+						inColumn[[2]int64{int64(a), v.VarID()}] = true
+					}
+				}
+			}
+			for _, c := range rep.Changed {
+				v := rep.Instance.Tuples[c.Tuple][c.Attr]
+				if v.IsVar() && v.VarID() <= maxID && !inColumn[[2]int64{int64(c.Attr), v.VarID()}] {
+					t.Fatalf("trial %d round %d: fresh variable %v at %v reuses an input variable identity", trial, round, v, c)
+				}
+			}
+			vin = rep.Instance
+		}
+	}
+	if rerepairs == 0 {
+		t.Fatal("no re-repairs ran")
 	}
 }

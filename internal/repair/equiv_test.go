@@ -11,9 +11,9 @@ import (
 )
 
 // refCleanIndex is the seed's string-keyed clean index, kept as the
-// equivalence oracle for the ProjCoder-based cleanIndex: same adds, same
-// violations, on tuple streams mixing constants, shared variables, and the
-// fresh variables findAssignment generates. It applies a constraint's
+// equivalence oracle for the coded cleanIndex: same adds, same
+// violations, on tuple streams mixing constants, shared variables, and
+// variables no other tuple holds. It applies a constraint's
 // tuple filter and constant RHS the way the CFD definition reads.
 type refCleanIndex struct {
 	cons []Constraint
@@ -100,9 +100,6 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 			cons = append(cons, c)
 		}
 
-		ci := newCleanIndex(in, cons, nil) // empty instance: index built incrementally below
-		ref := newRefCleanIndex(cons)
-
 		var vg relation.VarGen
 		shared := []relation.Value{vg.Fresh(), vg.Fresh()}
 		mk := func() relation.Tuple {
@@ -119,16 +116,40 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 			}
 			return tp
 		}
+		// The coded index reads the instance's code columns, so the
+		// stream is the instance's rows: every row starts dirty (outside
+		// the index) and is probed, then maybe added, in row order.
+		const steps = 60
+		dirty := make([]bool, steps)
+		for step := range steps {
+			in.Tuples = append(in.Tuples, mk())
+			dirty[step] = true
+		}
+		ci := newCleanIndex(in, in.Tuples, cons, dirty)
+		ref := newRefCleanIndex(cons)
 
-		for step := 0; step < 60; step++ {
-			tp := mk()
-			gi, gv, gok := ci.violation(tp)
+		tc := newAssignment(width)
+		for step := range steps {
+			tp := in.Tuples[step]
+			copy(tc.vals, tp)
+			ci.load(tc.codes, int32(step))
+			gi, gv, gcode, gok := ci.violation(tc)
 			wi, wv, wok := ref.violation(tp)
 			if gok != wok || gi != wi || !gv.Equal(wv) {
 				return false
 			}
+			// The returned code is the required value's: a row's code
+			// holding it, or the overlay code of an absent constant.
+			if gok {
+				col := ci.cols[cons[gi].RHS]
+				for u, row := range in.Tuples {
+					if row[cons[gi].RHS].Equal(gv) != (col[u] == gcode) {
+						return false
+					}
+				}
+			}
 			if rng.Intn(2) == 0 {
-				ci.add(tp)
+				ci.add(tp, tc.codes, int32(step))
 				ref.add(tp)
 			}
 		}

@@ -116,8 +116,9 @@ type Searcher struct {
 	lastStats Stats
 }
 
-// NewSearcher prepares a searcher: collects difference sets once and wires
-// the heuristic. The weighting w prices LHS extensions.
+// NewSearcher prepares a searcher: wires the heuristic over the root's
+// difference sets, which are collected once per component evaluator. The
+// weighting w prices LHS extensions.
 func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 	opt = opt.withDefaults()
 	width := an.In.Schema.Width()
@@ -128,14 +129,20 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 	if alpha < 1 {
 		alpha = 1
 	}
+	decomp := opt.Decomp
+	if decomp == nil {
+		decomp = components.NewEvaluator(an)
+	}
+	root := decomp.RootData(func() any { return newRootData(an) }).(*rootData)
 	s := &Searcher{
-		An:    an,
-		W:     w,
-		Opt:   opt,
-		alpha: alpha,
-		floor: alpha * an.PermanentMatching(),
-		ds:    an.DiffSets(capPerCluster),
-		costs: &costCache{w: w},
+		An:     an,
+		W:      w,
+		Opt:    opt,
+		alpha:  alpha,
+		floor:  alpha * root.permanent,
+		ds:     root.ds,
+		costs:  &costCache{w: w},
+		decomp: decomp,
 	}
 	s.h = &heuristic{
 		sigma:      an.Sigma,
@@ -144,13 +151,29 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		maxDs:      maxDiffSets,
 		width:      width,
 		tuples:     an.In.N(),
-		matchDiffs: matchDiffs(an),
-	}
-	s.decomp = opt.Decomp
-	if s.decomp == nil {
-		s.decomp = components.NewEvaluator(an)
+		matchDiffs: root.matchDiffs,
 	}
 	return s
+}
+
+// rootData is what a searcher derives from (instance, Σ) alone. It is
+// kept on the component evaluator (Evaluator.RootData), which the session
+// engine caches per root, so every session over a root shares one copy;
+// searchers only read it.
+type rootData struct {
+	permanent  int                // maximal matching of unresolvable edges
+	ds         []conflict.DiffSet // difference sets, capPerCluster edges per cluster
+	matchDiffs []relation.AttrSet // difference sets of the matching sample
+}
+
+func newRootData(an *conflict.Analysis) *rootData {
+	rd := &rootData{permanent: an.PermanentMatching(), ds: an.DiffSets(capPerCluster)}
+	edges := an.MatchingEdgeSample(matchSampleCap)
+	rd.matchDiffs = make([]relation.AttrSet, len(edges))
+	for i, e := range edges {
+		rd.matchDiffs[i] = an.In.Tuples[e.T1].DiffSet(an.In.Tuples[e.T2])
+	}
+	return rd
 }
 
 // ComponentStats reports the conflict-hypergraph decomposition driving the
@@ -482,17 +505,6 @@ func (s *Searcher) run(ctx context.Context, tauLow, tauHigh int, emit func(*Resu
 		return err
 	}
 	return sink.finish(stats)
-}
-
-// matchDiffs extracts the difference sets of the analysis' matching
-// sample (at most matchSampleCap edges).
-func matchDiffs(an *conflict.Analysis) []relation.AttrSet {
-	edges := an.MatchingEdgeSample(matchSampleCap)
-	out := make([]relation.AttrSet, len(edges))
-	for i, e := range edges {
-		out[i] = an.In.Tuples[e.T1].DiffSet(an.In.Tuples[e.T2])
-	}
-	return out
 }
 
 // costCache adapts a weights.Func to the heuristic's costFunc, memoizing

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relatrust/internal/components"
 	"relatrust/internal/conflict"
 	"relatrust/internal/testkit"
 	"relatrust/internal/weights"
@@ -120,5 +121,41 @@ func TestParallelSearcherReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSameResults(t, "reuse", []*Result{ref}, []*Result{r})
+	}
+}
+
+// TestSearchersShareRootData builds searchers over forks of one root with
+// one shared component evaluator, as the session engine does per sweep:
+// the difference sets and matching sample are computed once, every
+// searcher reads the same copy, and the frontier matches that of a
+// searcher building everything itself.
+func TestSearchersShareRootData(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	in := testkit.RandomInstance(rng, 40, 5, 3)
+	sigma := testkit.RandomFDs(rng, 5, 2, 2)
+	root := conflict.New(in, sigma)
+	ev := components.NewEvaluator(root)
+	sweep := func(s *Searcher) []*Result {
+		var out []*Result
+		if err := s.FindRangeStream(context.Background(), 0, s.DeltaPOriginal(), func(r *Result) error {
+			out = append(out, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := sweep(NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{Workers: 1}))
+	var first *Searcher
+	for i := 0; i < 3; i++ {
+		an := root.Fork()
+		s := NewSearcher(an, weights.AttrCount{}, Options{Workers: 1, Decomp: ev})
+		if first == nil {
+			first = s
+		} else if len(s.ds) == 0 || &s.ds[0] != &first.ds[0] || s.floor != first.floor {
+			t.Fatalf("searcher %d recomputed the root's difference sets", i)
+		}
+		checkSameResults(t, fmt.Sprintf("shared root, searcher %d", i), want, sweep(s))
+		an.Release()
 	}
 }

@@ -97,15 +97,23 @@ func (s *Source) profile(y relation.AttrSet) profile {
 }
 
 // valueBits returns log₂ of the average per-column cardinality (at least
-// 1 bit), computed once. The distinct count per column is the size of its
-// code dictionary.
+// 1 bit), computed once. The distinct count per column is the number of
+// codes its column holds: an installed column's code space may be larger
+// (the live tier's grow-only dictionaries, a data repair's patched
+// columns), so the count reads the column, not its code space.
 func (s *Source) valueBits() float64 {
 	s.bitsOnce.Do(func() {
 		total := 0.0
 		width := s.in.Schema.Width()
 		for a := 0; a < width; a++ {
-			_, n := s.in.Codes(a)
-			total += float64(n)
+			codes, n := s.in.Codes(a)
+			seen := make([]bool, n)
+			for _, c := range codes {
+				if !seen[c] {
+					seen[c] = true
+					total++
+				}
+			}
 		}
 		avg := total / math.Max(float64(width), 1)
 		s.valBits = math.Log2(math.Max(avg, 2))

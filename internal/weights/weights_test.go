@@ -130,3 +130,26 @@ func TestMDLMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestMDLIgnoresUnusedCodes installs code columns whose code space has
+// gaps, as the live tier's grow-only dictionaries and a data repair's
+// patched columns do: the value bits count the codes a column holds, so
+// MDL prices sets as over freshly encoded columns.
+func TestMDLIgnoresUnusedCodes(t *testing.T) {
+	fresh := sample()
+	gapped := sample()
+	for a := 0; a < gapped.Schema.Width(); a++ {
+		codes, n := fresh.Codes(a)
+		spread := make([]int32, len(codes))
+		for i, c := range codes {
+			spread[i] = 3 * c // codes 1, 2, 4, 5, … never occur
+		}
+		gapped.SetCodes(a, spread, 3*n)
+	}
+	want, got := NewMDL(fresh), NewMDL(gapped)
+	for _, y := range []relation.AttrSet{relation.NewAttrSet(0), relation.NewAttrSet(1, 2)} {
+		if got.Weight(y) != want.Weight(y) {
+			t.Errorf("MDL(%v) = %v over gapped columns, %v over fresh ones", y, got.Weight(y), want.Weight(y))
+		}
+	}
+}

@@ -77,7 +77,9 @@ type (
 	// Repair is one suggested (Σ′, I′) pair with its bookkeeping.
 	Repair = repair.Repair
 	// DataRepair is a data-only repair: the V-instance and its changed
-	// cells for a fixed FD set.
+	// cells for a fixed FD set. The V-instance shares its unrewritten rows
+	// with the repaired input and is read-only; a later Repairer may take
+	// it as input.
 	DataRepair = repair.DataRepair
 	// SearchStats reports the effort of the FD-modification search.
 	SearchStats = search.Stats
