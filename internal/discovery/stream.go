@@ -3,7 +3,10 @@ package discovery
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -55,7 +58,8 @@ type StreamOptions struct {
 	Attrs relation.AttrSet
 	// Store supplies stripped partitions and caches the ones this run
 	// computes; nil uses a run-private store. A session-shared store lets
-	// repeated mining passes over a warm dataset skip level-1 partitions.
+	// repeated mining passes over a warm dataset skip the level-1 and
+	// top-level partitions, which Stream never evicts.
 	Store *relation.PartitionStore
 	// Progress, if set, is called at the start of each lattice level with
 	// the level (LHS size) and the number of candidate LHS sets in it.
@@ -72,13 +76,17 @@ type StreamOptions struct {
 // outside the schema returns an *AttrsRangeError.
 //
 // Mining order is deterministic: levels ascend, LHS sets ascend within a
-// level, RHS attributes ascend per LHS. Level-k partitions are built by
-// the TANE product of their two level-(k−1) prefix-join parents; g3 is
-// computed by splitting the cached stripped π(X) classes, never by
-// repartitioning the instance. Once level k is scanned, level k−1
-// partitions are evicted from the store (level-1 partitions are retained
-// for reuse across runs), bounding the working set to two lattice levels
-// plus the single-attribute row.
+// level, RHS attributes ascend per LHS. Each level's candidates are
+// evaluated on GOMAXPROCS workers, but their FDs are emitted in that
+// order, so the sequence is the same for every GOMAXPROCS. Level-k
+// partitions are built by the TANE product of their two level-(k−1)
+// prefix-join parents; g3 is computed by counting pluralities within the
+// cached stripped π(X) classes, never by repartitioning the instance.
+// Once level k is scanned, level k−1 partitions are evicted from the
+// store, bounding the working set to two lattice levels plus the
+// single-attribute row. Two levels are never evicted and stay in the
+// store for reuse across runs: level 1 and the top level (|X| = MaxLHS),
+// so a warm run reads the top level instead of rebuilding it.
 func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit func(Found) error) error {
 	width := in.Schema.Width()
 	if err := ValidateAttrs(opt.Attrs, width); err != nil {
@@ -95,7 +103,6 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 		store = relation.NewPartitionStore()
 	}
 	attrs := opt.Attrs.Attrs()
-	p := relation.NewPartitioner(in)
 	n := float64(in.N())
 	// budget is the largest integer g3 count that still passes the
 	// float-fraction test below, so g3Split can stop counting the moment a
@@ -115,6 +122,30 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 	// found[A] lists the minimal LHS sets discovered so far per RHS, used
 	// to skip supersets (minimality pruning).
 	found := make(map[int][]relation.AttrSet)
+	// evaluate returns the FDs with LHS x in ascending RHS order. Level
+	// workers call it concurrently, so found must not change while they
+	// run.
+	evaluate := func(p *relation.Partitioner, x relation.AttrSet) []Found {
+		px := partitionFor(p, store, x)
+		var out []Found
+		for _, a := range attrs {
+			if x.Contains(a) || hasSubsetLHS(found[a], x) {
+				continue // a smaller LHS already determines a
+			}
+			if g3, ok := g3Split(p, px, a, budget); ok {
+				frac := 0.0
+				if n > 0 {
+					frac = float64(g3) / n
+				}
+				out = append(out, Found{FD: fd.MustNew(x, a), Error: frac, Level: x.Len()})
+			}
+		}
+		return out
+	}
+	ps := make([]*relation.Partitioner, runtime.GOMAXPROCS(0))
+	for w := range ps {
+		ps[w] = relation.NewPartitioner(in)
+	}
 
 	level := make([]relation.AttrSet, 0, len(attrs))
 	for _, a := range attrs {
@@ -126,29 +157,18 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 		if opt.Progress != nil {
 			opt.Progress(size, len(level))
 		}
-		for _, x := range level {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			px := partitionFor(p, store, x)
-			for _, a := range attrs {
-				if x.Contains(a) {
-					continue
-				}
-				if hasSubsetLHS(found[a], x) {
-					continue // a smaller LHS already determines a
-				}
-				g3, ok := g3Split(p, px, a, budget)
-				if ok {
-					frac := 0.0
-					if n > 0 {
-						frac = float64(g3) / n
-					}
-					found[a] = append(found[a], x)
-					if err := emit(Found{FD: fd.MustNew(x, a), Error: frac, Level: size}); err != nil {
-						return err
-					}
-				}
+		fds, err := scanLevel(ctx, level, ps, evaluate, emit)
+		if err != nil {
+			return err
+		}
+		// The level's FDs join found only now that its workers have
+		// exited, so every worker saw found as it stood when the level
+		// began. That prunes exactly what a serial scan would: hasSubsetLHS
+		// tests ⊆, and two distinct sets of the same size are never subsets
+		// of each other, so no FD of a level can prune a candidate of it.
+		for _, fs := range fds {
+			for _, f := range fs {
+				found[f.FD.RHS] = append(found[f.FD.RHS], f.FD.LHS)
 			}
 		}
 		if size < opt.MaxLHS {
@@ -157,13 +177,65 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 			level = nil
 		}
 		// Level size−1 partitions were only needed as product parents for
-		// level size; drop them. The single-attribute row stays cached so
-		// the next run over the same store starts warm.
+		// level size; drop them. The single-attribute row stays cached, and
+		// the top level is never a parent, so both remain for the next run
+		// over the same store.
 		if size-1 >= 2 {
 			store.EvictLevel(size - 1)
 		}
 	}
 	return nil
+}
+
+// scanLevel runs evaluate over level on up to len(ps) workers, which
+// claim candidates in mining order, and emits each candidate's FDs in
+// that order from the calling goroutine. It returns every candidate's
+// FDs, or the first emit error or context.Cause(ctx) — in every case
+// only after all its workers have exited.
+func scanLevel(ctx context.Context, level []relation.AttrSet, ps []*relation.Partitioner,
+	evaluate func(*relation.Partitioner, relation.AttrSet) []Found, emit func(Found) error) ([][]Found, error) {
+	fds := make([][]Found, len(level))
+	done := make([]chan struct{}, len(level))
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(len(ps), len(level)); w++ {
+		wg.Add(1)
+		go func(p *relation.Partitioner) {
+			defer wg.Done()
+			for !stop.Load() && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(level) {
+					return
+				}
+				fds[i] = evaluate(p, level[i])
+				close(done[i])
+			}
+		}(ps[w])
+	}
+	defer wg.Wait()
+	defer stop.Store(true)
+
+	for i := range level {
+		select {
+		case <-done[i]:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		for _, f := range fds[i] {
+			if err := emit(f); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return fds, nil
 }
 
 // partitionFor returns the stripped partition of x, preferring the store,
@@ -225,22 +297,16 @@ func strippedOf(p *relation.Partitioner, x relation.AttrSet) relation.Partition 
 
 // g3Split computes the g3 error of X → a from the cached stripped π(X):
 // for each X-class, the tuples outside the class's plurality a-value.
-// Split reads the column codes directly and never disturbs the partition,
-// so no repartitioning of the instance happens per candidate. Counting
-// stops as soon as the error exceeds budget (false, count invalid) — in
-// exact mining that means bailing at the first class that splits at all.
+// Plurality reads the column codes directly and never disturbs the
+// partition, so no repartitioning of the instance happens per candidate.
+// Counting stops as soon as the error exceeds budget (false, count
+// invalid) — in exact mining that means bailing at the first class that
+// splits at all.
 func g3Split(p *relation.Partitioner, px relation.Partition, a, budget int) (int, bool) {
 	errs := 0
 	for gi := 0; gi < px.NumGroups(); gi++ {
 		g := px.Group(gi)
-		sp := p.Split(g, a)
-		maxc := 0
-		for si := 0; si < sp.NumGroups(); si++ {
-			if l := len(sp.Group(si)); l > maxc {
-				maxc = l
-			}
-		}
-		errs += len(g) - maxc
+		errs += len(g) - p.Plurality(g, a)
 		if errs > budget {
 			return errs, false
 		}

@@ -328,6 +328,27 @@ func (p *Partitioner) Split(g []int32, a int) Partition {
 	return Partition{Tuples: p.split.tuples, Offsets: p.split.offsets}
 }
 
+// Plurality returns the size of the largest subgroup Split(g, a) would
+// produce (0 for an empty g) from one counting pass: no subgroup is laid
+// out and the current partition is not disturbed.
+func (p *Partitioner) Plurality(g []int32, a int) int {
+	col := p.col(a)
+	p.epoch++
+	best := int32(0)
+	for _, t := range g {
+		c := col[t]
+		if p.slotEpoch[c] != p.epoch {
+			p.slotEpoch[c] = p.epoch
+			p.slotCnt[c] = 0
+		}
+		p.slotCnt[c]++
+		if p.slotCnt[c] > best {
+			best = p.slotCnt[c]
+		}
+	}
+	return int(best)
+}
+
 // scatter appends the subgroups of g under col to dst: one counting pass
 // over g records per-code counts and the encounter order, then subgroup
 // bases are laid out and members scattered stably. g must not alias

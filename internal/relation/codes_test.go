@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +152,50 @@ func TestQuickSplitMatchesStringGroups(t *testing.T) {
 		return p.Partition().Len() == in.N() && p.Partition().NumGroups() == min(1, in.N())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickPluralityMatchesSplit: Plurality equals the largest group of
+// Split for random groups (empty and singleton ones included), with calls
+// to both interleaved on one partitioner, and leaves the current
+// partition intact.
+func TestQuickPluralityMatchesSplit(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := randInstance(rng, 3+rng.Intn(3), 1+rng.Intn(30))
+		p := NewPartitioner(in)
+		p.BeginAll()
+		p.Refine(rng.Intn(in.Schema.Width()))
+		before := p.Partition().Clone()
+		for q := 0; q < 8; q++ {
+			var g []int32
+			switch rng.Intn(4) {
+			case 0: // empty
+			case 1:
+				g = []int32{int32(rng.Intn(in.N()))}
+			default:
+				for t := 0; t < in.N(); t++ {
+					if rng.Intn(2) == 0 {
+						g = append(g, int32(t))
+					}
+				}
+			}
+			a := rng.Intn(in.Schema.Width())
+			sp := p.Split(g, a)
+			want := 0
+			for si := 0; si < sp.NumGroups(); si++ {
+				want = max(want, len(sp.Group(si)))
+			}
+			if got := p.Plurality(g, a); got != want {
+				t.Logf("seed %d: Plurality(%v, %d) = %d, Split's largest group %d", seed, g, a, got, want)
+				return false
+			}
+		}
+		after := p.Partition()
+		return slices.Equal(after.Tuples, before.Tuples) && slices.Equal(after.Offsets, before.Offsets)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

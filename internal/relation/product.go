@@ -165,8 +165,8 @@ func (s *PartitionStore) Put(X AttrSet, pt Partition) {
 
 // EvictLevel drops every cached partition with |X| == level. Level-wise
 // discovery calls it for level k−1 once level k is fully built, bounding
-// the working set to two adjacent levels (single-attribute partitions are
-// deliberately retained by its caller for cross-run reuse).
+// the working set to two adjacent levels (its caller never evicts the
+// single-attribute level or the top level, which stay for cross-run reuse).
 func (s *PartitionStore) EvictLevel(level int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -253,7 +253,7 @@ func (e *Engine) Release(a *conflict.Analysis) {
 
 // Partitions returns the engine's shared stripped-partition store,
 // creating it on first use. Discovery runs over the same session reuse
-// each other's partitions (level-1 partitions in particular survive
+// each other's partitions (level-1 and top-level partitions survive
 // level-wise eviction); the store answers for this engine's snapshot
 // only, so cross-generation reuse never happens.
 func (e *Engine) Partitions() *relation.PartitionStore {
