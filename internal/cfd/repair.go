@@ -174,7 +174,7 @@ func materialize(in *relation.Instance, set Set, cover, singles []int32, seed in
 	}
 	dirty := slices.Concat(cover, singles)
 	slices.Sort(dirty)
-	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed)
+	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cfd: %w", err)
 	}

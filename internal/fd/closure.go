@@ -35,11 +35,6 @@ func (set Set) ImpliesSet(other Set) bool {
 	return true
 }
 
-// EquivalentTo reports whether the two sets imply each other.
-func (set Set) EquivalentTo(other Set) bool {
-	return set.ImpliesSet(other) && other.ImpliesSet(set)
-}
-
 // IsRelaxationOf reports whether every FD of this set is implied by the
 // other set — i.e. I ⊨ other implies I ⊨ set for every instance I. This is
 // the paper's condition for Σ′ ∈ S(Σ) (Section 3.1), which our LHS-append
@@ -87,25 +82,4 @@ func (set Set) MinimalCover() Set {
 		}
 	}
 	return out
-}
-
-// IsMinimal reports whether the set is its own minimal cover (up to order).
-func (set Set) IsMinimal() bool {
-	mc := set.MinimalCover()
-	if len(mc) != len(set) {
-		return false
-	}
-	for i := range set {
-		found := false
-		for j := range mc {
-			if set[i].Equal(mc[j]) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

@@ -119,3 +119,29 @@ func TestMinimalCoverRandomEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// EquivalentTo reports whether the two sets imply each other.
+func (set Set) EquivalentTo(other Set) bool {
+	return set.ImpliesSet(other) && other.ImpliesSet(set)
+}
+
+// IsMinimal reports whether the set is its own minimal cover (up to order).
+func (set Set) IsMinimal() bool {
+	mc := set.MinimalCover()
+	if len(mc) != len(set) {
+		return false
+	}
+	for i := range set {
+		found := false
+		for j := range mc {
+			if set[i].Equal(mc[j]) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}

@@ -57,14 +57,6 @@ func (f FD) Violates(t, u relation.Tuple) bool {
 	return t.AgreeOn(u, f.LHS) && !t[f.RHS].Equal(u[f.RHS])
 }
 
-// ViolatedByDiff reports whether a tuple pair with the given difference set
-// violates the FD: the pair agrees on the LHS (LHS ∩ d = ∅) and differs on
-// the RHS (A ∈ d). This is the test Algorithm 3 of the paper applies per
-// difference set.
-func (f FD) ViolatedByDiff(d relation.AttrSet) bool {
-	return !f.LHS.Intersects(d) && d.Contains(f.RHS)
-}
-
 // Equal reports structural equality.
 func (f FD) Equal(g FD) bool { return f.LHS == g.LHS && f.RHS == g.RHS }
 

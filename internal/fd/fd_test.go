@@ -140,3 +140,11 @@ func TestViolatedByDiffAgreesWithViolates(t *testing.T) {
 		}
 	}
 }
+
+// ViolatedByDiff reports whether a tuple pair with the given difference set
+// violates the FD: the pair agrees on the LHS (LHS ∩ d = ∅) and differs on
+// the RHS (A ∈ d). This is the test Algorithm 3 of the paper applies per
+// difference set.
+func (f FD) ViolatedByDiff(d relation.AttrSet) bool {
+	return !f.LHS.Intersects(d) && d.Contains(f.RHS)
+}

@@ -204,12 +204,3 @@ func (set Set) Violations(in *relation.Instance, cap int) []Violation {
 	}
 	return out
 }
-
-// AttrsUsed returns the union of attributes mentioned by any FD.
-func (set Set) AttrsUsed() relation.AttrSet {
-	var s relation.AttrSet
-	for _, f := range set {
-		s = s.Union(f.Attrs())
-	}
-	return s
-}

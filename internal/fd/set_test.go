@@ -138,3 +138,12 @@ func TestAttrsUsed(t *testing.T) {
 		t.Errorf("AttrsUsed = %v", set.AttrsUsed())
 	}
 }
+
+// AttrsUsed returns the union of attributes mentioned by any FD.
+func (set Set) AttrsUsed() relation.AttrSet {
+	var s relation.AttrSet
+	for _, f := range set {
+		s = s.Union(f.Attrs())
+	}
+	return s
+}

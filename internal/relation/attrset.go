@@ -11,15 +11,16 @@
 // The package also provides the dictionary-encoding layer the hot paths of
 // the system are built on (codes.go): per-attribute int32 code columns on
 // Instance, an allocation-free code-indexed Partitioner for grouping tuples
-// by projection equality, and a ProjCoder interning projections of
-// standalone tuples. Consumers (conflict analysis, clean indexes, FD
-// discovery, weightings) group by codes instead of building string keys.
+// by projection equality, a ProjCoder interning projections of
+// standalone tuples, and per-instance KeyTables giving every row a dense
+// id of its projection on an attribute set (keys.go). Consumers (conflict
+// analysis, clean indexes, FD discovery, weightings) group by codes
+// instead of building string keys.
 package relation
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -156,15 +157,4 @@ func FullSet(n int) AttrSet {
 		return AttrSet(^uint64(0))
 	}
 	return AttrSet(1<<uint(n)) - 1
-}
-
-// SortAttrSets sorts sets by cardinality, then numerically; useful for
-// deterministic output in tests and reports.
-func SortAttrSets(sets []AttrSet) {
-	sort.Slice(sets, func(i, j int) bool {
-		if sets[i].Len() != sets[j].Len() {
-			return sets[i].Len() < sets[j].Len()
-		}
-		return sets[i] < sets[j]
-	})
 }

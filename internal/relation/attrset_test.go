@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -165,4 +166,15 @@ func TestAttrSetNames(t *testing.T) {
 	if got := NewAttrSet(0, 2).Names(s); got != "A,C" {
 		t.Errorf("Names = %q, want A,C", got)
 	}
+}
+
+// SortAttrSets sorts sets by cardinality, then numerically; useful for
+// deterministic output in tests and reports.
+func SortAttrSets(sets []AttrSet) {
+	sort.Slice(sets, func(i, j int) bool {
+		if sets[i].Len() != sets[j].Len() {
+			return sets[i].Len() < sets[j].Len()
+		}
+		return sets[i] < sets[j]
+	})
 }

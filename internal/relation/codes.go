@@ -20,8 +20,10 @@ package relation
 //     grown to the working-set size.
 //   - ProjCoder interns projections of standalone tuples (tuples under
 //     construction, not rows of an instance) to a single int32 via pair
-//     interning, replacing string projection keys in the clean index of
-//     the data repair (Algorithm 4).
+//     interning; the live tier keys its per-FD groups with it.
+//   - KeyTables (keys.go) give every row of an instance a dense id of its
+//     projection on an attribute set, built once per instance and set;
+//     the data repair (Algorithm 4) keys its clean index by them.
 
 import (
 	"math/bits"

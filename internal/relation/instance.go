@@ -194,19 +194,6 @@ func (in *Instance) Ground(prefix string) *Instance {
 	return out
 }
 
-// CountVars returns the number of variable cells in the instance.
-func (in *Instance) CountVars() int {
-	n := 0
-	for _, t := range in.Tuples {
-		for _, v := range t {
-			if v.IsVar() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // String renders a small instance as an aligned table; intended for
 // examples and debugging, not for large data.
 func (in *Instance) String() string {

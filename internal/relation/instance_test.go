@@ -158,3 +158,16 @@ func TestInstanceStringRendersTable(t *testing.T) {
 		t.Errorf("table has %d lines, want 4 (header + 3 rows)", got)
 	}
 }
+
+// CountVars returns the number of variable cells in the instance.
+func (in *Instance) CountVars() int {
+	n := 0
+	for _, t := range in.Tuples {
+		for _, v := range t {
+			if v.IsVar() {
+				n++
+			}
+		}
+	}
+	return n
+}

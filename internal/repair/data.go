@@ -8,10 +8,14 @@
 // constraints are FDs optionally narrowed by a tuple filter and a constant
 // RHS. It has three callers: RepairData (plain FDs), RepairDataPinned
 // (FDs under user-pinned cells) and the cfd package's CFD repair. Rewrite
-// works on the int32 code columns the input already carries: it copies
-// only the rewritten tuples, shares every other row with the input, and
-// hands its output the input's columns patched at the changed cells, so
-// the final check re-encodes nothing.
+// works on the int32 code columns the input already carries and keys the
+// clean part by the session engine's per-snapshot LHS key tables
+// (relation.KeyTables), so a frontier point builds no table an earlier
+// point over the same snapshot built: its own work is one linear fill of
+// RHS slots plus an overlay for the keys its rewritten tuples create. It
+// copies only the rewritten tuples, shares every other row with the
+// input, and hands its output the input's columns patched at the changed
+// cells, so the final check re-encodes nothing.
 //
 // The entry points are context-first: the FD-modification searches honor
 // cancellation (returning context.Cause), Session.StreamRange delivers
@@ -22,7 +26,6 @@ package repair
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -55,18 +58,19 @@ func (d *DataRepair) NumChanges() int { return len(d.Changed) }
 // it so the δP ≤ τ accounting matches exactly.
 //
 // The seed drives the random tuple and attribute orders the algorithm
-// prescribes; fixed seeds give reproducible repairs. A non-nil eng shares
-// its warm conflict-analysis arenas for the cover computation (it must be
-// bound to in); nil uses a private engine. The engine is only consulted
-// when cover is nil.
+// prescribes; fixed seeds give reproducible repairs. A non-nil eng (it
+// must be bound to in) shares its warm conflict-analysis arenas for the
+// cover computation and its cached key tables for the clean index; nil
+// uses a private engine.
 func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, eng *session.Engine) (*DataRepair, error) {
-	if cover == nil {
-		var err error
-		if cover, err = coverOf(eng, in, sigma, nil); err != nil {
-			return nil, err
-		}
+	eng, err := session.For(eng, in)
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
 	}
-	return repairFDs(in, sigma, cover, nil, seed)
+	if cover == nil {
+		cover = coverOf(eng, sigma, nil)
+	}
+	return repairFDs(eng, sigma, cover, nil, seed)
 }
 
 // RepairDataPinned is Repair_Data under hard constraints in the spirit of
@@ -83,9 +87,13 @@ func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, 
 // fully-pinned tuples cannot be repaired at all. With no pins the result
 // is RepairData's.
 //
-// A non-nil eng shares its warm conflict-analysis arenas for the cover
-// computation (it must be bound to in); nil uses a private engine.
+// A non-nil eng shares its warm conflict-analysis arenas and key tables
+// (it must be bound to in); nil uses a private engine.
 func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.CellRef]bool, seed int64, eng *session.Engine) (*DataRepair, error) {
+	eng, err := session.For(eng, in)
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
+	}
 	pins := make(map[int32]relation.AttrSet)
 	for c, ok := range pinned {
 		if !ok {
@@ -97,33 +105,27 @@ func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.C
 		}
 		pins[int32(c.Tuple)] = p
 	}
-	cover, err := coverOf(eng, in, sigma, func(t int32) bool { _, ok := pins[t]; return ok })
-	if err != nil {
-		return nil, err
-	}
-	return repairFDs(in, sigma, cover, pins, seed)
+	cover := coverOf(eng, sigma, func(t int32) bool { _, ok := pins[t]; return ok })
+	return repairFDs(eng, sigma, cover, pins, seed)
 }
 
 // coverOf returns the 2-approximate vertex cover of sigma's conflict graph
-// over in, keeping tuples protected reports (nil: none) out of it where a
-// valid cover allows.
-func coverOf(eng *session.Engine, in *relation.Instance, sigma fd.Set, protected func(int32) bool) ([]int32, error) {
-	eng, err := session.For(eng, in)
-	if err != nil {
-		return nil, fmt.Errorf("repair: %w", err)
-	}
+// over the engine's instance, keeping tuples protected reports (nil: none)
+// out of it where a valid cover allows.
+func coverOf(eng *session.Engine, sigma fd.Set, protected func(int32) bool) []int32 {
 	an := eng.Acquire(sigma)
 	defer eng.Release(an)
-	return an.CoverAvoiding(nil, protected), nil
+	return an.CoverAvoiding(nil, protected)
 }
 
-// repairFDs rewrites the cover tuples for plain FDs and verifies the result.
-func repairFDs(in *relation.Instance, sigma fd.Set, cover []int32, pins map[int32]relation.AttrSet, seed int64) (*DataRepair, error) {
+// repairFDs rewrites the cover tuples of the engine's instance for plain
+// FDs and verifies the result.
+func repairFDs(eng *session.Engine, sigma fd.Set, cover []int32, pins map[int32]relation.AttrSet, seed int64) (*DataRepair, error) {
 	cons := make([]Constraint, len(sigma))
 	for i, f := range sigma {
 		cons[i] = Constraint{FD: f}
 	}
-	out, changed, err := Rewrite(in, cons, cover, pins, seed)
+	out, changed, err := Rewrite(eng.In, cons, cover, pins, seed, eng)
 	if err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
@@ -161,13 +163,20 @@ type Constraint struct {
 //
 // The loop runs on the code columns in already carries (Instance.Codes, or
 // columns a producer installed with SetCodes) and builds no value
-// dictionary. The result copies only the order tuples; every other row is
-// shared with in, so the result is read-only and in must not be mutated
-// while it is in use. Its code columns for the constraints' attributes are
-// in's, patched at the changed cells, so checking it re-encodes nothing.
-// Fresh variables continue past in's largest variable identity, so a
-// V-instance input never sees a "fresh" variable equal to one it holds.
-func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*relation.Instance, []relation.CellRef, error) {
+// dictionary. It keys the clean part by the LHS key tables of eng, which
+// must be bound to in: a warm engine has them from earlier repairs of the
+// same snapshot, and a nil eng builds them for this call. The result
+// copies only the order tuples; every other row is shared with in, so the
+// result is read-only and in must not be mutated while it is in use. Its
+// code columns for the constraints' attributes are in's, patched at the
+// changed cells, so checking it re-encodes nothing. Fresh variables
+// continue past in's largest variable identity, so a V-instance input
+// never sees a "fresh" variable equal to one it holds.
+func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64, eng *session.Engine) (*relation.Instance, []relation.CellRef, error) {
+	eng, err := session.For(eng, in)
+	if err != nil {
+		return nil, nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	vg := relation.VarGenAfter(in)
 	width := in.Schema.Width()
@@ -188,7 +197,7 @@ func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[i
 		copy(row, in.Tuples[t])
 		out.Tuples[t] = row
 	}
-	ci := newCleanIndex(in, out.Tuples, cons, dirty)
+	ci := newCleanIndex(in, eng.KeyTables(), out.Tuples, cons, dirty, len(order))
 
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
@@ -272,12 +281,12 @@ func newAssignment(width int) *assignment {
 // variable the loop adopts, a new overlay code at or above the column's
 // count. Fresh variables are distinct from every input value, so these
 // codes keep "equal codes iff Equal cells" without a value dictionary. An
-// LHS key is the code of the first LHS attribute, folded with each further
-// attribute's code through a pair table per level.
+// LHS key is a key id of the snapshot's table for the LHS, or, for a
+// projection only rewritten tuples hold, an id the constraint's overlay
+// hands out past the table's.
 type cleanIndex struct {
 	cons   []Constraint
 	tuples []relation.Tuple // the output rows: an entry's RHS value is tuples[row][RHS]
-	lhs    [][]int          // per constraint, its LHS attributes ascending
 	attrs  []int            // every attribute a constraint reads
 	// cols[a] is attribute a's current code column: the source column
 	// until a cell changes, then a patched copy (owned[a]). ncode[a]
@@ -285,33 +294,32 @@ type cleanIndex struct {
 	cols   [][]int32
 	owned  []bool
 	ncode  []int32
-	consts []int32       // per constraint, the code of its constant RHS; -1 if none
-	pairs  [][]pairTable // pairs[i][j] folds LHS attribute j+1 of constraint i
-	slots  [][]entry     // slots[i][key]
+	consts []int32                // per constraint, the code of its constant RHS; -1 if none
+	keys   []*relation.KeyOverlay // per constraint; nil for an empty LHS, whose key is 0
+	slots  [][]entry              // slots[i][key]
 }
 
 // entry is one indexed RHS; row < 0 marks a key no clean tuple has.
 type entry struct{ code, row int32 }
 
 // newCleanIndex indexes the rows of in outside dirty, coded by in's
-// columns. tuples are the rows entries refer to: in's rows, where the
-// dirty ones may be copies the caller rewrites.
-func newCleanIndex(in *relation.Instance, tuples []relation.Tuple, cons []Constraint, dirty []bool) *cleanIndex {
-	width, n := in.Schema.Width(), in.N()
+// columns and keyed by the tables of in. tuples are the rows entries refer
+// to: in's rows, where the dirty ones may be copies the caller rewrites.
+// rewrites bounds the add calls that follow for rows outside the index.
+func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []relation.Tuple, cons []Constraint, dirty []bool, rewrites int) *cleanIndex {
+	width := in.Schema.Width()
 	ci := &cleanIndex{
 		cons:   cons,
 		tuples: tuples,
-		lhs:    make([][]int, len(cons)),
 		cols:   make([][]int32, width),
 		owned:  make([]bool, width),
 		ncode:  make([]int32, width),
 		consts: make([]int32, len(cons)),
-		pairs:  make([][]pairTable, len(cons)),
+		keys:   make([]*relation.KeyOverlay, len(cons)),
 		slots:  make([][]entry, len(cons)),
 	}
 	var used relation.AttrSet
-	for i, c := range cons {
-		ci.lhs[i] = c.LHS.Attrs()
+	for _, c := range cons {
 		used = used.Union(c.LHS).Add(c.RHS)
 	}
 	ci.attrs = used.Attrs()
@@ -321,31 +329,31 @@ func newCleanIndex(in *relation.Instance, tuples []relation.Tuple, cons []Constr
 	for i := range cons {
 		ci.consts[i] = ci.constCode(i)
 	}
-	for i := range cons {
-		switch lhs := ci.lhs[i]; len(lhs) {
-		case 0:
-			ci.slots[i] = []entry{{row: -1}}
-		case 1:
-			ci.slots[i] = make([]entry, ci.ncode[lhs[0]])
-			for k := range ci.slots[i] {
-				ci.slots[i][k].row = -1
-			}
-		default:
-			// Each clean or rewritten tuple adds at most one pair per
-			// level, so n bounds every table and key count.
-			ci.pairs[i] = make([]pairTable, len(lhs)-1)
-			for j := range ci.pairs[i] {
-				ci.pairs[i][j] = newPairTable(n)
-			}
-			ci.slots[i] = make([]entry, 0, n)
+	for i, c := range cons {
+		var ids []int32
+		nkeys := int32(1)
+		if !c.LHS.IsEmpty() {
+			kt := tables.Get(c.LHS)
+			ids, nkeys = kt.IDs(), kt.Len()
+			ci.keys[i] = kt.Overlay(rewrites)
 		}
-	}
-	codes := make([]int32, width)
-	for t := range n {
-		if !dirty[t] {
-			ci.load(codes, int32(t))
-			ci.add(tuples[t], codes, int32(t))
+		// Each rewritten tuple adds at most one key past the table's.
+		s := make([]entry, nkeys, int(nkeys)+rewrites)
+		for k := range s {
+			s[k].row = -1
 		}
+		rhs := ci.cols[c.RHS]
+		for t, d := range dirty {
+			if d || c.Match != nil && !c.Match(tuples[t]) {
+				continue
+			}
+			var k int32
+			if ids != nil {
+				k = ids[t]
+			}
+			s[k] = entry{code: rhs[t], row: int32(t)}
+		}
+		ci.slots[i] = s
 	}
 	return ci
 }
@@ -421,11 +429,8 @@ func (ci *cleanIndex) add(tup relation.Tuple, codes []int32, t int32) {
 			continue
 		}
 		var k int32
-		if lhs := ci.lhs[i]; len(lhs) > 0 {
-			k = codes[lhs[0]]
-			for j, a := range lhs[1:] {
-				k = ci.pairs[i][j].intern(k, codes[a])
-			}
+		if o := ci.keys[i]; o != nil {
+			k = o.Intern(codes)
 		}
 		s := ci.slots[i]
 		for int(k) >= len(s) {
@@ -441,19 +446,10 @@ func (ci *cleanIndex) add(tup relation.Tuple, codes []int32, t int32) {
 // holds.
 func (ci *cleanIndex) lookup(i int, codes []int32) (entry, bool) {
 	var k int32
-	if lhs := ci.lhs[i]; len(lhs) > 0 {
-		if k = codes[lhs[0]]; k < 0 {
+	if o := ci.keys[i]; o != nil {
+		var ok bool
+		if k, ok = o.Lookup(codes); !ok {
 			return entry{}, false
-		}
-		for j, a := range lhs[1:] {
-			c := codes[a]
-			if c < 0 {
-				return entry{}, false
-			}
-			var ok bool
-			if k, ok = ci.pairs[i][j].lookup(k, c); !ok {
-				return entry{}, false
-			}
 		}
 	}
 	s := ci.slots[i]
@@ -509,53 +505,4 @@ func (ci *cleanIndex) findAssignment(tc *assignment, t relation.Tuple, codes []i
 		tc.vals[a], tc.codes[a] = v, code
 		fixed = fixed.Add(a)
 	}
-}
-
-// pairTable interns (key, code) pairs to dense ids 0, 1, 2, … in an
-// open-addressing table sized once for every pair a Rewrite can insert, so
-// it never grows.
-type pairTable struct {
-	slots []pairSlot
-	shift uint
-	n     int32
-}
-
-// pairSlot holds one interned pair; k is the packed pair plus one, so 0
-// marks an empty slot.
-type pairSlot struct {
-	k  uint64
-	id int32
-}
-
-// newPairTable returns a table for up to capacity pairs at a load of at
-// most 2/3.
-func newPairTable(capacity int) pairTable {
-	b := bits.Len(uint(capacity + capacity/2))
-	return pairTable{slots: make([]pairSlot, 1<<b), shift: uint(64 - b)}
-}
-
-// find returns the slot holding (k, c), or the empty slot where it
-// belongs, and the packed pair. k and c must be non-negative.
-func (p *pairTable) find(k, c int32) (*pairSlot, uint64) {
-	key := (uint64(k)<<32 | uint64(c)) + 1
-	mask := len(p.slots) - 1
-	for i := int((key * 0x9E3779B97F4A7C15) >> p.shift); ; i = (i + 1) & mask {
-		if s := &p.slots[i]; s.k == key || s.k == 0 {
-			return s, key
-		}
-	}
-}
-
-func (p *pairTable) intern(k, c int32) int32 {
-	s, key := p.find(k, c)
-	if s.k == 0 {
-		s.k, s.id = key, p.n
-		p.n++
-	}
-	return s.id
-}
-
-func (p *pairTable) lookup(k, c int32) (int32, bool) {
-	s, _ := p.find(k, c)
-	return s.id, s.k != 0
 }

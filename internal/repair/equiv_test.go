@@ -2,12 +2,14 @@ package repair
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/session"
 )
 
 // refCleanIndex is the seed's string-keyed clean index, kept as the
@@ -67,7 +69,9 @@ func (r *refCleanIndex) violation(tc relation.Tuple) (int, relation.Value, bool)
 // TestQuickCleanIndexMatchesStringReference drives the code-based
 // cleanIndex and the string-keyed reference through identical random
 // add/violation interleavings — plain FDs, filtered ones and constant-RHS
-// ones — and asserts identical answers at every step.
+// ones — and asserts identical answers at every step. Each stream runs
+// twice: keyed by a warm engine's cached tables and by tables built for
+// the call.
 func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -102,7 +106,8 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 
 		var vg relation.VarGen
 		shared := []relation.Value{vg.Fresh(), vg.Fresh()}
-		mk := func() relation.Tuple {
+		const rows = 40
+		for range rows {
 			tp := make(relation.Tuple, width)
 			for a := range tp {
 				switch rng.Intn(10) {
@@ -114,48 +119,96 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 					tp[a] = relation.Const(string(rune('a' + rng.Intn(3))))
 				}
 			}
-			return tp
+			in.Tuples = append(in.Tuples, tp)
 		}
-		// The coded index reads the instance's code columns, so the
-		// stream is the instance's rows: every row starts dirty (outside
-		// the index) and is probed, then maybe added, in row order.
-		const steps = 60
-		dirty := make([]bool, steps)
-		for step := range steps {
-			in.Tuples = append(in.Tuples, mk())
-			dirty[step] = true
+		dirty := make([]bool, rows)
+		for t := range dirty {
+			dirty[t] = rng.Intn(2) == 0
 		}
-		ci := newCleanIndex(in, in.Tuples, cons, dirty)
-		ref := newRefCleanIndex(cons)
 
-		tc := newAssignment(width)
-		for step := range steps {
-			tp := in.Tuples[step]
-			copy(tc.vals, tp)
-			ci.load(tc.codes, int32(step))
-			gi, gv, gcode, gok := ci.violation(tc)
-			wi, wv, wok := ref.violation(tp)
-			if gok != wok || gi != wi || !gv.Equal(wv) {
-				return false
-			}
-			// The returned code is the required value's: a row's code
-			// holding it, or the overlay code of an absent constant.
-			if gok {
-				col := ci.cols[cons[gi].RHS]
-				for u, row := range in.Tuples {
-					if row[cons[gi].RHS].Equal(gv) != (col[u] == gcode) {
-						return false
-					}
-				}
-			}
-			if rng.Intn(2) == 0 {
-				ci.add(tp, tc.codes, int32(step))
-				ref.add(tp)
-			}
+		warm := session.New(in)
+		for _, c := range cons {
+			warm.KeyTables().Get(c.LHS)
 		}
-		return true
+		streamSeed := rng.Int63()
+		return cleanIndexStreamMatches(in, warm.KeyTables(), cons, dirty, streamSeed, vg) &&
+			cleanIndexStreamMatches(in, relation.NewKeyTables(in), cons, dirty, streamSeed, vg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// cleanIndexStreamMatches indexes the clean rows of in, then probes and
+// adds candidate tuples the way the chase builds them: cells mixed from
+// different rows and earlier candidates, plus fresh variables, some
+// adopted (coded past the column) before their tuple is added. Those mixes
+// reach projections no row holds, so adds and lookups go through the
+// overlay.
+func cleanIndexStreamMatches(in *relation.Instance, tables *relation.KeyTables, cons []Constraint, dirty []bool, seed int64, vg relation.VarGen) bool {
+	rng := rand.New(rand.NewSource(seed))
+	width := in.Schema.Width()
+	// Added candidates get rows of their own past in's, so no entry's row
+	// is overwritten.
+	const steps = 60
+	tuples := make([]relation.Tuple, in.N()+steps)
+	copy(tuples, in.Tuples)
+	ci := newCleanIndex(in, tables, tuples, cons, dirty, steps)
+	ref := newRefCleanIndex(cons)
+	// pool[a] holds every value keyed on a so far, with its code.
+	type cell struct {
+		v    relation.Value
+		code int32
+	}
+	pool := make([][]cell, width)
+	for a := range width {
+		col, _ := in.Codes(a)
+		for t, row := range in.Tuples {
+			pool[a] = append(pool[a], cell{row[a], col[t]})
+		}
+	}
+	for t, d := range dirty {
+		if !d {
+			ref.add(in.Tuples[t])
+		}
+	}
+
+	tc := newAssignment(width)
+	for step := range steps {
+		for a := range width {
+			if rng.Intn(8) == 0 {
+				tc.vals[a], tc.codes[a] = vg.Fresh(), -1
+				continue
+			}
+			c := pool[a][rng.Intn(len(pool[a]))]
+			tc.vals[a], tc.codes[a] = c.v, c.code
+		}
+		gi, gv, gcode, gok := ci.violation(tc)
+		wi, wv, wok := ref.violation(tc.vals)
+		if gok != wok || gi != wi || !gv.Equal(wv) {
+			return false
+		}
+		// The returned code is the required value's, among every value
+		// keyed on that attribute.
+		if gok {
+			for _, c := range pool[cons[gi].RHS] {
+				if c.v.Equal(gv) != (c.code == gcode) {
+					return false
+				}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			for a := range width {
+				if tc.codes[a] < 0 {
+					tc.codes[a] = ci.adopt(a, -1)
+					pool[a] = append(pool[a], cell{tc.vals[a], tc.codes[a]})
+				}
+			}
+			row := int32(in.N() + step)
+			tuples[row] = slices.Clone(tc.vals)
+			ci.add(tuples[row], tc.codes, row)
+			ref.add(tuples[row])
+		}
+	}
+	return true
 }

@@ -24,9 +24,9 @@ import (
 //
 // maxTries bounds the seeds attempted (0 means 8·k). Fewer than k repairs
 // are returned when the repair space is smaller than requested. A non-nil
-// eng shares its warm analysis arenas (it must be bound to in); nil uses a
-// private engine. Cancelling ctx aborts between draws with
-// context.Cause(ctx).
+// eng shares its warm analysis arenas and key tables (it must be bound to
+// in); nil uses a private engine, shared by the draws. Cancelling ctx
+// aborts between draws with context.Cause(ctx).
 func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set, k int, seed int64, maxTries int, eng *session.Engine) ([]*DataRepair, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("repair: sample size %d must be positive", k)
@@ -34,12 +34,13 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 	if maxTries <= 0 {
 		maxTries = 8 * k
 	}
+	eng, err := session.For(eng, in)
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
+	}
 	// One shared cover keeps the samples comparable: the variety comes
 	// from the repair order, not from re-running the matching.
-	cover, err := coverOf(eng, in, sigma, nil)
-	if err != nil {
-		return nil, err
-	}
+	cover := coverOf(eng, sigma, nil)
 
 	seen := make(map[string]bool, k)
 	var out []*DataRepair
@@ -47,7 +48,7 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
-		rep, err := repairFDs(in, sigma, cover, nil, seed+int64(try))
+		rep, err := repairFDs(eng, sigma, cover, nil, seed+int64(try))
 		if err != nil {
 			return nil, err
 		}

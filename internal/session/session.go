@@ -23,6 +23,15 @@
 // memory is proportional to the number of distinct FD sets analyzed
 // through it, which in practice is one or two.
 //
+// The data repair's key tables (KeyTables) are cached the same way and
+// are bounded the same way: an engine holds one key table per distinct LHS
+// prefix of the FD sets Σ′ it materialized repairs for — for an LHS whose
+// attributes are a1 < a2 < … < ak, the sets {a1}, {a1, a2}, …, {a1, …, ak}
+// — and no more, however many sweeps run over it. A one-attribute table
+// is the instance's code column itself; a larger one costs four bytes per
+// row plus at most twenty per distinct projection. They answer for the
+// engine's snapshot only and are dropped with it.
+//
 // Acquire and Release are safe for concurrent use: the root map is
 // mutex-guarded (the first acquirer of a set builds the root while
 // concurrent acquirers of the same set wait, then fork), and forking and
@@ -68,7 +77,8 @@ type Engine struct {
 	// answers for exactly one snapshot: a live-dataset mutation builds a
 	// new engine and therefore a fresh, empty store.
 	parts   *relation.PartitionStore
-	weights *weights.Source // built on first use, like parts
+	weights *weights.Source     // built on first use, like parts
+	keys    *relation.KeyTables // built on first use, like parts
 }
 
 // rootEntry is one cached root: identified by its FD set (compared
@@ -275,6 +285,20 @@ func (e *Engine) Weights() *weights.Source {
 		e.weights = weights.NewSource(e.In)
 	}
 	return e.weights
+}
+
+// KeyTables returns the engine's shared key-table cache, creating it on
+// first use. Every data repair over this engine's snapshot keys its clean
+// index by these tables, so a frontier point builds no LHS table a
+// previous point (or a previous sweep) already built. Tables are built
+// outside the engine mutex, so a cold build never delays Acquire.
+func (e *Engine) KeyTables() *relation.KeyTables {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.keys == nil {
+		e.keys = relation.NewKeyTables(e.In)
+	}
+	return e.keys
 }
 
 // Stats reports engine effort: how many analyses were handed out and how
