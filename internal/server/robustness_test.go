@@ -438,9 +438,22 @@ func TestMetricsTotalsAreCounters(t *testing.T) {
 	}
 }
 
+// TestStatzGolden pins the /statz body of the same fixture, so the JSON
+// view and the exposition view are frozen against one server state.
+func TestStatzGolden(t *testing.T) {
+	checkGolden(t, "statz.golden", scrapeFixture(t, "/statz", "application/json"))
+}
+
 // scrapeMetricsFixture returns the /metrics body of a server with a store,
 // two datasets, a frozen clock and one finished sweep.
 func scrapeMetricsFixture(t *testing.T) []byte {
+	t.Helper()
+	return scrapeFixture(t, "/metrics", "text/plain")
+}
+
+// scrapeFixture returns the body of GET path on the /metrics fixture
+// server, checking its status and Content-Type prefix.
+func scrapeFixture(t *testing.T, path, contentType string) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{Logger: quietLogger()})
@@ -470,7 +483,7 @@ func scrapeMetricsFixture(t *testing.T) []byte {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,10 +493,10 @@ func scrapeMetricsFixture(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
+		t.Fatalf("%s status = %d", path, resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("metrics Content-Type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, contentType) {
+		t.Errorf("%s Content-Type = %q", path, ct)
 	}
 	return body
 }
