@@ -230,22 +230,22 @@ type Manager struct {
 	evictedBytes    atomic.Int64
 }
 
-// Stats is the manager's counter snapshot (exported via /statz and
-// /metrics).
+// Stats is the manager's counter snapshot, served as the jobs block of
+// /statz; each field's metric tag names its /metrics series.
 type Stats struct {
-	Active    int
-	Completed int
-	Failed    int
-	Cancelled int
+	Active    int `json:"active" metric:"relatrust_jobs_active" help:"Jobs currently running."`
+	Completed int `json:"completed" metric:"relatrust_jobs_completed" help:"Jobs whose frontier completed."`
+	Failed    int `json:"failed" metric:"relatrust_jobs_failed" help:"Jobs that ended in an error."`
+	Cancelled int `json:"cancelled" metric:"relatrust_jobs_cancelled" help:"Jobs cancelled by request or dataset deletion."`
 	// Resumed counts sweeps restarted from a checkpoint — at boot, or by
 	// resubmission of a failed/cancelled job.
-	Resumed int64
+	Resumed int64 `json:"resumed" metric:"relatrust_jobs_resumed_total" help:"Job sweeps resumed from a checkpoint."`
 	// Coalesced counts submissions answered by an already-known job.
-	Coalesced int64
+	Coalesced int64 `json:"coalesced" metric:"relatrust_jobs_coalesced_total" help:"Job submissions answered by an existing job."`
 	// CheckpointBytes counts bytes appended to durable result logs.
-	CheckpointBytes int64
+	CheckpointBytes int64 `json:"checkpoint_bytes" metric:"relatrust_job_checkpoint_bytes_total" help:"Bytes appended to durable job result logs."`
 	// ResultsEvictedBytes counts result-log bytes dropped by eviction.
-	ResultsEvictedBytes int64
+	ResultsEvictedBytes int64 `json:"results_evicted_bytes" metric:"relatrust_job_results_evicted_bytes_total" help:"Result-log bytes evicted under MaxJobResultsBytes."`
 }
 
 // New returns a Manager with no jobs.

@@ -132,8 +132,7 @@ type Table struct {
 	// the current instance when a root first appears.
 	sigmas []*sigmaState
 
-	mutationsApplied  int64
-	componentsDirtied int64
+	stats Stats
 }
 
 // NewTable returns a table serving the instance at the given generation.
@@ -162,7 +161,7 @@ func (t *Table) Generation() int64 {
 func (t *Table) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return Stats{MutationsApplied: t.mutationsApplied, ComponentsDirtied: t.componentsDirtied}
+	return t.stats
 }
 
 // Evict drops the table's warm incremental state — group maps, shared
@@ -339,8 +338,8 @@ func (t *Table) Apply(ops []Op, precommit func(*relation.Instance) error) (*Resu
 	t.cols = newCols
 	t.gen = newGen
 	t.eng = session.NewSeeded(newIn, newGen, seeds)
-	t.mutationsApplied += int64(len(log))
-	t.componentsDirtied += int64(maxDirtied)
+	t.stats.MutationsApplied += int64(len(log))
+	t.stats.ComponentsDirtied += int64(maxDirtied)
 	return &Result{
 		Generation:        newGen,
 		Applied:           len(log),

@@ -188,9 +188,9 @@ func (s *Server) options(d *dataset, req RepairRequest, sess *relatrust.Session)
 	opt.Progress = func(ev relatrust.ProgressEvent) {
 		if ev.Kind == relatrust.ProgressSweepFinished {
 			d.mu.Lock()
-			d.lastComponents = ev.Components
-			d.lastLargestComponent = ev.LargestComponent
-			d.lastComponentsParallel = ev.ComponentsParallel
+			d.counters.Components = ev.Components
+			d.counters.LargestComponent = ev.LargestComponent
+			d.counters.ComponentsParallel = ev.ComponentsParallel
 			d.mu.Unlock()
 		}
 		if observe != nil {
@@ -232,17 +232,17 @@ func tauRange(lo int, high *int, deltaP func() (int, error)) (int, int, error) {
 func (d *dataset) sweepDone(rows int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.rowsStreamed += int64(rows)
+	d.counters.RowsStreamed += int64(rows)
 	switch {
 	case err == nil:
-		d.sweepsFinished++
+		d.counters.SweepsFinished++
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded),
 		// Job sweeps surface their cancellation causes directly.
 		errors.Is(err, jobs.ErrCancelled), errors.Is(err, jobs.ErrDatasetDeleted),
 		errors.Is(err, jobs.ErrInterrupted):
-		d.sweepsCancelled++
+		d.counters.SweepsCancelled++
 	default:
-		d.sweepsFailed++
+		d.counters.SweepsFailed++
 	}
 }
 

@@ -251,19 +251,9 @@ type dataset struct {
 	// least recently swept dataset is evicted (sessUsed is the LRU stamp)
 	// back to cold state. In-flight sweeps keep their own snapshot
 	// references, so eviction never breaks them.
-	warm            bool
-	sessUsed        int64
-	sweepsStarted   int64
-	sweepsFinished  int64
-	sweepsCancelled int64
-	sweepsFailed    int64
-	sweepsShed      int64
-	rowsStreamed    int64
-	// last* component fields describe the conflict-hypergraph
-	// decomposition reported by the most recently finished sweep.
-	lastComponents         int
-	lastLargestComponent   int
-	lastComponentsParallel int64
+	warm     bool
+	sessUsed int64
+	counters sweepCounters
 }
 
 // New returns a Server with an empty registry. With Options.Store set,
@@ -360,8 +350,8 @@ func (rw *recordingWriter) Unwrap() http.ResponseWriter { return rw.ResponseWrit
 
 // DatasetInfo is the wire description of a registered dataset.
 type DatasetInfo struct {
-	Name       string   `json:"name"`
-	Tuples     int      `json:"tuples"`
+	Name       string   `json:"name" label:"dataset"`
+	Tuples     int      `json:"tuples" metric:"relatrust_dataset_tuples" help:"Tuples in the dataset."`
 	Attributes []string `json:"attributes"`
 }
 
@@ -598,9 +588,9 @@ func (s *Server) admit(d *dataset, wait bool) (func(), error) {
 		}
 		d.mu.Lock()
 		if err == nil {
-			d.sweepsStarted++
+			d.counters.SweepsStarted++
 		} else if errors.Is(err, errOverloaded) {
-			d.sweepsShed++
+			d.counters.SweepsShed++
 		}
 		d.mu.Unlock()
 		if err != nil {
@@ -770,23 +760,60 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// DatasetStatz is the per-dataset block of GET /statz.
+// Statz is the body of GET /statz, and the one declaration of every
+// served counter: a field's metric and help tags name its /metrics
+// series, which handleMetrics renders in field order.
+type Statz struct {
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"relatrust_uptime_seconds" help:"Seconds since the server started."`
+	Sessions      int     `json:"sessions" metric:"relatrust_datasets" help:"Registered datasets."`
+	// WarmSessions counts datasets currently holding a built session;
+	// SessionsEvicted counts sessions dropped by MaxWarmSessions.
+	WarmSessions    int   `json:"warm_sessions" metric:"relatrust_warm_sessions" help:"Datasets currently holding a warm session."`
+	SessionsEvicted int64 `json:"sessions_evicted" metric:"relatrust_sessions_evicted_total" help:"Warm sessions evicted under MaxWarmSessions."`
+	// PanicsRecovered counts panics contained by the recovery layers —
+	// each one failed a single request, not the process.
+	PanicsRecovered int64      `json:"panics_recovered" metric:"relatrust_panics_recovered_total" help:"Panics contained by the recovery layers."`
+	Jobs            jobs.Stats `json:"jobs"`
+	// Store is present only when a snapshot store is attached.
+	Store    *store.Stats   `json:"store,omitempty"`
+	Datasets []DatasetStatz `json:"datasets"`
+}
+
+// DatasetStatz is the per-dataset block of GET /statz; /metrics labels
+// its series with the dataset name.
 type DatasetStatz struct {
 	DatasetInfo
 	// ActiveSweeps is the number of sweeps currently holding the
 	// dataset's semaphore.
-	ActiveSweeps  int   `json:"active_sweeps"`
-	SweepsStarted int64 `json:"sweeps_started"`
+	ActiveSweeps int `json:"active_sweeps" metric:"relatrust_active_sweeps" help:"Sweeps currently holding a slot."`
+	sweepCounters
+	// SessionAcquires/SessionBuilds are the shared session's counters:
+	// analyses handed out vs built from scratch. A hot dataset shows
+	// acquires far above builds.
+	SessionAcquires int64 `json:"session_acquires" metric:"relatrust_session_acquires_total" help:"Analyses handed out by the shared session."`
+	SessionBuilds   int64 `json:"session_builds" metric:"relatrust_session_builds_total" help:"Analyses built from scratch by the shared session."`
+	// Generation is the dataset's current mutation generation;
+	// MutationsApplied and ComponentsDirtied are the live tier's lifetime
+	// counters (ops that changed rows, and conflict components whose
+	// memoized cover state a batch invalidated).
+	Generation        int64 `json:"generation" metric:"relatrust_dataset_generation" help:"Current mutation generation of the dataset."`
+	MutationsApplied  int64 `json:"mutations_applied" metric:"relatrust_mutations_applied_total" help:"Row operations applied by committed mutation batches."`
+	ComponentsDirtied int64 `json:"components_dirtied" metric:"relatrust_components_dirtied_total" help:"Conflict components whose memoized cover state mutations invalidated."`
+}
+
+// sweepCounters are the sweep statistics a dataset keeps under its mutex.
+type sweepCounters struct {
+	SweepsStarted int64 `json:"sweeps_started" metric:"relatrust_sweeps_started_total" help:"Sweeps admitted."`
 	// SweepsFinished + SweepsCancelled (disconnects, deadlines) +
 	// SweepsFailed (MaxVisited, internal faults) accounts for every
 	// sweep that is no longer active.
-	SweepsFinished  int64 `json:"sweeps_finished"`
-	SweepsCancelled int64 `json:"sweeps_cancelled"`
-	SweepsFailed    int64 `json:"sweeps_failed"`
+	SweepsFinished  int64 `json:"sweeps_finished" metric:"relatrust_sweeps_finished_total" help:"Sweeps completed cleanly."`
+	SweepsCancelled int64 `json:"sweeps_cancelled" metric:"relatrust_sweeps_cancelled_total" help:"Sweeps cancelled by disconnect or deadline."`
+	SweepsFailed    int64 `json:"sweeps_failed" metric:"relatrust_sweeps_failed_total" help:"Sweeps failed by an error or recovered panic."`
 	// SweepsShed counts requests answered 429 because the dataset's
 	// semaphore or the global in-flight cap was saturated.
-	SweepsShed   int64 `json:"sweeps_shed"`
-	RowsStreamed int64 `json:"rows_streamed"`
+	SweepsShed   int64 `json:"sweeps_shed" metric:"relatrust_sweeps_shed_total" help:"Sweeps shed with 429 under load."`
+	RowsStreamed int64 `json:"rows_streamed" metric:"relatrust_rows_streamed_total" help:"Frontier rows streamed to clients."`
 	// Components and LargestComponent describe the conflict-hypergraph
 	// decomposition of the most recently finished sweep (component count
 	// and biggest component's tuple count); ComponentsParallel counts
@@ -794,63 +821,9 @@ type DatasetStatz struct {
 	// pool by that sweep's component evaluator, summed over every sweep
 	// sharing it (it restarts when a new analysis is built). All zero
 	// until a sweep finishes.
-	Components         int   `json:"components"`
-	LargestComponent   int   `json:"largest_component"`
-	ComponentsParallel int64 `json:"components_parallel"`
-	// SessionAcquires/SessionBuilds are the shared session's counters:
-	// analyses handed out vs built from scratch. A hot dataset shows
-	// acquires far above builds.
-	SessionAcquires int64 `json:"session_acquires"`
-	SessionBuilds   int64 `json:"session_builds"`
-	// Generation is the dataset's current mutation generation;
-	// MutationsApplied and ComponentsDirtied are the live tier's lifetime
-	// counters (ops that changed rows, and conflict components whose
-	// memoized cover state a batch invalidated).
-	Generation        int64 `json:"generation"`
-	MutationsApplied  int64 `json:"mutations_applied"`
-	ComponentsDirtied int64 `json:"components_dirtied"`
-}
-
-// StoreStatz is the snapshot-store block of GET /statz (present only when
-// a store is attached).
-type StoreStatz struct {
-	Saves       int64 `json:"saves"`
-	Loads       int64 `json:"loads"`
-	Quarantined int64 `json:"quarantined"`
-}
-
-// JobsStatz is the job-tier block of GET /statz.
-type JobsStatz struct {
-	Active    int `json:"active"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Resumed counts sweeps restarted from a checkpoint (boot recovery or
-	// resubmission of a failed/cancelled job); Coalesced counts
-	// submissions answered by an already-known job without a new sweep.
-	Resumed   int64 `json:"resumed"`
-	Coalesced int64 `json:"coalesced"`
-	// CheckpointBytes counts bytes appended to durable result logs;
-	// ResultsEvictedBytes counts bytes dropped by MaxJobResultsBytes
-	// eviction.
-	CheckpointBytes     int64 `json:"checkpoint_bytes"`
-	ResultsEvictedBytes int64 `json:"results_evicted_bytes"`
-}
-
-// Statz is the body of GET /statz.
-type Statz struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Sessions      int     `json:"sessions"`
-	// WarmSessions counts datasets currently holding a built session;
-	// SessionsEvicted counts sessions dropped by MaxWarmSessions.
-	WarmSessions    int   `json:"warm_sessions"`
-	SessionsEvicted int64 `json:"sessions_evicted"`
-	// PanicsRecovered counts panics contained by the recovery layers —
-	// each one failed a single request, not the process.
-	PanicsRecovered int64          `json:"panics_recovered"`
-	Jobs            JobsStatz      `json:"jobs"`
-	Store           *StoreStatz    `json:"store,omitempty"`
-	Datasets        []DatasetStatz `json:"datasets"`
+	Components         int   `json:"components" metric:"relatrust_conflict_components" help:"Conflict-hypergraph components of the last finished sweep."`
+	LargestComponent   int   `json:"largest_component" metric:"relatrust_conflict_largest_component_tuples" help:"Tuples in the largest conflict component of the last finished sweep."`
+	ComponentsParallel int64 `json:"components_parallel" metric:"relatrust_component_parallel_evals_total" help:"Per-component cover evaluations dispatched across the worker pool, summed over the sweeps sharing the last finished sweep's conflict analysis; restarts when a new analysis is built."`
 }
 
 // statzBody gathers the full statistics snapshot (shared by /statz and
@@ -866,28 +839,18 @@ func (s *Server) statzBody() Statz {
 	s.warmMu.Lock()
 	warm := s.warmCount
 	s.warmMu.Unlock()
-	jst := s.jobs.Stats()
 	body := Statz{
 		UptimeSeconds:   s.now().Sub(s.start).Seconds(),
 		Sessions:        len(stats),
 		WarmSessions:    warm,
 		SessionsEvicted: s.sessionsEvicted.Load(),
 		PanicsRecovered: s.panics.Load(),
-		Jobs: JobsStatz{
-			Active:              jst.Active,
-			Completed:           jst.Completed,
-			Failed:              jst.Failed,
-			Cancelled:           jst.Cancelled,
-			Resumed:             jst.Resumed,
-			Coalesced:           jst.Coalesced,
-			CheckpointBytes:     jst.CheckpointBytes,
-			ResultsEvictedBytes: jst.ResultsEvictedBytes,
-		},
-		Datasets: stats,
+		Jobs:            s.jobs.Stats(),
+		Datasets:        stats,
 	}
 	if s.opt.Store != nil {
 		st := s.opt.Store.Stats()
-		body.Store = &StoreStatz{Saves: st.Saves, Loads: st.Loads, Quarantined: st.Quarantined}
+		body.Store = &st
 	}
 	return body
 }
@@ -900,17 +863,9 @@ func (d *dataset) statz() DatasetStatz {
 	d.mu.Lock()
 	warm := d.warm
 	st := DatasetStatz{
-		DatasetInfo:        d.info(),
-		ActiveSweeps:       len(d.sem),
-		SweepsStarted:      d.sweepsStarted,
-		SweepsFinished:     d.sweepsFinished,
-		SweepsCancelled:    d.sweepsCancelled,
-		SweepsFailed:       d.sweepsFailed,
-		SweepsShed:         d.sweepsShed,
-		RowsStreamed:       d.rowsStreamed,
-		Components:         d.lastComponents,
-		LargestComponent:   d.lastLargestComponent,
-		ComponentsParallel: d.lastComponentsParallel,
+		DatasetInfo:   d.info(),
+		ActiveSweeps:  len(d.sem),
+		sweepCounters: d.counters,
 	}
 	d.mu.Unlock()
 	lst := d.live.Stats()

@@ -71,15 +71,15 @@ type Store struct {
 	loads atomic.Int64
 }
 
-// Stats counts a store's lifetime activity (exported via /statz and
-// /metrics).
+// Stats counts a store's lifetime activity, served as the store block of
+// /statz; each field's metric tag names its /metrics series.
 type Stats struct {
 	// Saves is the number of snapshots written successfully.
-	Saves int64
+	Saves int64 `json:"saves" metric:"relatrust_store_saves_total" help:"Dataset snapshots written."`
 	// Loads is the number of snapshots decoded successfully.
-	Loads int64
+	Loads int64 `json:"loads" metric:"relatrust_store_loads_total" help:"Dataset snapshots loaded."`
 	// Quarantined is the number of corrupt snapshots renamed aside.
-	Quarantined int64
+	Quarantined int64 `json:"quarantined" metric:"relatrust_store_quarantined_total" help:"Corrupt snapshots quarantined."`
 }
 
 // Open returns a store over dir, creating the directory if needed.

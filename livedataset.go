@@ -63,11 +63,10 @@ type MutationResult struct {
 	NewRows int
 }
 
-// LiveStats is a live dataset's lifetime mutation effort.
-type LiveStats struct {
-	MutationsApplied  int64
-	ComponentsDirtied int64
-}
+// LiveStats is a live dataset's lifetime mutation effort: row operations
+// applied, and conflict components whose memoized cover state a batch
+// invalidated.
+type LiveStats = live.Stats
 
 // LiveDataset is the mutable handle over one dataset: it owns the current
 // (instance, generation) pair and keeps the repair machinery — conflict
@@ -151,10 +150,7 @@ func (d *LiveDataset) Rows() *relation.Instance {
 }
 
 // Stats returns the dataset's lifetime mutation counters.
-func (d *LiveDataset) Stats() LiveStats {
-	st := d.t.Stats()
-	return LiveStats{MutationsApplied: st.MutationsApplied, ComponentsDirtied: st.ComponentsDirtied}
-}
+func (d *LiveDataset) Stats() LiveStats { return d.t.Stats() }
 
 // Evict drops the dataset's warm incremental state (group indexes, shared
 // dictionaries, cached analyses) without touching the data or the
