@@ -1,8 +1,8 @@
 package server
 
 // Native fuzz targets for the service's untrusted decode paths: the JSON
-// repair- and discover-request bodies, the PATCH row-op batch, and the CSV
-// dataset upload. Plain `go test` replays the f.Add seeds plus the
+// repair- and discover-request bodies, the PATCH row-op batch, the CSV
+// dataset upload, and dataset names rendered into /metrics. Plain `go test` replays the f.Add seeds plus the
 // checked-in corpora under testdata/fuzz (CI's fuzz-regression step);
 // `go test -fuzz FuzzX` explores further.
 
@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"relatrust"
 )
@@ -235,4 +237,133 @@ func FuzzUploadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDatasetNameMetrics: every name registration accepts renders into
+// /metrics as sample lines a scrape parser accepts, and each dataset label
+// unescapes back to the name.
+func FuzzDatasetNameMetrics(f *testing.F) {
+	for _, s := range []string{"paper", `a"b`, "z\u200bz", "ünï", "a\u2028b", "a\rb", "\xff", "a\u0085b", "\ufffd"} {
+		f.Add(s)
+	}
+	in, err := relatrust.ReadCSV(strings.NewReader("A,B\n1,2\n"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New(Options{Logger: quietLogger()})
+	f.Fuzz(func(t *testing.T, name string) {
+		if validateDatasetName(name) != nil {
+			return
+		}
+		defer srv.Close()
+		if _, err := srv.Register(name, in); err != nil {
+			t.Fatalf("register %q: %v", name, err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if labelled := checkExposition(t, rec.Body.String(), name); labelled == 0 {
+			t.Fatalf("no per-dataset sample for %q", name)
+		}
+	})
+}
+
+// checkExposition parses every sample line of a /metrics body and checks
+// that each dataset label equals name. It returns the number of labelled
+// samples.
+func checkExposition(t *testing.T, body, name string) int {
+	t.Helper()
+	labelled := 0
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		labels, err := parseSample(line)
+		if err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		if v, ok := labels["dataset"]; ok {
+			labelled++
+			if v != name {
+				t.Fatalf("dataset label %q, want %q (line %q)", v, name, line)
+			}
+		}
+	}
+	return labelled
+}
+
+// parseSample parses one sample line of the text exposition format
+// (version 0.0.4): a metric name, an optional {name="value",...} label
+// set whose values use only the \\, \" and \n escapes, one space, and a
+// float value. It returns the unescaped label values.
+func parseSample(line string) (map[string]string, error) {
+	if !utf8.ValidString(line) {
+		return nil, fmt.Errorf("invalid UTF-8")
+	}
+	ident := func(s string, colon bool) int {
+		i := 0
+		for i < len(s) {
+			c := s[i]
+			if c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || colon && c == ':' || i > 0 && c >= '0' && c <= '9' {
+				i++
+				continue
+			}
+			break
+		}
+		return i
+	}
+	n := ident(line, true)
+	if n == 0 {
+		return nil, fmt.Errorf("no metric name")
+	}
+	rest := line[n:]
+	labels := map[string]string{}
+	if strings.HasPrefix(rest, "{") {
+		rest = rest[1:]
+		for !strings.HasPrefix(rest, "}") {
+			k := ident(rest, false)
+			if k == 0 || !strings.HasPrefix(rest[k:], `="`) {
+				return nil, fmt.Errorf("malformed label at %q", rest)
+			}
+			key := rest[:k]
+			rest = rest[k+2:]
+			var v strings.Builder
+			for {
+				if rest == "" {
+					return nil, fmt.Errorf("unterminated label value")
+				}
+				c := rest[0]
+				rest = rest[1:]
+				if c == '"' {
+					break
+				}
+				if c != '\\' {
+					v.WriteByte(c)
+					continue
+				}
+				if rest == "" {
+					return nil, fmt.Errorf("dangling escape")
+				}
+				switch rest[0] {
+				case '\\', '"':
+					v.WriteByte(rest[0])
+				case 'n':
+					v.WriteByte('\n')
+				default:
+					return nil, fmt.Errorf("undefined escape \\%c", rest[0])
+				}
+				rest = rest[1:]
+			}
+			labels[key] = v.String()
+			rest = strings.TrimPrefix(rest, ",")
+		}
+		rest = rest[1:]
+	}
+	value, ok := strings.CutPrefix(rest, " ")
+	if !ok {
+		return nil, fmt.Errorf("no space before the value")
+	}
+	if _, err := strconv.ParseFloat(value, 64); err != nil {
+		return nil, fmt.Errorf("value: %v", err)
+	}
+	return labels, nil
 }

@@ -438,6 +438,51 @@ func TestMetricsTotalsAreCounters(t *testing.T) {
 	}
 }
 
+// TestDatasetNamesScrapeCleanly: a registered name reaches /metrics as a
+// label value escaped per the text format, and a name the format cannot
+// carry as text is refused at registration, so no one dataset can break
+// the scrape of every other.
+func TestDatasetNamesScrapeCleanly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want int
+	}{
+		{`a"b`, http.StatusCreated},
+		{"z\u200bz", http.StatusCreated},
+		{"a\rb", http.StatusBadRequest},
+		// The JSON decoder turns invalid UTF-8 into U+FFFD, which is
+		// refused rather than registered under a rewritten name.
+		{"\xff", http.StatusBadRequest},
+		{"a\x7fb", http.StatusBadRequest},
+		// A backslash stays refused: the snapshot store uses names as file
+		// stems.
+		{`a\b`, http.StatusBadRequest},
+	} {
+		ts, _, _ := newTestServer(t, Options{Logger: quietLogger()})
+		resp := postJSON(t, ts.URL+"/v1/datasets", registerRequest{Name: tc.name, CSV: multiCSV})
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("register %q: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+			continue
+		}
+		if tc.want != http.StatusCreated {
+			continue
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkExposition(t, string(body), tc.name) == 0 {
+			t.Errorf("no per-dataset sample for %q", tc.name)
+		}
+	}
+}
+
 // TestStatzGolden pins the /statz body of the same fixture, so the JSON
 // view and the exposition view are frozen against one server state.
 func TestStatzGolden(t *testing.T) {

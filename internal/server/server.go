@@ -113,6 +113,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"relatrust"
 
@@ -447,10 +449,15 @@ func validateDatasetName(name string) error {
 	// The constraints are the union of the registry's and the snapshot
 	// store's (names become file stems there), so a dataset never
 	// registers in memory but fails to persist on a name technicality.
-	if name == "" || len(name) > 128 || strings.ContainsAny(name, "/\\\x00 \t\n") ||
+	// Names are also /metrics label values, which must be UTF-8 text: a
+	// control character or an invalid byte is refused, and so is U+FFFD,
+	// which the JSON decoder substitutes for invalid bytes, so a name is
+	// never silently rewritten.
+	if name == "" || len(name) > 128 || strings.ContainsAny(name, "/\\ ") ||
+		strings.ContainsFunc(name, func(r rune) bool { return r == utf8.RuneError || unicode.IsControl(r) }) ||
 		strings.HasPrefix(name, ".") || strings.Contains(name, ".snap") ||
 		strings.Contains(name, ".gen") {
-		return fmt.Errorf("server: invalid dataset name %q (non-empty, ≤128 chars, no spaces, slashes, leading dots, .snap, or .gen)", name)
+		return fmt.Errorf("server: invalid dataset name %q (non-empty, ≤128 chars, UTF-8 text, no spaces, control characters, slashes, leading dots, .snap, or .gen)", name)
 	}
 	return nil
 }
