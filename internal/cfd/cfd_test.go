@@ -2,10 +2,12 @@ package cfd
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"relatrust/internal/relation"
+	"relatrust/internal/session"
 	"relatrust/internal/testkit"
 )
 
@@ -233,6 +235,36 @@ func TestRepairMixedSet(t *testing.T) {
 	}
 	if !r.Set.SatisfiedBy(r.Instance) {
 		t.Fatal("violates after repair")
+	}
+}
+
+// TestRepairReusesEngineKeyTables: a repair over a caller's engine builds
+// its LHS key tables on that engine, and a second repair over the same
+// engine finds them cached and repairs identically.
+func TestRepairReusesEngineKeyTables(t *testing.T) {
+	in := zipInstance()
+	set, err := ParseSet(in.Schema, "CC,ZIP->City | US,_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := session.New(in)
+	first, err := RepairWithBudget(context.Background(), in, set, 10, Config{Seed: 1, Engine: eng})
+	if err != nil || first == nil {
+		t.Fatalf("repair: %v, %v", first, err)
+	}
+	built := eng.KeyTables().Len()
+	if built == 0 {
+		t.Fatal("repair built no key tables on the caller's engine")
+	}
+	again, err := RepairWithBudget(context.Background(), in, set, 10, Config{Seed: 1, Engine: eng})
+	if err != nil || again == nil {
+		t.Fatalf("repeat repair: %v, %v", again, err)
+	}
+	if n := eng.KeyTables().Len(); n != built {
+		t.Errorf("repeat repair grew the key tables from %d to %d", built, n)
+	}
+	if !slices.Equal(first.Changed, again.Changed) {
+		t.Errorf("repeat repair changed %v, first %v", again.Changed, first.Changed)
 	}
 }
 

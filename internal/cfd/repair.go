@@ -128,7 +128,7 @@ func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau i
 	}
 
 	cover := an.Cover(res.State)
-	inst, changed, err := materialize(in, relaxed, cover, singles, cfg.Seed)
+	inst, changed, err := materialize(in, relaxed, cover, singles, cfg.Seed, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +166,16 @@ func singleViolators(in *relation.Instance, set Set) []int32 {
 // materialize rewrites the cover tuples and the single violators so the
 // result satisfies the relaxed CFD set: Algorithm 4's shared loop
 // (repair.Rewrite) with each CFD's LHS pattern as the constraint's tuple
-// filter and its RHS pattern as the constant RHS.
-func materialize(in *relation.Instance, set Set, cover, singles []int32, seed int64) (*relation.Instance, []relation.CellRef, error) {
+// filter and its RHS pattern as the constant RHS. The LHS key tables come
+// from eng, so repeated repairs over one engine build each table once.
+func materialize(in *relation.Instance, set Set, cover, singles []int32, seed int64, eng *session.Engine) (*relation.Instance, []relation.CellRef, error) {
 	cons := make([]repair.Constraint, len(set))
 	for i, c := range set {
 		cons[i] = repair.Constraint{FD: c.Embedded, Match: c.Matches, Const: c.RHSPattern}
 	}
 	dirty := slices.Concat(cover, singles)
 	slices.Sort(dirty)
-	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed, nil)
+	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed, eng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cfd: %w", err)
 	}
