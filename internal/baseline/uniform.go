@@ -36,9 +36,6 @@ type Config struct {
 	Weights weights.Func
 	// Seed drives the randomized data-repair order.
 	Seed int64
-	// MaxRounds bounds the greedy loop (0 = |Σ|·|R|, enough to add every
-	// attribute everywhere).
-	MaxRounds int
 	// Engine, when non-nil, supplies the shared repair-session engine
 	// (bound to the repaired instance) the conflict analysis is acquired
 	// from — Best and the experiment sweeps set it so every cost-ratio run
@@ -98,11 +95,8 @@ func Repair(in *relation.Instance, sigma fd.Set, cfg Config) (*Result, error) {
 	}
 	cur := unified(fdPenalty)
 
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(sigma) * width
-	}
-	for round := 0; round < maxRounds; round++ {
+	// |Σ|·|R| rounds are enough to add every attribute everywhere.
+	for round := 0; round < len(sigma)*width; round++ {
 		bestCost := cur
 		bestFD, bestAttr := -1, -1
 		bestPenalty := fdPenalty

@@ -22,17 +22,14 @@ import (
 // (positions and values); the result is ordered by ascending change count,
 // then deterministically.
 //
-// maxTries bounds the seeds attempted (0 means 8·k). Fewer than k repairs
-// are returned when the repair space is smaller than requested. A non-nil
-// eng shares its warm analysis arenas and key tables (it must be bound to
-// in); nil uses a private engine, shared by the draws. Cancelling ctx
-// aborts between draws with context.Cause(ctx).
-func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set, k int, seed int64, maxTries int, eng *session.Engine) ([]*DataRepair, error) {
+// At most 8·k seeds are attempted, so fewer than k repairs are returned
+// when the repair space is smaller than requested. A non-nil eng shares
+// its warm analysis arenas and key tables (it must be bound to in); nil
+// uses a private engine, shared by the draws. Cancelling ctx aborts
+// between draws with context.Cause(ctx).
+func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set, k int, seed int64, eng *session.Engine) ([]*DataRepair, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("repair: sample size %d must be positive", k)
-	}
-	if maxTries <= 0 {
-		maxTries = 8 * k
 	}
 	eng, err := session.For(eng, in)
 	if err != nil {
@@ -44,7 +41,7 @@ func SampleDataRepairs(ctx context.Context, in *relation.Instance, sigma fd.Set,
 
 	seen := make(map[string]bool, k)
 	var out []*DataRepair
-	for try := 0; try < maxTries && len(out) < k; try++ {
+	for try := 0; try < 8*k && len(out) < k; try++ {
 		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}

@@ -17,7 +17,7 @@ func TestSampleDataRepairsDistinct(t *testing.T) {
 		{"1", "x", "c0"}, {"1", "y", "c1"}, {"2", "z", "c2"},
 	})
 	sigma := fd.MustParseSet(in.Schema, "A->B")
-	reps, err := SampleDataRepairs(context.Background(), in, sigma, 4, 1, 64, nil)
+	reps, err := SampleDataRepairs(context.Background(), in, sigma, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestSampleDataRepairsDistinct(t *testing.T) {
 
 func TestSampleDataRepairsValidInput(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
-	if _, err := SampleDataRepairs(context.Background(), in, sigma, 0, 1, 0, nil); err == nil {
+	if _, err := SampleDataRepairs(context.Background(), in, sigma, 0, 1, nil); err == nil {
 		t.Error("k=0 must fail")
 	}
-	reps, err := SampleDataRepairs(context.Background(), in, sigma, 3, 7, 0, nil)
+	reps, err := SampleDataRepairs(context.Background(), in, sigma, 3, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSampleDataRepairsValidInput(t *testing.T) {
 func TestSampleSatisfiedInstanceOneRepair(t *testing.T) {
 	in := testkit.Build([]string{"A", "B"}, [][]string{{"1", "x"}, {"2", "y"}})
 	sigma := fd.MustParseSet(in.Schema, "A->B")
-	reps, err := SampleDataRepairs(context.Background(), in, sigma, 5, 1, 0, nil)
+	reps, err := SampleDataRepairs(context.Background(), in, sigma, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSampleVariableIdentityAbstraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	in := testkit.RandomInstance(rng, 8, 3, 2)
 	sigma := testkit.RandomFDs(rng, 3, 1, 1)
-	reps, err := SampleDataRepairs(context.Background(), in, sigma, 50, 3, 200, nil)
+	reps, err := SampleDataRepairs(context.Background(), in, sigma, 50, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

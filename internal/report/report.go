@@ -58,8 +58,6 @@ var spectrumHeader = []string{"level", "tau", "FD modification", "dist_c", "cell
 type Options struct {
 	// MaxCells caps the changed-cell listing per repair (0 = 20).
 	MaxCells int
-	// ShowTuples adds a before/after rendering of each touched tuple.
-	ShowTuples bool
 }
 
 func (o Options) withDefaults() Options {
@@ -136,27 +134,8 @@ func Changes(w io.Writer, in *relation.Instance, r *repair.Repair, opt Options) 
 		fmt.Fprintf(&b, "  %-16s %s → %s\n", c.Format(in.Schema),
 			in.Tuples[c.Tuple][c.Attr], r.Data.Instance.Tuples[c.Tuple][c.Attr])
 	}
-	if opt.ShowTuples {
-		seen := map[int]bool{}
-		for _, c := range r.Data.Changed {
-			if seen[c.Tuple] {
-				continue
-			}
-			seen[c.Tuple] = true
-			fmt.Fprintf(&b, "  t%d before: %s\n", c.Tuple, renderTuple(in.Tuples[c.Tuple]))
-			fmt.Fprintf(&b, "  t%d after:  %s\n", c.Tuple, renderTuple(r.Data.Instance.Tuples[c.Tuple]))
-		}
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func renderTuple(t relation.Tuple) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.String()
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // table is a minimal aligned-column writer.

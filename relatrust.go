@@ -395,7 +395,7 @@ func (r *Repairer) MaxBudget(ctx context.Context) (int, error) {
 // resolved; see the paper's reference [3]. Cancelling ctx aborts between
 // draws with context.Cause(ctx).
 func (r *Repairer) Sample(ctx context.Context, k int) ([]*DataRepair, error) {
-	return repair.SampleDataRepairs(ctx, r.in, r.sigma, k, r.opt.Seed, 0, r.opt.Session.eng)
+	return repair.SampleDataRepairs(ctx, r.in, r.sigma, k, r.opt.Seed, r.opt.Session.eng)
 }
 
 // RepairDataOnly materializes a data repair for the fixed FD set without
