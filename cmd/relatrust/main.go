@@ -46,8 +46,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fdSpec    = fs.String("fds", "", "FDs, e.g. \"A,B->C; D->E\" (or @file to read them from a file)")
 		tau       = fs.Int("tau", -1, "cell-change budget; -1 sweeps the whole trust spectrum")
 		weighting = fs.String("weights", "distinct-count", "FD-modification weighting: attr-count | distinct-count | entropy | mdl")
-		bestFirst = fs.Bool("best-first", false, "use best-first search instead of A*")
-		workers   = fs.Int("workers", 0, "parallel evaluation workers for the FD search (0 = GOMAXPROCS, 1 = inline on one goroutine)")
+		bestFirst = fs.Bool("best-first", false, "use best-first search instead of A* (CFD specs, those with a \"|\" pattern, always search best-first)")
+		workers   = fs.Int("workers", 0, "parallel evaluation workers for the FD search (0 = GOMAXPROCS, 1 = inline on one goroutine; ignored for CFD specs)")
 		seed      = fs.Int64("seed", 1, "seed for the randomized data-repair order")
 		outPath   = fs.String("o", "", "write the repaired data of the last printed repair to this CSV file")
 		showData  = fs.Bool("show-cells", false, "list every changed cell per repair")

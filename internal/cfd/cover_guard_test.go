@@ -77,7 +77,7 @@ func TestMaterializeRejectsNonCovers(t *testing.T) {
 		}
 		for _, cand := range cands {
 			covers := coversViolations(viols, cand)
-			out, _, err := materialize(in, set, slices.Clone(cand), nil, rng.Int63(), session.New(in))
+			out, _, err := materialize(set, slices.Clone(cand), nil, rng.Int63(), session.New(in))
 			if err == nil && !covers {
 				t.Fatalf("trial %d, %s, candidate %v: accepted a set that is no cover", trial, set.Format(in.Schema), cand)
 			}

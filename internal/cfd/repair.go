@@ -48,7 +48,6 @@ func (r *Repair) String() string {
 type Config struct {
 	Weights weights.Func
 	Seed    int64
-	Search  search.Options
 	// Engine, when non-nil, supplies the shared repair-session engine
 	// (bound to the repaired instance); repeated budget runs over the
 	// same CFD set then fork one filtered analysis instead of rebuilding
@@ -72,11 +71,6 @@ func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau i
 	}
 	if cfg.Weights == nil {
 		cfg.Weights = weights.AttrCount{}
-	}
-	if cfg.Search == (search.Options{}) {
-		// The gc heuristic's difference-set reasoning is FD-shaped; CFD
-		// search defaults to the exhaustive-but-sound best-first mode.
-		cfg.Search.BestFirst = true
 	}
 
 	embedded := make(fd.Set, len(set))
@@ -109,7 +103,9 @@ func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau i
 		return nil, nil // even relaxing everything cannot fit the budget
 	}
 
-	sr := search.NewSearcher(an, cfg.Weights, cfg.Search)
+	// The gc heuristic's difference-set reasoning is FD-shaped, so CFD
+	// search runs the exhaustive-but-sound best-first mode.
+	sr := search.NewSearcher(an, cfg.Weights, search.Options{BestFirst: true})
 	res, err := sr.Find(ctx, searchBudget)
 	if err != nil {
 		return nil, err
@@ -128,7 +124,7 @@ func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau i
 	}
 
 	cover := an.Cover(res.State)
-	inst, changed, err := materialize(in, relaxed, cover, singles, cfg.Seed, eng)
+	inst, changed, err := materialize(relaxed, cover, singles, cfg.Seed, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -163,24 +159,23 @@ func singleViolators(in *relation.Instance, set Set) []int32 {
 	return out
 }
 
-// materialize rewrites the cover tuples and the single violators so the
-// result satisfies the relaxed CFD set: Algorithm 4's shared loop
-// (repair.Rewrite) with each CFD's LHS pattern as the constraint's tuple
-// filter and its RHS pattern as the constant RHS. The LHS key tables come
-// from eng, so repeated repairs over one engine build each table once.
-func materialize(in *relation.Instance, set Set, cover, singles []int32, seed int64, eng *session.Engine) (*relation.Instance, []relation.CellRef, error) {
+// materialize rewrites the cover tuples and the single violators of the
+// engine's instance so the result satisfies the relaxed CFD set: Algorithm
+// 4's shared loop (repair.Rewrite) with each CFD's LHS pattern as the
+// constraint's tuple filter and its RHS pattern as the constant RHS.
+// Rewrite verifies the result, so a cover or singles list that misses a
+// violation is an error. The LHS key tables come from eng, so repeated
+// repairs over one engine build each table once.
+func materialize(set Set, cover, singles []int32, seed int64, eng *session.Engine) (*relation.Instance, []relation.CellRef, error) {
 	cons := make([]repair.Constraint, len(set))
 	for i, c := range set {
 		cons[i] = repair.Constraint{FD: c.Embedded, Match: c.Matches, Const: c.RHSPattern}
 	}
 	dirty := slices.Concat(cover, singles)
 	slices.Sort(dirty)
-	out, changed, err := repair.Rewrite(in, cons, slices.Compact(dirty), nil, seed, eng)
+	out, changed, err := repair.Rewrite(eng, cons, slices.Compact(dirty), nil, seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cfd: %w", err)
-	}
-	if !set.SatisfiedBy(out) {
-		return nil, nil, fmt.Errorf("cfd: repair left violations; cover or singles incomplete")
 	}
 	return out, changed, nil
 }

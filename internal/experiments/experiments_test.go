@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"relatrust/internal/gen"
 )
 
 // tiny returns a configuration that keeps every harness fast enough for
@@ -159,5 +161,25 @@ func TestFigure13Shape(t *testing.T) {
 	}
 	if !strings.Contains(FormatFigure13(points), "Range-Repair") {
 		t.Error("formatting broken")
+	}
+}
+
+// TestRunOneReportsVisitCap: a search stopped by its MaxVisited guard is a
+// point that did not finish, not an error.
+func TestRunOneReportsVisitCap(t *testing.T) {
+	cfg := Config{Seed: 42, MaxVisited: 1}
+	spec := gen.SubSpec(gen.CensusSpec(), 12)
+	w, err := MakeWorkload(spec, gen.TwoFDs(spec), 200, 0.34, 0, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, heuristic := range []bool{true, false} {
+		p, err := runOne(w, heuristic, 0.01, cfg)
+		if err != nil {
+			t.Fatalf("heuristic=%v: %v", heuristic, err)
+		}
+		if p.Found || p.Visited != cfg.MaxVisited {
+			t.Errorf("heuristic=%v: got %+v, want a capped point (Found false, Visited %d)", heuristic, p, cfg.MaxVisited)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -41,7 +42,7 @@ func runOne(w *Workload, heuristic bool, taur float64, cfg Config) (PerfPoint, e
 	}
 	p := PerfPoint{Algo: name, Seconds: elapsed}
 	if err != nil {
-		if strings.Contains(err.Error(), "MaxVisited") {
+		if errors.Is(err, search.ErrMaxVisited) {
 			p.Visited = cfg.MaxVisited
 			return p, nil // treated as "did not terminate"
 		}

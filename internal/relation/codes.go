@@ -11,9 +11,7 @@ package relation
 //     Columns are cached on the instance and dropped by Clone, so a cloned
 //     instance that is subsequently mutated never sees stale codes. A
 //     producer that derives a new instance from coded rows can install its
-//     columns instead (SetCodes): the live tier does so per mutation batch,
-//     and the data repair hands its output the source columns patched at
-//     the cells it changed.
+//     columns instead (SetCodes): the live tier does so per mutation batch.
 //   - Partitioner refines tuple groups one attribute at a time by direct
 //     code indexing — a radix-style scatter into epoch-versioned scratch
 //     arrays, no hashing — and is allocation-free once its buffers have
@@ -144,8 +142,7 @@ func (in *Instance) MaxVarID() int64 {
 // codes (codes in [0, n), equal codes iff Equal cells; a code need not
 // occur in the column). Producers use it to hand a new instance columns
 // they already hold instead of paying a full re-encoding scan: the live
-// mutation tier installs the columns it keeps current per batch, and the
-// data repair installs the source columns patched at the changed cells.
+// mutation tier installs the columns it keeps current per batch.
 // The column is shared, not copied, so neither side may write to it
 // afterwards. len(codes) must equal the instance's tuple count — Codes
 // would otherwise discard the column and rebuild.

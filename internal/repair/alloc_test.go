@@ -11,9 +11,9 @@ import (
 )
 
 // TestRewriteAllocsIndependentOfCleanRows runs one data repair of a fixed
-// cover beside n and 4n clean rows. The clean index, the output rows and
-// the output code columns are flat arrays sized once, so the allocation
-// count depends on the cover, never on how many rows stay clean.
+// cover beside n and 4n clean rows. The clean index and the output rows
+// are flat arrays sized once, so the allocation count depends on the
+// cover, never on how many rows stay clean.
 func TestRewriteAllocsIndependentOfCleanRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not asserted under the race detector")

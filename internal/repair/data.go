@@ -13,9 +13,9 @@
 // (relation.KeyTables), so a frontier point builds no table an earlier
 // point over the same snapshot built: its own work is one linear fill of
 // RHS slots plus an overlay for the keys its rewritten tuples create. It
-// copies only the rewritten tuples, shares every other row with the
-// input, and hands its output the input's columns patched at the changed
-// cells, so the final check re-encodes nothing.
+// copies only the rewritten tuples and shares every other row with the
+// input. It also verifies its own output against the same index, so no
+// caller re-checks it.
 //
 // The entry points are context-first: the FD-modification searches honor
 // cancellation (returning context.Cause), Session.StreamRange delivers
@@ -39,7 +39,7 @@ import (
 // cover whose tuples were rewritten.
 type DataRepair struct {
 	// Instance is the repaired V-instance. It shares every row outside
-	// Cover (and some code columns) with the input, so it is read-only:
+	// Cover with the input, so it is read-only:
 	// Clone it before changing a cell, and do not mutate the input while
 	// the repair is in use.
 	Instance *relation.Instance
@@ -119,22 +119,15 @@ func coverOf(eng *session.Engine, sigma fd.Set, protected func(int32) bool) []in
 }
 
 // repairFDs rewrites the cover tuples of the engine's instance for plain
-// FDs and verifies the result.
+// FDs.
 func repairFDs(eng *session.Engine, sigma fd.Set, cover []int32, pins map[int32]relation.AttrSet, seed int64) (*DataRepair, error) {
 	cons := make([]Constraint, len(sigma))
 	for i, f := range sigma {
 		cons[i] = Constraint{FD: f}
 	}
-	out, changed, err := Rewrite(eng.In, cons, cover, pins, seed, eng)
+	out, changed, err := Rewrite(eng, cons, cover, pins, seed)
 	if err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
-	}
-	// Safety net: a wrong cover (not actually covering every conflict)
-	// would leave violations among the "clean" tuples that the per-tuple
-	// loop never examines. One linear verification pass catches it.
-	if v := sigma.FirstViolation(out); v != nil {
-		return nil, fmt.Errorf("repair: instance still violates %s between tuples %d and %d; the supplied cover is not a vertex cover",
-			sigma[v.FD], v.T1, v.T2)
 	}
 	return &DataRepair{Instance: out, Changed: changed, Cover: cover}, nil
 }
@@ -155,28 +148,27 @@ type Constraint struct {
 // valid assignment against the clean part (every tuple outside order, plus
 // the tuples already rewritten) while keeping as many of its cells as the
 // random attribute order allows. A tuple's pins are its Fixed_Attrs from
-// the start; an unpinned tuple starts from one random attribute. It
-// returns the rewritten instance and the changed cells, or an error naming
-// the first tuple whose starting attributes admit no valid assignment. The
-// caller verifies the result: Rewrite only sees conflicts that involve a
-// dirty tuple. A tuple listed twice in order is rewritten once.
+// the start; an unpinned tuple starts from one random attribute. A tuple
+// listed twice in order is rewritten once.
 //
-// The loop runs on the code columns in already carries (Instance.Codes, or
-// columns a producer installed with SetCodes) and builds no value
-// dictionary. It keys the clean part by the LHS key tables of eng, which
-// must be bound to in: a warm engine has them from earlier repairs of the
-// same snapshot, and a nil eng builds them for this call. The result
-// copies only the order tuples; every other row is shared with in, so the
-// result is read-only and in must not be mutated while it is in use. Its
-// code columns for the constraints' attributes are in's, patched at the
-// changed cells, so checking it re-encodes nothing. Fresh variables
-// continue past in's largest variable identity, so a V-instance input
-// never sees a "fresh" variable equal to one it holds.
-func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64, eng *session.Engine) (*relation.Instance, []relation.CellRef, error) {
-	eng, err := session.For(eng, in)
-	if err != nil {
-		return nil, nil, err
-	}
+// Rewrite repairs eng.In and verifies its own result, so callers do not:
+// filling the clean index checks each clean row against the clean rows
+// before it, and each rewritten tuple is checked against every row
+// indexed before it. It returns the rewritten instance and the changed
+// cells, or an error: the given tuples are no vertex cover, or the first
+// tuple whose starting attributes admit no valid assignment.
+//
+// The loop runs on the code columns the instance already carries
+// (Instance.Codes, or columns a producer installed with SetCodes) and
+// builds no value dictionary. It keys the clean part by the engine's LHS
+// key tables: a warm engine has them from earlier repairs of the same
+// snapshot. The result copies only the order tuples; every other row is
+// shared with the input, so the result is read-only and the input must
+// not be mutated while it is in use. Fresh variables continue past the
+// input's largest variable identity, so a V-instance input never sees a
+// "fresh" variable equal to one it holds.
+func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*relation.Instance, []relation.CellRef, error) {
+	in := eng.In
 	rng := rand.New(rand.NewSource(seed))
 	vg := relation.VarGenAfter(in)
 	width := in.Schema.Width()
@@ -197,7 +189,10 @@ func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[i
 		copy(row, in.Tuples[t])
 		out.Tuples[t] = row
 	}
-	ci := newCleanIndex(in, eng.KeyTables(), out.Tuples, cons, dirty, len(order))
+	ci, err := newCleanIndex(in, eng.KeyTables(), out.Tuples, cons, dirty, len(order))
+	if err != nil {
+		return nil, nil, err
+	}
 
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
@@ -241,10 +236,11 @@ func Rewrite(in *relation.Instance, cons []Constraint, order []int32, pins map[i
 				changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: a})
 			}
 		}
-		ci.store(codes, ti)
+		if i, _, _, bad := ci.violation(&assignment{vals: t, codes: codes}); bad {
+			return nil, nil, fmt.Errorf("internal error: rewritten tuple %d violates %s", ti, cons[i].Format(in.Schema))
+		}
 		ci.add(t, codes, ti)
 	}
-	ci.install(out)
 	return out, changed, nil
 }
 
@@ -288,11 +284,9 @@ type cleanIndex struct {
 	cons   []Constraint
 	tuples []relation.Tuple // the output rows: an entry's RHS value is tuples[row][RHS]
 	attrs  []int            // every attribute a constraint reads
-	// cols[a] is attribute a's current code column: the source column
-	// until a cell changes, then a patched copy (owned[a]). ncode[a]
-	// counts its codes, overlay codes included.
+	// cols[a] is attribute a's source code column; ncode[a] counts its
+	// codes, overlay codes included.
 	cols   [][]int32
-	owned  []bool
 	ncode  []int32
 	consts []int32                // per constraint, the code of its constant RHS; -1 if none
 	keys   []*relation.KeyOverlay // per constraint; nil for an empty LHS, whose key is 0
@@ -306,13 +300,15 @@ type entry struct{ code, row int32 }
 // columns and keyed by the tables of in. tuples are the rows entries refer
 // to: in's rows, where the dirty ones may be copies the caller rewrites.
 // rewrites bounds the add calls that follow for rows outside the index.
-func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []relation.Tuple, cons []Constraint, dirty []bool, rewrites int) *cleanIndex {
+// The error names the first indexed row that conflicts with an earlier
+// one or misses a constant: the dirty rows are no vertex cover. The index
+// is complete either way.
+func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []relation.Tuple, cons []Constraint, dirty []bool, rewrites int) (*cleanIndex, error) {
 	width := in.Schema.Width()
 	ci := &cleanIndex{
 		cons:   cons,
 		tuples: tuples,
 		cols:   make([][]int32, width),
-		owned:  make([]bool, width),
 		ncode:  make([]int32, width),
 		consts: make([]int32, len(cons)),
 		keys:   make([]*relation.KeyOverlay, len(cons)),
@@ -329,6 +325,7 @@ func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []r
 	for i := range cons {
 		ci.consts[i] = ci.constCode(i)
 	}
+	var uncovered error
 	for i, c := range cons {
 		var ids []int32
 		nkeys := int32(1)
@@ -351,11 +348,20 @@ func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []r
 			if ids != nil {
 				k = ids[t]
 			}
+			if uncovered == nil {
+				if want := ci.consts[i]; want >= 0 && rhs[t] != want {
+					uncovered = fmt.Errorf("tuple %d violates the constant %q of %s; the supplied cover is not a vertex cover",
+						t, c.Const, c.Format(in.Schema))
+				} else if e := s[k]; e.row >= 0 && e.code != rhs[t] {
+					uncovered = fmt.Errorf("tuples %d and %d violate %s; the supplied cover is not a vertex cover",
+						e.row, t, c.Format(in.Schema))
+				}
+			}
 			s[k] = entry{code: rhs[t], row: int32(t)}
 		}
 		ci.slots[i] = s
 	}
-	return ci
+	return ci, uncovered
 }
 
 // constCode returns the code of constraint i's constant RHS in its RHS
@@ -398,28 +404,6 @@ func (ci *cleanIndex) adopt(a int, code int32) int32 {
 		ci.ncode[a]++
 	}
 	return code
-}
-
-// store writes row t's codes into the columns, copying a source column on
-// its first change.
-func (ci *cleanIndex) store(codes []int32, t int32) {
-	for _, a := range ci.attrs {
-		if ci.cols[a][t] == codes[a] {
-			continue
-		}
-		if !ci.owned[a] {
-			ci.cols[a] = slices.Clone(ci.cols[a])
-			ci.owned[a] = true
-		}
-		ci.cols[a][t] = codes[a]
-	}
-}
-
-// install hands out the current code columns of the indexed attributes.
-func (ci *cleanIndex) install(out *relation.Instance) {
-	for _, a := range ci.attrs {
-		out.SetCodes(a, ci.cols[a], ci.ncode[a])
-	}
 }
 
 // add registers row t, holding tuple tup with the given codes, as clean.

@@ -139,9 +139,8 @@ func TestRepairDataRejectsNonCover(t *testing.T) {
 }
 
 // TestRepairDataRejectsPartialCover drops one violating pair from a real
-// cover of a larger instance. The output's code columns are the input's,
-// patched at the changed cells, and the final check must still read them
-// and find the pair the loop never saw.
+// cover of a larger instance. Both tuples of the pair stay clean, so the
+// loop never sees it: the clean index's fill must find it.
 func TestRepairDataRejectsPartialCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := testkit.RandomInstance(rng, 200, 5, 3)

@@ -153,7 +153,7 @@ func cleanIndexStreamMatches(in *relation.Instance, tables *relation.KeyTables, 
 	const steps = 60
 	tuples := make([]relation.Tuple, in.N()+steps)
 	copy(tuples, in.Tuples)
-	ci := newCleanIndex(in, tables, tuples, cons, dirty, steps)
+	ci, _ := newCleanIndex(in, tables, tuples, cons, dirty, steps)
 	ref := newRefCleanIndex(cons)
 	// pool[a] holds every value keyed on a so far, with its code.
 	type cell struct {

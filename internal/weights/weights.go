@@ -99,8 +99,8 @@ func (s *Source) profile(y relation.AttrSet) profile {
 // valueBits returns log₂ of the average per-column cardinality (at least
 // 1 bit), computed once. The distinct count per column is the number of
 // codes its column holds: an installed column's code space may be larger
-// (the live tier's grow-only dictionaries, a data repair's patched
-// columns), so the count reads the column, not its code space.
+// (the live tier's grow-only dictionaries), so the count reads the
+// column, not its code space.
 func (s *Source) valueBits() float64 {
 	s.bitsOnce.Do(func() {
 		total := 0.0

@@ -132,9 +132,9 @@ func TestMDLMonotone(t *testing.T) {
 }
 
 // TestMDLIgnoresUnusedCodes installs code columns whose code space has
-// gaps, as the live tier's grow-only dictionaries and a data repair's
-// patched columns do: the value bits count the codes a column holds, so
-// MDL prices sets as over freshly encoded columns.
+// gaps, as the live tier's grow-only dictionaries do: the value bits
+// count the codes a column holds, so MDL prices sets as over freshly
+// encoded columns.
 func TestMDLIgnoresUnusedCodes(t *testing.T) {
 	fresh := sample()
 	gapped := sample()
