@@ -192,7 +192,7 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 
 	if cli.outPath != "" && len(repairs) > 0 {
 		last := repairs[len(repairs)-1]
-		ground := last.Data.Instance.Ground("repaired_")
+		ground := last.Data.Instance().Ground("repaired_")
 		if err := writeCSV(cli.outPath, ground); err != nil {
 			return err
 		}

@@ -82,7 +82,7 @@ func main() {
 		}
 		for _, c := range r.Data.Changed {
 			fmt.Printf("  change %s: %s → %s\n", c.Format(inst.Schema),
-				inst.Tuples[c.Tuple][c.Attr], r.Data.Instance.Tuples[c.Tuple][c.Attr])
+				inst.Tuples[c.Tuple][c.Attr], r.Data.Value(c))
 		}
 		fmt.Println()
 	}

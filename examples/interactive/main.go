@@ -49,7 +49,7 @@ func main() {
 	for i, s := range samples {
 		for _, c := range s.Changed {
 			fmt.Printf("  option %d: set %s from %s to %s\n", i+1,
-				c.Format(in.Schema), in.Tuples[c.Tuple][c.Attr], s.Instance.Tuples[c.Tuple][c.Attr])
+				c.Format(in.Schema), in.Tuples[c.Tuple][c.Attr], s.Value(c))
 		}
 	}
 
@@ -65,7 +65,7 @@ func main() {
 	fmt.Println("\nwith bob's tuple pinned as ground truth, the repair becomes:")
 	for _, c := range rep.Changed {
 		fmt.Printf("  %s: %s → %s\n", c.Format(in.Schema),
-			in.Tuples[c.Tuple][c.Attr], rep.Instance.Tuples[c.Tuple][c.Attr])
+			in.Tuples[c.Tuple][c.Attr], rep.Value(c))
 	}
 
 	// Step 3: replay the accepted repair through a live dataset, one edit
@@ -85,7 +85,7 @@ func main() {
 	}
 	fmt.Printf("\nviolating pairs before: %d\n", pairs())
 	for i, c := range rep.Changed {
-		d := set(c.Tuple, c.Attr, rep.Instance.Tuples[c.Tuple][c.Attr])
+		d := set(c.Tuple, c.Attr, rep.Value(c))
 		fmt.Printf("  edit %d: Δpairs = %+d\n", i+1, d)
 	}
 	fmt.Printf("violating pairs after: %d (satisfied = %v)\n", pairs(), relatrust.Satisfies(ld.Rows(), sigma))
@@ -95,7 +95,7 @@ func main() {
 	manager := in.Schema.Index("Manager")
 	if d := set(4, manager, relatrust.Const("pat")); d > 0 {
 		fmt.Printf("\nmanual edit of eve's manager would create %d new violating pair(s) — rejected\n", d)
-		set(4, manager, rep.Instance.Tuples[4][manager])
+		set(4, manager, rep.Value(relatrust.CellRef{Tuple: 4, Attr: manager}))
 	}
 	fmt.Printf("final state satisfied: %v\n", relatrust.Satisfies(ld.Rows(), sigma))
 }

@@ -56,9 +56,9 @@ func main() {
 		fmt.Printf("cell changes: %d\n", r.Data.NumChanges())
 		for _, c := range r.Data.Changed {
 			fmt.Printf("  %s: %s → %s\n", c.Format(inst.Schema),
-				inst.Tuples[c.Tuple][c.Attr], r.Data.Instance.Tuples[c.Tuple][c.Attr])
+				inst.Tuples[c.Tuple][c.Attr], r.Data.Value(c))
 		}
-		fmt.Println(r.Data.Instance)
+		fmt.Println(r.Data.Instance())
 	}
 	fmt.Println("Each repair is one point on the trust spectrum: the first trusts")
 	fmt.Println("the FDs (change data only), the last trusts the data (relax FDs).")

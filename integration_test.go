@@ -44,7 +44,7 @@ func TestPipelinePerturbRepairEvaluate(t *testing.T) {
 	bestF, bestAt := -1.0, 0
 	for i, r := range repairs {
 		// (1) Consistency and budget.
-		if !relatrust.Satisfies(r.Data.Instance, r.Sigma) {
+		if !relatrust.Satisfies(r.Data.Instance(), r.Sigma) {
 			t.Fatalf("repair %d inconsistent", i)
 		}
 		if r.Data.NumChanges() > r.Tau {
@@ -117,10 +117,10 @@ func TestPipelineDiscoveryToRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !relatrust.Satisfies(r.Data.Instance, r.Sigma) {
+	if !relatrust.Satisfies(r.Data.Instance(), r.Sigma) {
 		t.Fatal("inconsistent repair")
 	}
-	prec, rec, err := metrics.EvalData(clean, p.Instance, r.Data.Instance)
+	prec, rec, err := metrics.EvalData(clean, p.Instance, r.Data.Instance())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPipelineCSVRoundTripThroughRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ground := r.Data.Instance.Ground("fresh_")
+	ground := r.Data.Instance().Ground("fresh_")
 	var b strings.Builder
 	if err := relatrust.WriteCSV(&b, ground); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestPipelineStressManySeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !relatrust.Satisfies(r.Data.Instance, r.Sigma) || r.Data.NumChanges() > dp/2 {
+		if !relatrust.Satisfies(r.Data.Instance(), r.Sigma) || r.Data.NumChanges() > dp/2 {
 			t.Fatalf("seed %d: invalid repair", seed)
 		}
 	}

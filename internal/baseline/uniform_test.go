@@ -15,7 +15,7 @@ func TestRepairProducesConsistentOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Sigma.SatisfiedBy(res.Data.Instance) {
+	if !res.Sigma.SatisfiedBy(res.Data.Instance()) {
 		t.Fatal("baseline output violates its own Σ'")
 	}
 	if !res.Sigma.IsRelaxationOf(sigma) {
@@ -62,7 +62,7 @@ func TestRepairOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Sigma.SatisfiedBy(res.Data.Instance) {
+		if !res.Sigma.SatisfiedBy(res.Data.Instance()) {
 			t.Fatalf("trial %d: output inconsistent", trial)
 		}
 	}

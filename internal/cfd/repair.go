@@ -173,9 +173,9 @@ func materialize(set Set, cover, singles []int32, seed int64, eng *session.Engin
 	}
 	dirty := slices.Concat(cover, singles)
 	slices.Sort(dirty)
-	out, changed, err := repair.Rewrite(eng, cons, slices.Compact(dirty), nil, seed)
+	d, err := repair.Rewrite(eng, cons, slices.Compact(dirty), nil, seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cfd: %w", err)
 	}
-	return out, changed, nil
+	return d.Instance(), d.Changed, nil
 }

@@ -50,10 +50,20 @@
 // searchers over the same session root): memo tables are striped by
 // component, values are pure functions of the projected query, and callers
 // supply their own forked conflict.Analysis for the partition scratch.
+//
+// # Goal covers
+//
+// Cover answers the other query a frontier point needs, the cover tuples
+// themselves, which the data repair rewrites. It memoizes the monolithic
+// conflict.Analysis.Cover per goal state on the evaluator, so a dataset's
+// repeated sweeps refine each goal's clusters once. The memo names tuples
+// by position, so it lives and dies with one evaluator: SpliceEvaluator
+// never carries it, because a mutation batch renumbers tuples.
 package components
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,6 +109,7 @@ type Decomposition struct {
 	basePairsS int64
 
 	largest int // max Component.Tuples
+	tuples  int // Σ Component.Tuples: the tuples in some violation cluster
 	// alive counts non-tombstone components. SpliceEvaluator leaves a dead
 	// slot behind when dirty components merge, so surviving components keep
 	// their ids (and their striped memo tables) across splices; the cold
@@ -125,6 +136,13 @@ const (
 	memoStripes = 64
 	memoCap     = 2048
 )
+
+// coverMemoCovers sizes the goal-cover memo: it holds at most this many
+// covers of the largest possible size (every violating tuple), so at most
+// 4·coverMemoCovers bytes of tuple ids per violating tuple, and clears
+// itself when full. A cover is charged its length plus its key's length
+// in int32 words.
+const coverMemoCovers = 64
 
 // Counters reports an evaluator's lifetime effort. Monotonic; safe to read
 // concurrently with evaluations.
@@ -162,6 +180,13 @@ type Evaluator struct {
 
 	affMu  sync.RWMutex
 	affect map[uint64][]int32 // affected components by nonempty-FD mask
+
+	// covers memoizes Cover by the packed extension vector; coverWords
+	// is its charge (see coverMemoCovers). Never shared with a spliced
+	// evaluator.
+	coverMu    sync.Mutex
+	covers     map[string][]int32
+	coverWords int
 
 	evals    atomic.Int64
 	memoHits atomic.Int64
@@ -380,6 +405,50 @@ func (e *Evaluator) CoverSize(an *conflict.Analysis, ext []relation.AttrSet) int
 	}
 	dLen2, dPairs := e.EvalDelta(an, comps, ext)
 	return e.Combine(dLen2, dPairs)
+}
+
+// Cover returns C2opt(Σ′, I), the cover tuples in increasing order:
+// an.Cover(ext) on any fork of the decomposed analysis, memoized per goal
+// state under the bound coverMemoCovers states. The result is the
+// caller's to keep and modify.
+func (e *Evaluator) Cover(an *conflict.Analysis, ext []relation.AttrSet) []int32 {
+	var keyArr [128]byte
+	key := keyArr[:0]
+	for fi := range e.d.lhs {
+		var y relation.AttrSet
+		if ext != nil {
+			y = ext[fi].Diff(e.d.lhs[fi])
+		}
+		key = appendUint64(key, uint64(y))
+	}
+	e.coverMu.Lock()
+	c, ok := e.covers[string(key)]
+	e.coverMu.Unlock()
+	if !ok {
+		c = an.Cover(ext)
+		e.coverMu.Lock()
+		e.putCover(string(key), c)
+		e.coverMu.Unlock()
+	}
+	return slices.Clone(c)
+}
+
+// putCover stores c under k, clearing the memo first when c would
+// exceed its bound. Caller holds coverMu.
+func (e *Evaluator) putCover(k string, c []int32) {
+	if _, ok := e.covers[k]; ok {
+		return
+	}
+	words := len(c) + len(k)/4
+	limit := coverMemoCovers * (e.d.tuples + 2*len(e.d.lhs))
+	if e.covers == nil {
+		e.covers = make(map[string][]int32)
+	} else if e.coverWords+words > limit {
+		clear(e.covers)
+		e.coverWords = 0
+	}
+	e.covers[k] = c
+	e.coverWords += words
 }
 
 // appendUint64 appends v little-endian.

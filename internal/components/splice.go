@@ -284,6 +284,7 @@ func SpliceEvaluator(old *Evaluator, an *conflict.Analysis, info SpliceInfo) (*E
 		if comp.Tuples > nd.largest {
 			nd.largest = comp.Tuples
 		}
+		nd.tuples += comp.Tuples
 	}
 
 	ev := &Evaluator{

@@ -150,7 +150,7 @@ func Figure8(cfg Config) ([]Fig8Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			q, err := metrics.Eval(w.Clean, w.Dirty, res.Data.Instance, appended, w.Removed)
+			q, err := metrics.Eval(w.Clean, w.Dirty, res.Data.Instance(), appended, w.Removed)
 			if err != nil {
 				return nil, err
 			}

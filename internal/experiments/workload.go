@@ -121,7 +121,7 @@ func (w *Workload) Evaluate(r *repair.Repair) (metrics.Quality, error) {
 	if err != nil {
 		return metrics.Quality{}, err
 	}
-	return metrics.Eval(w.Clean, w.Dirty, r.Data.Instance, appended, w.Removed)
+	return metrics.Eval(w.Clean, w.Dirty, r.Data.Instance(), appended, w.Removed)
 }
 
 // qualityDatasets are the four (FD error, data error) combinations of

@@ -3,17 +3,22 @@ package repair
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/session"
 )
 
 // TestRewriteAllocsIndependentOfCleanRows runs one data repair of a fixed
 // cover beside n and 4n clean rows. The clean index and the output rows
 // are flat arrays sized once, so the allocation count depends on the
-// cover, never on how many rows stay clean.
+// cover, never on how many rows stay clean. Over a warm engine, as at a
+// frontier point, the bytes grow by less than 8 per clean row: the output
+// copies no row headers, and only the clean index's int32 position column
+// and RHS slots scale with n.
 func TestRewriteAllocsIndependentOfCleanRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not asserted under the race detector")
@@ -47,6 +52,26 @@ func TestRewriteAllocsIndependentOfCleanRows(t *testing.T) {
 			}
 		}), len(cover)
 	}
+	// bytes is the mean heap bytes one repair allocates over an engine
+	// whose key tables an earlier repair already built.
+	bytes := func(clean int) float64 {
+		in, sigma, cover := build(clean)
+		eng := session.New(in)
+		repairOnce := func() {
+			if _, err := RepairData(in, sigma, cover, 3, eng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		repairOnce()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			repairOnce()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
 	small, coverSmall := allocs(1000)
 	large, coverLarge := allocs(4000)
 	if coverSmall != coverLarge {
@@ -55,5 +80,11 @@ func TestRewriteAllocsIndependentOfCleanRows(t *testing.T) {
 	t.Logf("allocs per repair: %v at 1000 clean rows, %v at 4000 (cover %d tuples)", small, large, coverSmall)
 	if large > small {
 		t.Errorf("allocations grow with the clean rows: %v at 1000, %v at 4000", small, large)
+	}
+	bSmall, bLarge := bytes(1000), bytes(4000)
+	perRow := (bLarge - bSmall) / 3000
+	t.Logf("bytes per warm repair: %.0f at 1000 clean rows, %.0f at 4000 (%.1f per added row)", bSmall, bLarge, perRow)
+	if perRow >= 8 {
+		t.Errorf("bytes grow by %.1f per clean row, want < 8: %.0f at 1000, %.0f at 4000", perRow, bSmall, bLarge)
 	}
 }

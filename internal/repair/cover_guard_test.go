@@ -70,7 +70,7 @@ func TestRepairDataAcceptsExactlyVertexCovers(t *testing.T) {
 				continue
 			}
 			accepts++
-			if v := sigma.FirstViolation(rep.Instance); v != nil {
+			if v := sigma.FirstViolation(rep.Instance()); v != nil {
 				t.Fatalf("trial %d, %s, candidate %v: repair violates %s between tuples %d and %d",
 					trial, sigma.Format(in.Schema), cand, sigma[v.FD].Format(in.Schema), v.T1, v.T2)
 			}
@@ -118,8 +118,8 @@ func TestRepairDataNamesNonCovers(t *testing.T) {
 func TestCleanIndexCheck(t *testing.T) {
 	in := testkit.Build([]string{"A", "B"}, [][]string{{"a", "x"}, {"a", "x"}, {"b", "y"}})
 	cons := []Constraint{{FD: fd.MustParseSet(in.Schema, "A->B")[0]}}
-	tuples := slices.Clone(in.Tuples)
-	ci, err := newCleanIndex(in, relation.NewKeyTables(in), tuples, cons, []bool{false, true, true}, 2)
+	out, _ := newRows(in, []int32{1, 2})
+	ci, err := newCleanIndex(in, relation.NewKeyTables(in), out, cons, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,10 @@ func TestCleanIndexCheck(t *testing.T) {
 func TestRewriteRejectsUncoveredConstant(t *testing.T) {
 	in := testkit.Build([]string{"A", "B"}, [][]string{{"a", "x"}, {"a", "y"}, {"b", "x"}})
 	cons := []Constraint{{FD: fd.MustParseSet(in.Schema, "A->B")[0], Const: "x"}}
-	if _, _, err := Rewrite(session.New(in), cons, []int32{1}, nil, 1); err != nil {
+	if _, err := Rewrite(session.New(in), cons, []int32{1}, nil, 1); err != nil {
 		t.Fatalf("covered: %v", err)
 	}
-	_, _, err := Rewrite(session.New(in), cons, []int32{0}, nil, 1)
+	_, err := Rewrite(session.New(in), cons, []int32{0}, nil, 1)
 	if err == nil || !strings.Contains(err.Error(), "tuple 1 violates the constant") || !strings.Contains(err.Error(), "not a vertex cover") {
 		t.Fatalf("uncovered: got %v, want tuple 1's constant named", err)
 	}

@@ -13,8 +13,10 @@
 // (relation.KeyTables), so a frontier point builds no table an earlier
 // point over the same snapshot built: its own work is one linear fill of
 // RHS slots plus an overlay for the keys its rewritten tuples create. It
-// copies only the rewritten tuples and shares every other row with the
-// input. It also verifies its own output against the same index, so no
+// copies only the rewritten tuples, into one cover-sized arena, and
+// neither copies nor clones any other row: a DataRepair reads the rest
+// from the input and builds a whole output instance only when Instance is
+// called. It also verifies its own output against the same index, so no
 // caller re-checks it.
 //
 // The entry points are context-first: the FD-modification searches honor
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -36,19 +39,49 @@ import (
 
 // DataRepair is the result of Repair_Data: a V-instance satisfying the
 // target FD set, the cells changed relative to the input, and the vertex
-// cover whose tuples were rewritten.
+// cover whose tuples were rewritten. It holds the input and the rewritten
+// rows only; Value reads a cell of the repaired instance, and Instance
+// builds the whole instance on first request. Do not mutate the input
+// while the repair is in use.
 type DataRepair struct {
-	// Instance is the repaired V-instance. It shares every row outside
-	// Cover with the input, so it is read-only:
-	// Clone it before changing a cell, and do not mutate the input while
-	// the repair is in use.
-	Instance *relation.Instance
-	Changed  []relation.CellRef
-	Cover    []int32
+	Changed []relation.CellRef
+	Cover   []int32
+
+	in    *relation.Instance
+	ids   []int32        // the rewritten tuples, ascending
+	cells relation.Tuple // their rows, in ids order, width cells each
+
+	once sync.Once
+	inst *relation.Instance
 }
 
 // NumChanges returns |Δd(I, I′)|, the paper's data-repair distance.
 func (d *DataRepair) NumChanges() int { return len(d.Changed) }
+
+// Value returns cell c of the repaired instance: the rewritten row's cell
+// for a tuple in the cover, the input's otherwise. Reading a changed
+// cell's new value this way builds no instance.
+func (d *DataRepair) Value(c relation.CellRef) relation.Value {
+	if i, ok := slices.BinarySearch(d.ids, int32(c.Tuple)); ok {
+		return d.cells[i*d.in.Schema.Width()+c.Attr]
+	}
+	return d.in.Tuples[c.Tuple][c.Attr]
+}
+
+// Instance returns the repaired V-instance, building it on the first call.
+// It shares every row outside the rewritten tuples with the input, so it is
+// read-only: Clone it before changing a cell.
+func (d *DataRepair) Instance() *relation.Instance {
+	d.once.Do(func() {
+		width := d.in.Schema.Width()
+		tuples := slices.Clone(d.in.Tuples)
+		for i, t := range d.ids {
+			tuples[t] = d.cells[i*width : (i+1)*width : (i+1)*width]
+		}
+		d.inst = &relation.Instance{Schema: d.in.Schema, Tuples: tuples}
+	})
+	return d.inst
+}
 
 // RepairData implements Algorithm 4: it returns an instance that satisfies
 // sigma, obtained from in by rewriting only tuples of a vertex cover of the
@@ -125,11 +158,11 @@ func repairFDs(eng *session.Engine, sigma fd.Set, cover []int32, pins map[int32]
 	for i, f := range sigma {
 		cons[i] = Constraint{FD: f}
 	}
-	out, changed, err := Rewrite(eng, cons, cover, pins, seed)
+	d, err := Rewrite(eng, cons, cover, pins, seed)
 	if err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
-	return &DataRepair{Instance: out, Changed: changed, Cover: cover}, nil
+	return d, nil
 }
 
 // Constraint is one constraint of the clean index: an FD, optionally
@@ -154,44 +187,30 @@ type Constraint struct {
 // Rewrite repairs eng.In and verifies its own result, so callers do not:
 // filling the clean index checks each clean row against the clean rows
 // before it, and each rewritten tuple is checked against every row
-// indexed before it. It returns the rewritten instance and the changed
-// cells, or an error: the given tuples are no vertex cover, or the first
+// indexed before it. It returns the repair, whose Cover is order as
+// given, or an error: the given tuples are no vertex cover, or the first
 // tuple whose starting attributes admit no valid assignment.
 //
 // The loop runs on the code columns the instance already carries
 // (Instance.Codes, or columns a producer installed with SetCodes) and
 // builds no value dictionary. It keys the clean part by the engine's LHS
 // key tables: a warm engine has them from earlier repairs of the same
-// snapshot. The result copies only the order tuples; every other row is
-// shared with the input, so the result is read-only and the input must
-// not be mutated while it is in use. Fresh variables continue past the
-// input's largest variable identity, so a V-instance input never sees a
-// "fresh" variable equal to one it holds.
-func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*relation.Instance, []relation.CellRef, error) {
+// snapshot. It copies only the order tuples, into one arena, and builds no
+// output instance (see DataRepair.Instance); the input must not be mutated
+// while the repair is in use. Fresh variables continue past the input's
+// largest variable identity, so a V-instance input never sees a "fresh"
+// variable equal to one it holds.
+func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int32]relation.AttrSet, seed int64) (*DataRepair, error) {
 	in := eng.In
 	rng := rand.New(rand.NewSource(seed))
 	vg := relation.VarGenAfter(in)
 	width := in.Schema.Width()
 
-	dirty := make([]bool, in.N())
-	uniq := make([]int32, 0, len(order))
-	for _, t := range order {
-		if !dirty[t] {
-			dirty[t] = true
-			uniq = append(uniq, t)
-		}
-	}
-	order = uniq
-	out := &relation.Instance{Schema: in.Schema, Tuples: slices.Clone(in.Tuples)}
-	cells := make(relation.Tuple, len(order)*width)
-	for i, t := range order {
-		row := cells[i*width : (i+1)*width : (i+1)*width]
-		copy(row, in.Tuples[t])
-		out.Tuples[t] = row
-	}
-	ci, err := newCleanIndex(in, eng.KeyTables(), out.Tuples, cons, dirty, len(order))
+	cover := order
+	out, order := newRows(in, order)
+	ci, err := newCleanIndex(in, eng.KeyTables(), out, cons, len(order))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -201,7 +220,7 @@ func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int
 	attrs := make([]int, width)
 	var changed []relation.CellRef
 	for _, ti := range order {
-		t := out.Tuples[ti]
+		t := out.row(ti)
 		ci.load(codes, ti)
 		pin := pins[ti]
 		perm(rng, attrs)
@@ -215,9 +234,9 @@ func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int
 			// fixed attribute when the clean part is consistent; pins may
 			// rule it out.
 			if pin.IsEmpty() {
-				return nil, nil, fmt.Errorf("no valid assignment for tuple %d with one fixed attribute", ti)
+				return nil, fmt.Errorf("no valid assignment for tuple %d with one fixed attribute", ti)
 			}
-			return nil, nil, fmt.Errorf("tuple %d cannot be repaired: its pinned cells %s conflict with the clean part of the instance", ti, pin)
+			return nil, fmt.Errorf("tuple %d cannot be repaired: its pinned cells %s conflict with the clean part of the instance", ti, pin)
 		}
 		for _, a := range attrs {
 			if fixed.Contains(a) {
@@ -237,11 +256,54 @@ func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int
 			}
 		}
 		if i, _, _, bad := ci.violation(&assignment{vals: t, codes: codes}); bad {
-			return nil, nil, fmt.Errorf("internal error: rewritten tuple %d violates %s", ti, cons[i].Format(in.Schema))
+			return nil, fmt.Errorf("internal error: rewritten tuple %d violates %s", ti, cons[i].Format(in.Schema))
 		}
 		ci.add(t, codes, ti)
 	}
-	return out, changed, nil
+	return &DataRepair{Changed: changed, Cover: cover, in: in, ids: out.ids, cells: out.cells}, nil
+}
+
+// rows is the output of one Rewrite as the loop sees it: the input's rows,
+// with the rewritten ones read from a cover-sized arena instead.
+type rows struct {
+	in    []relation.Tuple
+	width int
+	// pos[t] is 1 + row t's index in the arena, or 0 for a row read from
+	// the input.
+	pos   []int32
+	ids   []int32        // the arena's tuples, ascending
+	cells relation.Tuple // the arena: ids' rows, width cells each
+}
+
+// newRows copies the rows of the tuples in order into a fresh arena. It
+// also returns those tuples without repeats, in order of first appearance.
+func newRows(in *relation.Instance, order []int32) (*rows, []int32) {
+	width := in.Schema.Width()
+	r := &rows{in: in.Tuples, width: width, pos: make([]int32, in.N())}
+	uniq := make([]int32, 0, len(order))
+	for _, t := range order {
+		if r.pos[t] == 0 {
+			r.pos[t] = 1
+			uniq = append(uniq, t)
+		}
+	}
+	r.ids = slices.Clone(uniq)
+	slices.Sort(r.ids)
+	r.cells = make(relation.Tuple, len(r.ids)*width)
+	for i, t := range r.ids {
+		r.pos[t] = int32(i + 1)
+		copy(r.cells[i*width:], in.Tuples[t])
+	}
+	return r, uniq
+}
+
+// row returns row t of the output.
+func (r *rows) row(t int32) relation.Tuple {
+	if p := r.pos[t]; p > 0 {
+		i := int(p-1) * r.width
+		return r.cells[i : i+r.width : i+r.width]
+	}
+	return r.in[t]
 }
 
 // perm fills p with the permutation rng.Perm(len(p)) returns, drawing the
@@ -281,9 +343,9 @@ func newAssignment(width int) *assignment {
 // projection only rewritten tuples hold, an id the constraint's overlay
 // hands out past the table's.
 type cleanIndex struct {
-	cons   []Constraint
-	tuples []relation.Tuple // the output rows: an entry's RHS value is tuples[row][RHS]
-	attrs  []int            // every attribute a constraint reads
+	cons  []Constraint
+	out   *rows // an entry's RHS value is out.row(row)[RHS]
+	attrs []int // every attribute a constraint reads
 	// cols[a] is attribute a's source code column; ncode[a] counts its
 	// codes, overlay codes included.
 	cols   [][]int32
@@ -296,18 +358,18 @@ type cleanIndex struct {
 // entry is one indexed RHS; row < 0 marks a key no clean tuple has.
 type entry struct{ code, row int32 }
 
-// newCleanIndex indexes the rows of in outside dirty, coded by in's
-// columns and keyed by the tables of in. tuples are the rows entries refer
-// to: in's rows, where the dirty ones may be copies the caller rewrites.
-// rewrites bounds the add calls that follow for rows outside the index.
-// The error names the first indexed row that conflicts with an earlier
-// one or misses a constant: the dirty rows are no vertex cover. The index
-// is complete either way.
-func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []relation.Tuple, cons []Constraint, dirty []bool, rewrites int) (*cleanIndex, error) {
+// newCleanIndex indexes the rows of in that out reads from the input,
+// coded by in's columns and keyed by the tables of in. Entries refer to
+// rows of out, whose arena rows the caller rewrites. rewrites bounds the
+// add calls that follow for rows outside the index. The error names the
+// first indexed row that conflicts with an earlier one or misses a
+// constant: the arena rows are no vertex cover. The index is complete
+// either way.
+func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, out *rows, cons []Constraint, rewrites int) (*cleanIndex, error) {
 	width := in.Schema.Width()
 	ci := &cleanIndex{
 		cons:   cons,
-		tuples: tuples,
+		out:    out,
 		cols:   make([][]int32, width),
 		ncode:  make([]int32, width),
 		consts: make([]int32, len(cons)),
@@ -340,8 +402,8 @@ func newCleanIndex(in *relation.Instance, tables *relation.KeyTables, tuples []r
 			s[k].row = -1
 		}
 		rhs := ci.cols[c.RHS]
-		for t, d := range dirty {
-			if d || c.Match != nil && !c.Match(tuples[t]) {
+		for t, p := range out.pos[:in.N()] {
+			if p > 0 || c.Match != nil && !c.Match(in.Tuples[t]) {
 				continue
 			}
 			var k int32
@@ -378,7 +440,7 @@ func (ci *cleanIndex) constCode(i int) int32 {
 		}
 	}
 	v := relation.Const(c.Const)
-	for t, row := range ci.tuples {
+	for t, row := range ci.out.in {
 		if row[c.RHS].Equal(v) {
 			return ci.cols[c.RHS][t]
 		}
@@ -456,7 +518,7 @@ func (ci *cleanIndex) violation(tc *assignment) (idx int, rhs relation.Value, co
 			return i, relation.Const(c.Const), ci.consts[i], true
 		}
 		if e, ok := ci.lookup(i, tc.codes); ok && e.code != got {
-			return i, ci.tuples[e.row][c.RHS], e.code, true
+			return i, ci.out.row(e.row)[c.RHS], e.code, true
 		}
 	}
 	return 0, relation.Value{}, 0, false

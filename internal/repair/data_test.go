@@ -19,7 +19,7 @@ func TestRepairDataPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sigma.SatisfiedBy(rep.Instance) {
+	if !sigma.SatisfiedBy(rep.Instance()) {
 		t.Fatal("repaired instance violates Σ'")
 	}
 	alpha := 2 // min{|R|-1, |Σ|} = min{3, 2}
@@ -50,12 +50,12 @@ func TestRepairDataProperties(t *testing.T) {
 			t.Fatalf("trial %d: %v\nΣ=%v\n%s", trial, err, sigma, in)
 		}
 		// (1) The output satisfies Σ'.
-		if !sigma.SatisfiedBy(rep.Instance) {
+		if !sigma.SatisfiedBy(rep.Instance()) {
 			t.Fatalf("trial %d: repaired instance violates Σ'\nΣ=%v\nin:\n%s\nout:\n%s",
-				trial, sigma, in, rep.Instance)
+				trial, sigma, in, rep.Instance())
 		}
 		// (2) Tuple count unchanged; untouched tuples identical.
-		if rep.Instance.N() != in.N() {
+		if rep.Instance().N() != in.N() {
 			t.Fatalf("trial %d: tuple count changed", trial)
 		}
 		// (3) Change bound per Theorem 3.
@@ -68,7 +68,7 @@ func TestRepairDataProperties(t *testing.T) {
 				trial, rep.NumChanges(), alpha, len(rep.Cover))
 		}
 		// (4) Changed cells agree with DiffCells.
-		diff, err := in.DiffCells(rep.Instance)
+		diff, err := in.DiffCells(rep.Instance())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestRepairDataProperties(t *testing.T) {
 				trial, len(diff), rep.NumChanges())
 		}
 		// (5) Grounding the V-instance preserves satisfaction.
-		if !sigma.SatisfiedBy(rep.Instance.Ground("fresh_")) {
+		if !sigma.SatisfiedBy(rep.Instance().Ground("fresh_")) {
 			t.Fatalf("trial %d: grounded repair violates Σ'", trial)
 		}
 	}
@@ -119,7 +119,7 @@ func TestRepairDataWithSuppliedCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sigma.SatisfiedBy(rep.Instance) {
+	if !sigma.SatisfiedBy(rep.Instance()) {
 		t.Fatal("repair with supplied cover violates Σ'")
 	}
 	if len(rep.Cover) != len(cover) {
@@ -208,7 +208,7 @@ func TestRepairDataUsesVariablesOnlyWhenFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sigma.SatisfiedBy(rep.Instance) {
+	if !sigma.SatisfiedBy(rep.Instance()) {
 		t.Fatal("violates after repair")
 	}
 	if rep.NumChanges() > 1 {
@@ -226,7 +226,7 @@ func TestRepairDataStressLarger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sigma.SatisfiedBy(rep.Instance) {
+	if !sigma.SatisfiedBy(rep.Instance()) {
 		t.Fatal("large repair violates Σ'")
 	}
 	alpha := 3
@@ -251,7 +251,7 @@ func TestRepairDataFreshVariablesAvoidInputVariables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: first repair: %v", trial, err)
 		}
-		vin := first.Instance
+		vin := first.Instance()
 		for round := 0; round < 3; round++ {
 			sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2)
 			rep, err := RepairData(vin, sigma, nil, int64(round), nil)
@@ -272,12 +272,12 @@ func TestRepairDataFreshVariablesAvoidInputVariables(t *testing.T) {
 				}
 			}
 			for _, c := range rep.Changed {
-				v := rep.Instance.Tuples[c.Tuple][c.Attr]
+				v := rep.Instance().Tuples[c.Tuple][c.Attr]
 				if v.IsVar() && v.VarID() <= maxID && !inColumn[[2]int64{int64(c.Attr), v.VarID()}] {
 					t.Fatalf("trial %d round %d: fresh variable %v at %v reuses an input variable identity", trial, round, v, c)
 				}
 			}
-			vin = rep.Instance
+			vin = rep.Instance()
 		}
 	}
 	if rerepairs == 0 {

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,12 +147,17 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 func cleanIndexStreamMatches(in *relation.Instance, tables *relation.KeyTables, cons []Constraint, dirty []bool, seed int64, vg relation.VarGen) bool {
 	rng := rand.New(rand.NewSource(seed))
 	width := in.Schema.Width()
-	// Added candidates get rows of their own past in's, so no entry's row
-	// is overwritten.
+	// Added candidates get arena rows of their own past in's, so no
+	// entry's row is overwritten.
 	const steps = 60
-	tuples := make([]relation.Tuple, in.N()+steps)
-	copy(tuples, in.Tuples)
-	ci, _ := newCleanIndex(in, tables, tuples, cons, dirty, steps)
+	var ids []int32
+	for t, d := range dirty {
+		if d {
+			ids = append(ids, int32(t))
+		}
+	}
+	out, _ := newRows(in, ids)
+	ci, _ := newCleanIndex(in, tables, out, cons, steps)
 	ref := newRefCleanIndex(cons)
 	// pool[a] holds every value keyed on a so far, with its code.
 	type cell struct {
@@ -174,7 +178,7 @@ func cleanIndexStreamMatches(in *relation.Instance, tables *relation.KeyTables, 
 	}
 
 	tc := newAssignment(width)
-	for step := range steps {
+	for range steps {
 		for a := range width {
 			if rng.Intn(8) == 0 {
 				tc.vals[a], tc.codes[a] = vg.Fresh(), -1
@@ -204,10 +208,11 @@ func cleanIndexStreamMatches(in *relation.Instance, tables *relation.KeyTables, 
 					pool[a] = append(pool[a], cell{tc.vals[a], tc.codes[a]})
 				}
 			}
-			row := int32(in.N() + step)
-			tuples[row] = slices.Clone(tc.vals)
-			ci.add(tuples[row], tc.codes, row)
-			ref.add(tuples[row])
+			out.cells = append(out.cells, tc.vals...)
+			out.pos = append(out.pos, int32(len(out.cells)/width))
+			row := int32(len(out.pos) - 1)
+			ci.add(out.row(row), tc.codes, row)
+			ref.add(out.row(row))
 		}
 	}
 	return true

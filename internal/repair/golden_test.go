@@ -73,7 +73,7 @@ func TestPinnedRepairGolden(t *testing.T) {
 			fmt.Fprintf(&b, "error: %v\n", err)
 			continue
 		}
-		fmt.Fprintf(&b, "cover=%v changed=%v\n%s", rep.Cover, rep.Changed, rep.Instance)
+		fmt.Fprintf(&b, "cover=%v changed=%v\n%s", rep.Cover, rep.Changed, rep.Instance())
 	}
 	checkGolden(t, "pinned.golden", []byte(b.String()))
 }
@@ -91,7 +91,7 @@ func TestRepairDataGolden(t *testing.T) {
 			fmt.Fprintf(&b, "error: %v\n", err)
 			return
 		}
-		fmt.Fprintf(&b, "cover=%v changed=%v\n%s", rep.Cover, rep.Changed, rep.Instance)
+		fmt.Fprintf(&b, "cover=%v changed=%v\n%s", rep.Cover, rep.Changed, rep.Instance())
 	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {

@@ -27,9 +27,9 @@ func frontierFingerprint(in *relation.Instance, sigma fd.Set, eng *session.Engin
 	err = s.StreamRange(context.Background(), 0, s.DeltaPOriginal(), func(r *Repair) error {
 		fmt.Fprintf(&b, "τ=%d Σ′=%s\n", r.Tau, r.Sigma.Format(in.Schema))
 		for _, c := range r.Data.Changed {
-			fmt.Fprintf(&b, "%d.%d=%s ", c.Tuple, c.Attr, r.Data.Instance.Tuples[c.Tuple][c.Attr])
+			fmt.Fprintf(&b, "%d.%d=%s ", c.Tuple, c.Attr, r.Data.Instance().Tuples[c.Tuple][c.Attr])
 		}
-		fmt.Fprintf(&b, "\n%s\n", r.Data.Instance)
+		fmt.Fprintf(&b, "\n%s\n", r.Data.Instance())
 		return nil
 	})
 	return b.String(), err
@@ -64,7 +64,7 @@ func TestFrontierIdenticalAcrossKeyTableCaches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: first repair: %v", trial, err)
 			}
-			in = first.Instance
+			in = first.Instance()
 		}
 		sigma := chainedSigma(rng, width)
 		eng := session.New(in)

@@ -25,7 +25,7 @@ func TestPinnedCellsAreNeverChanged(t *testing.T) {
 		if err != nil {
 			continue // infeasible pinnings are legitimate
 		}
-		if !sigma.SatisfiedBy(rep.Instance) {
+		if !sigma.SatisfiedBy(rep.Instance()) {
 			t.Fatalf("trial %d: pinned repair violates Σ", trial)
 		}
 		for _, c := range rep.Changed {
@@ -53,7 +53,7 @@ func TestPinnedForcesAlternativeRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sigma.SatisfiedBy(rep.Instance) {
+	if !sigma.SatisfiedBy(rep.Instance()) {
 		t.Fatal("violates Σ")
 	}
 	for _, c := range rep.Changed {
@@ -98,9 +98,9 @@ func TestPinnedNoPinsEquivalentToPlainRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got.Cover, want.Cover) || !slices.Equal(got.Changed, want.Changed) ||
-			got.Instance.String() != want.Instance.String() {
+			got.Instance().String() != want.Instance().String() {
 			t.Fatalf("trial %d: pinned repair without pins differs from RepairData:\n%v %v\n%s\nwant %v %v\n%s",
-				trial, got.Cover, got.Changed, got.Instance, want.Cover, want.Changed, want.Instance)
+				trial, got.Cover, got.Changed, got.Instance(), want.Cover, want.Changed, want.Instance())
 		}
 	}
 }

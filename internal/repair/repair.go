@@ -215,9 +215,15 @@ func (s *Session) sweepFinished(tau int) {
 
 // materialize runs the data-repair phase for a found FD modification,
 // reusing the search's vertex cover so the δP ≤ τ guarantee carries over
-// verbatim to the cell-change count.
+// verbatim to the cell-change count. The cover comes from the session's
+// component evaluator, which memoizes it per goal state: a served
+// dataset's repeated sweeps share that evaluator, so a warm point refines
+// no cluster.
 func (s *Session) materialize(res *search.Result, tau int) (*Repair, error) {
-	cover := s.Analysis.Cover(res.State)
+	cover := s.cfg.Search.Decomp.Cover(s.Analysis, res.State)
+	if len(cover) != res.CoverSize {
+		return nil, fmt.Errorf("repair: internal error: the goal's cover has %d tuples, the search sized it at %d", len(cover), res.CoverSize)
+	}
 	data, err := RepairData(s.In, res.Sigma, cover, s.cfg.Seed, s.eng)
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func TestRunPaperExample(t *testing.T) {
 	if rep.Data.NumChanges() > 2 {
 		t.Errorf("cell changes %d exceed τ=2", rep.Data.NumChanges())
 	}
-	if !rep.Sigma.SatisfiedBy(rep.Data.Instance) {
+	if !rep.Sigma.SatisfiedBy(rep.Data.Instance()) {
 		t.Error("I' must satisfy Σ'")
 	}
 	if len(rep.String()) == 0 {
@@ -64,7 +64,7 @@ func TestRunRespectsTau(t *testing.T) {
 				t.Fatalf("trial %d: %d cell changes > τ=%d (δP=%d)\nΣ=%v",
 					trial, rep.Data.NumChanges(), tau, rep.DeltaP, sigma)
 			}
-			if !rep.Sigma.SatisfiedBy(rep.Data.Instance) {
+			if !rep.Sigma.SatisfiedBy(rep.Data.Instance()) {
 				t.Fatalf("trial %d: I' violates Σ'", trial)
 			}
 			if !rep.Sigma.IsRelaxationOf(sigma) {

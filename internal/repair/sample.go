@@ -81,7 +81,7 @@ func repairSignature(rep *DataRepair) string {
 	})
 	var b strings.Builder
 	for _, c := range cells {
-		v := rep.Instance.Tuples[c.Tuple][c.Attr]
+		v := rep.Value(c)
 		if v.IsVar() {
 			fmt.Fprintf(&b, "%d:%d=?;", c.Tuple, c.Attr)
 		} else {

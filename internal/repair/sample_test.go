@@ -26,7 +26,7 @@ func TestSampleDataRepairsDistinct(t *testing.T) {
 	}
 	sigs := map[string]bool{}
 	for _, r := range reps {
-		if !sigma.SatisfiedBy(r.Instance) {
+		if !sigma.SatisfiedBy(r.Instance()) {
 			t.Fatal("sampled repair violates Σ")
 		}
 		sig := repairSignature(r)
@@ -102,7 +102,7 @@ func TestRepairSignatureSeparatesDistinctRepairs(t *testing.T) {
 		if err := in.AppendConsts("a", "b"); err != nil {
 			t.Fatal(err)
 		}
-		rep := &DataRepair{Instance: in}
+		rep := &DataRepair{in: in}
 		for _, c := range []relation.CellRef{{Tuple: 0, Attr: 0}, {Tuple: 0, Attr: 1}} {
 			if v, ok := cells[c]; ok {
 				in.Tuples[0][c.Attr] = v

@@ -26,8 +26,8 @@ func sameRepair(a, b *Repair) bool {
 		if ca != cb {
 			return false
 		}
-		va := a.Data.Instance.Tuples[ca.Tuple][ca.Attr]
-		vb := b.Data.Instance.Tuples[cb.Tuple][cb.Attr]
+		va := a.Data.Instance().Tuples[ca.Tuple][ca.Attr]
+		vb := b.Data.Instance().Tuples[cb.Tuple][cb.Attr]
 		if va.IsVar() != vb.IsVar() || (!va.IsVar() && !va.Equal(vb)) {
 			return false
 		}
@@ -74,7 +74,8 @@ func TestStreamRangeMatchesRepeatedRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := s.materialize(&search.Result{State: r.Ext, Sigma: r.Sigma, Cost: r.FDCost, DeltaP: r.DeltaP}, r.Tau)
+				m, err := s.materialize(&search.Result{State: r.Ext, Sigma: r.Sigma, Cost: r.FDCost,
+					CoverSize: r.DeltaP / s.Searcher.Alpha(), DeltaP: r.DeltaP}, r.Tau)
 				s.Close()
 				if err != nil {
 					t.Fatal(err)

@@ -132,7 +132,7 @@ func Changes(w io.Writer, in *relation.Instance, r *repair.Repair, opt Options) 
 			break
 		}
 		fmt.Fprintf(&b, "  %-16s %s → %s\n", c.Format(in.Schema),
-			in.Tuples[c.Tuple][c.Attr], r.Data.Instance.Tuples[c.Tuple][c.Attr])
+			in.Tuples[c.Tuple][c.Attr], r.Data.Value(c))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -97,7 +97,7 @@ func changesOf(in *relatrust.Instance, d *relatrust.DataRepair) []CellChange {
 			Tuple:  c.Tuple,
 			Attr:   in.Schema.Name(c.Attr),
 			Before: in.Tuples[c.Tuple][c.Attr].String(),
-			After:  d.Instance.Tuples[c.Tuple][c.Attr].String(),
+			After:  d.Value(c).String(),
 		})
 	}
 	return out

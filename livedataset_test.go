@@ -52,7 +52,7 @@ func frontierFingerprint(t *testing.T, rp *relatrust.Repairer) string {
 			t.Fatal(err)
 		}
 		out += fmt.Sprintf("tau=%d sigma=%s cost=%g deltap=%d changed=%v rows=%v\n",
-			r.Tau, r.Sigma, r.FDCost, r.DeltaP, r.Data.Changed, r.Data.Instance.Tuples)
+			r.Tau, r.Sigma, r.FDCost, r.DeltaP, r.Data.Changed, r.Data.Instance().Tuples)
 	}
 	return out
 }

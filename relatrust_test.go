@@ -60,7 +60,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("no repairs suggested")
 	}
 	for _, r := range repairs {
-		if !relatrust.Satisfies(r.Data.Instance, r.Sigma) {
+		if !relatrust.Satisfies(r.Data.Instance(), r.Sigma) {
 			t.Errorf("repair %v inconsistent", r)
 		}
 	}
@@ -217,7 +217,7 @@ func TestFacadeSharedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
-		if !relatrust.Satisfies(s.Instance, sigma) {
+		if !relatrust.Satisfies(s.Instance(), sigma) {
 			t.Fatal("sampled repair via shared session violates Σ")
 		}
 	}
