@@ -3,6 +3,7 @@ package components
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -125,6 +126,97 @@ func TestEvaluatorMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestEvaluatorCoverMatchesMonolithic is the goal-cover oracle: on every
+// shape, and on random instances where the global 2·|M| fallback fires,
+// Evaluator.Cover equals Analysis.Cover for random extension vectors, on
+// the call that computes it and on the one the memo answers, and what it
+// returns is the caller's to modify.
+func TestEvaluatorCoverMatchesMonolithic(t *testing.T) {
+	check := func(t *testing.T, an *conflict.Analysis, ev *Evaluator, ext []relation.AttrSet) {
+		t.Helper()
+		want := an.Cover(ext)
+		for call := 0; call < 2; call++ {
+			got := ev.Cover(an, ext)
+			if !slices.Equal(got, want) {
+				t.Fatalf("call %d: evaluator Cover = %v, monolithic = %v (ext %v)", call, got, want, ext)
+			}
+			if len(got) > 0 {
+				got[0] = -1 // must not reach the memo
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, sh := range shapes(rng) {
+		t.Run(sh.name, func(t *testing.T) {
+			an := conflict.New(sh.in, sh.sigma)
+			ev := NewEvaluator(an)
+			for trial := 0; trial < 200; trial++ {
+				check(t, an, ev, randExt(rng, sh.sigma, sh.in.Schema.Width()))
+			}
+		})
+	}
+	t.Run("fallback", func(t *testing.T) {
+		// Pass 2 exceeds twice the matching only under cluster overlap
+		// across FDs; about one instance in twenty of this shape has an
+		// extension where it does.
+		fallbacks := 0
+		for seed := int64(0); seed < 300; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			in := testkit.RandomInstance(rng, 24, 5, 3)
+			sigma := testkit.RandomFDs(rng, 5, 4, 2)
+			an := conflict.New(in, sigma)
+			ev := NewEvaluator(an)
+			for trial := 0; trial < 30; trial++ {
+				ext := randExt(rng, sigma, 5)
+				if len2, pairs := an.SubsetCover(an.Clusters(), ext, ^relation.AttrSet(0)); len2 > 2*pairs {
+					fallbacks++
+				}
+				check(t, an, ev, ext)
+			}
+		}
+		if fallbacks == 0 {
+			t.Fatal("no trial reached the 2·|M| fallback")
+		}
+		t.Logf("%d trials reached the fallback", fallbacks)
+	})
+}
+
+// TestCoverMemoBounded fills one evaluator's goal-cover memo past its
+// bound: the charge never exceeds coverMemoCovers maximal covers, the memo
+// clears itself at least once, and answers stay exact after a clear.
+func TestCoverMemoBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const width = 8
+	in := testkit.RandomInstance(rng, 60, width, 2)
+	sigma := testkit.RandomFDs(rng, width, 3, 2)
+	an := conflict.New(in, sigma)
+	ev := NewEvaluator(an)
+	limit := coverMemoCovers * (ev.d.tuples + 2*len(sigma))
+	clears, prev := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		ext := make([]relation.AttrSet, len(sigma))
+		for fi := range ext {
+			ext[fi] = relation.AttrSet(rng.Int63()) & relation.FullSet(width)
+		}
+		if got, want := ev.Cover(an, ext), an.Cover(ext); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: evaluator Cover = %v, monolithic = %v (ext %v)", trial, got, want, ext)
+		}
+		ev.coverMu.Lock()
+		words := ev.coverWords
+		ev.coverMu.Unlock()
+		if words > limit {
+			t.Fatalf("trial %d: memo charged %d words, bound %d", trial, words, limit)
+		}
+		if words < prev {
+			clears++
+		}
+		prev = words
+	}
+	if clears == 0 {
+		t.Fatalf("memo never cleared (charge %d words, bound %d)", prev, limit)
+	}
+}
+
 // TestComponentsPartitionClusters checks the decomposition is a partition:
 // every cluster appears in exactly one component, in global construction
 // order, and tuple counts plus the base sums are consistent.
@@ -135,10 +227,7 @@ func TestComponentsPartitionClusters(t *testing.T) {
 			an := conflict.New(sh.in, sh.sigma)
 			d := NewEvaluator(an).Decomposition()
 			seen := make(map[conflict.ClusterRef]bool)
-			total := 0
-			for fi := range sh.sigma {
-				total += an.NumClusters(fi)
-			}
+			total := len(an.Clusters())
 			for _, comp := range d.Comps {
 				if len(comp.Clusters) == 0 {
 					t.Fatalf("empty component")
@@ -202,8 +291,8 @@ func TestComponentListsAscendingDisjoint(t *testing.T) {
 
 // TestEvaluatorConcurrent hammers one shared evaluator from several
 // goroutines, each with its own analysis fork — the session-engine usage —
-// and checks every answer against the monolithic oracle (run under -race
-// in CI).
+// and checks every answer, cover sizes and goal covers, against the
+// monolithic oracle (run under -race in CI).
 func TestEvaluatorConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	in := testkit.RandomInstance(rng, 120, 5, 3)
@@ -226,6 +315,10 @@ func TestEvaluatorConcurrent(t *testing.T) {
 				want := fork.CoverSize(ext)
 				if got := ev.CoverSize(fork, ext); got != want {
 					errs <- fmt.Errorf("seed %d trial %d: got %d want %d", seed, trial, got, want)
+					return
+				}
+				if got, want := ev.Cover(fork, ext), fork.Cover(ext); !slices.Equal(got, want) {
+					errs <- fmt.Errorf("seed %d trial %d: cover %v want %v", seed, trial, got, want)
 					return
 				}
 			}

@@ -40,6 +40,7 @@
 package conflict
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -294,7 +295,7 @@ func (a *Analysis) CoverSize(ext []relation.AttrSet) int {
 // Cover returns the tuple indices of C2opt(Σ′, I) in increasing order.
 func (a *Analysis) Cover(ext []relation.AttrSet) []int32 {
 	c := append([]int32(nil), a.cover(ext)...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	return c
 }
 

@@ -25,9 +25,6 @@ type ClusterRef struct {
 // modified.
 func (a *Analysis) Clusters() []ClusterRef { return a.all }
 
-// NumClusters returns the number of violation clusters of FD fi.
-func (a *Analysis) NumClusters(fi int) int { return len(a.clusters[fi]) }
-
 // ClusterTuples returns the tuple indices of cluster ci of FD fi. The
 // returned slice aliases the shared immutable cluster arena and must not
 // be modified.

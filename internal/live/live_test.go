@@ -66,15 +66,14 @@ func randExt(rng *rand.Rand, sigma fd.Set, width int) []relation.AttrSet {
 // equal the rebuild's in content and order.
 func checkClustersMatch(t *testing.T, spliced, fresh *conflict.Analysis) {
 	t.Helper()
-	for fi := range fresh.Sigma {
-		if got, want := spliced.NumClusters(fi), fresh.NumClusters(fi); got != want {
-			t.Fatalf("FD %d: spliced has %d clusters, rebuild has %d", fi, got, want)
-		}
-		for ci := 0; ci < fresh.NumClusters(fi); ci++ {
-			g, w := spliced.ClusterTuples(fi, ci), fresh.ClusterTuples(fi, ci)
-			if !slices.Equal(g, w) {
-				t.Fatalf("FD %d cluster %d: spliced %v, rebuild %v", fi, ci, g, w)
-			}
+	if got, want := spliced.Clusters(), fresh.Clusters(); !slices.Equal(got, want) {
+		t.Fatalf("spliced clusters %v, rebuild %v", got, want)
+	}
+	for _, ref := range fresh.Clusters() {
+		fi, ci := int(ref.FD), int(ref.Cluster)
+		g, w := spliced.ClusterTuples(fi, ci), fresh.ClusterTuples(fi, ci)
+		if !slices.Equal(g, w) {
+			t.Fatalf("FD %d cluster %d: spliced %v, rebuild %v", fi, ci, g, w)
 		}
 	}
 }
@@ -85,7 +84,8 @@ func checkClustersMatch(t *testing.T, spliced, fresh *conflict.Analysis) {
 // capped samplers are order-sensitive), and CoverSize equal over random
 // extension vectors through both the analysis and the spliced evaluator,
 // whose Affected lists — the per-FD lists verbatim for a single extended
-// FD — must be strictly ascending.
+// FD — must be strictly ascending, and whose goal covers name the same
+// tuples as the rebuild's.
 func checkAgainstRebuild(t *testing.T, tb *Table, sigma fd.Set, rng *rand.Rand, trials int) {
 	t.Helper()
 	cur, eng, _ := tb.Snapshot()
@@ -118,6 +118,9 @@ func checkAgainstRebuild(t *testing.T, tb *Table, sigma fd.Set, rng *rand.Rand, 
 		}
 		if got := ev.CoverSize(spliced, ext); got != want {
 			t.Fatalf("trial %d: spliced evaluator CoverSize = %d, rebuild = %d (ext %v)", trial, got, want, ext)
+		}
+		if got, want := ev.Cover(spliced, ext), fresh.Cover(ext); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: spliced evaluator Cover = %v, rebuild = %v (ext %v)", trial, got, want, ext)
 		}
 	}
 }
@@ -162,6 +165,40 @@ func TestApplyMatchesRebuild(t *testing.T) {
 				t.Fatalf("no mutations recorded")
 			}
 		})
+	}
+}
+
+// TestSplicedGoalCoversFollowRenumbering: deleting a clean row moves the
+// last row, which violates A->B, into its place by swap-remove. The next
+// generation's evaluator must name that row by its new position, so the
+// goal-cover memo the old generation filled is not carried across the
+// splice.
+func TestSplicedGoalCoversFollowRenumbering(t *testing.T) {
+	in := testkit.Build([]string{"A", "B"}, [][]string{
+		{"c0", "x"},
+		{"c1", "y"},
+		{"a", "b1"},
+		{"a", "b1"},
+		{"a", "b2"},
+	})
+	sigma := fd.MustParseSet(in.Schema, "A->B")
+	tb := NewTable(in, 1)
+	_, eng, _ := tb.Snapshot()
+	an := eng.Acquire(sigma)
+	if got := eng.CoverEvaluator(sigma).Cover(an, nil); !slices.Equal(got, []int32{4}) {
+		t.Fatalf("cover before the delete = %v, want [4]", got)
+	}
+	eng.Release(an)
+
+	if _, err := tb.Apply([]Op{{Kind: OpDelete, Row: 0}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	cur, eng2, _ := tb.Snapshot()
+	spliced := eng2.Acquire(sigma)
+	defer eng2.Release(spliced)
+	got := eng2.CoverEvaluator(sigma).Cover(spliced, nil)
+	if want := conflict.New(cur, sigma).Cover(nil); !slices.Equal(got, want) || !slices.Equal(got, []int32{0}) {
+		t.Fatalf("cover after the delete = %v, rebuild %v, want [0]", got, want)
 	}
 }
 

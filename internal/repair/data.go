@@ -12,11 +12,12 @@
 // clean part by the session engine's per-snapshot LHS key tables
 // (relation.KeyTables), so a frontier point builds no table an earlier
 // point over the same snapshot built: its own work is one linear fill of
-// RHS slots plus an overlay for the keys its rewritten tuples create. It
-// copies only the rewritten tuples, into one cover-sized arena, and
-// neither copies nor clones any other row: a DataRepair reads the rest
-// from the input and builds a whole output instance only when Instance is
-// called. It also verifies its own output against the same index, so no
+// RHS slots plus an overlay for the keys its rewritten tuples create. The
+// point's cover comes from the session's component evaluator, which
+// memoizes it per goal state. Rewrite copies only the rewritten tuples,
+// into one cover-sized arena: a DataRepair reads every other row from the
+// input and builds a whole output instance only when Instance is called.
+// Rewrite also verifies its own output against the same index, so no
 // caller re-checks it.
 //
 // The entry points are context-first: the FD-modification searches honor

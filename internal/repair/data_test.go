@@ -7,6 +7,7 @@ import (
 
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
+	"relatrust/internal/relation"
 	"relatrust/internal/testkit"
 )
 
@@ -282,5 +283,31 @@ func TestRepairDataFreshVariablesAvoidInputVariables(t *testing.T) {
 	}
 	if rerepairs == 0 {
 		t.Fatal("no re-repairs ran")
+	}
+}
+
+// TestValueMatchesInstance: every cell Value reads, changed or not, is the
+// cell of the instance Instance builds, variable identity included, and
+// Instance builds that instance once.
+func TestValueMatchesInstance(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		width := 3 + rng.Intn(3)
+		in := testkit.RandomInstance(rng, 6+rng.Intn(20), width, 2+rng.Intn(2))
+		rep, err := RepairData(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		out := rep.Instance()
+		if rep.Instance() != out {
+			t.Fatalf("trial %d: Instance built twice", trial)
+		}
+		for tu, row := range out.Tuples {
+			for a, v := range row {
+				if got := rep.Value(relation.CellRef{Tuple: tu, Attr: a}); !got.Equal(v) {
+					t.Fatalf("trial %d: Value(%d.%d) = %v, Instance holds %v", trial, tu, a, got, v)
+				}
+			}
+		}
 	}
 }

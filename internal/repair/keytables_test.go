@@ -27,7 +27,7 @@ func frontierFingerprint(in *relation.Instance, sigma fd.Set, eng *session.Engin
 	err = s.StreamRange(context.Background(), 0, s.DeltaPOriginal(), func(r *Repair) error {
 		fmt.Fprintf(&b, "τ=%d Σ′=%s\n", r.Tau, r.Sigma.Format(in.Schema))
 		for _, c := range r.Data.Changed {
-			fmt.Fprintf(&b, "%d.%d=%s ", c.Tuple, c.Attr, r.Data.Instance().Tuples[c.Tuple][c.Attr])
+			fmt.Fprintf(&b, "%d.%d=%s ", c.Tuple, c.Attr, r.Data.Value(c))
 		}
 		fmt.Fprintf(&b, "\n%s\n", r.Data.Instance())
 		return nil
@@ -118,6 +118,54 @@ func TestConcurrentSweepsShareKeyTables(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Errorf("sweep %d over the shared engine differs from a private sweep", i)
+		}
+	}
+}
+
+// TestConcurrentSweepsShareGoalCovers sweeps one engine from two
+// goroutines at once, twice each, so both sessions fill and read the goal
+// covers of the one evaluator the engine keeps for sigma, and asserts
+// every sweep matches a sweep through a private engine.
+func TestConcurrentSweepsShareGoalCovers(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	in := testkit.RandomInstance(rng, 80, 6, 3)
+	sigma := chainedSigma(rng, 6)
+	want, err := frontierFingerprint(in, sigma, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := session.New(in)
+	s, err := NewSession(in, sigma, Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.cfg.Search.Decomp != eng.CoverEvaluator(sigma) {
+		t.Fatal("a session does not use its engine's evaluator")
+	}
+	s.Close()
+	var got [2][2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range got[i] {
+				if got[i][j], errs[i] = frontierFingerprint(in, sigma, eng); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		for j, fp := range got[i] {
+			if fp != want {
+				t.Errorf("goroutine %d sweep %d over the shared engine differs from a private sweep", i, j)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"relatrust/internal/fd"
@@ -305,4 +306,28 @@ func walkLattice(s *Session, sigma fd.Set, width int, visit func(cost, deltaP in
 		st[fi] = 0
 	}
 	walk(search.Root(len(sigma)), 0)
+}
+
+// TestMaterializeChecksCoverSize: a goal whose cover does not have the
+// size the search reported is an internal error, never a repair that
+// breaks δP ≤ τ silently.
+func TestMaterializeChecksCoverSize(t *testing.T) {
+	in, sigma := testkit.Paper4x4()
+	s, err := NewSession(in, sigma, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Searcher.Find(context.Background(), 2)
+	if err != nil || res == nil {
+		t.Fatalf("Find: %v, %v", res, err)
+	}
+	if _, err := s.materialize(res, 2); err != nil {
+		t.Fatalf("the search's own goal: %v", err)
+	}
+	bad := *res
+	bad.CoverSize++
+	if _, err := s.materialize(&bad, 2); err == nil || !strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("a goal sized wrong: got %v, want an internal error", err)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relatrust/internal/conflict"
@@ -88,6 +89,7 @@ func TestDecompositionMatchesMonolithic(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkSameResults(t, "FindRangeStream "+label, refRange, got)
+				checkGoalCovers(t, label, s, ref.An, got)
 
 				for _, tau := range []int{0, dp / 2, dp} {
 					want := referenceFind(ref, tau)
@@ -108,6 +110,24 @@ func TestDecompositionMatchesMonolithic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkGoalCovers asserts that at every streamed goal the searcher's
+// evaluator returns the monolithic cover of the goal state, of the size
+// the search reported, both when it computes the cover and when it
+// answers from its memo.
+func checkGoalCovers(t *testing.T, label string, s *Searcher, mono *conflict.Analysis, goals []*Result) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		for i, r := range goals {
+			want := mono.Cover(r.State)
+			got := s.decomp.Cover(s.An, r.State)
+			if !slices.Equal(got, want) || len(got) != r.CoverSize {
+				t.Fatalf("%s round %d goal %d: evaluator cover %v, monolithic %v, search sized it at %d",
+					label, round, i, got, want, r.CoverSize)
+			}
+		}
 	}
 }
 

@@ -78,6 +78,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkSameResults(t, "FindRangeStream "+label, refRange, got)
+				checkGoalCovers(t, label, s, ref.An, got)
 
 				for i, tau := range taus {
 					r, err := s.Find(context.Background(), tau)

@@ -19,10 +19,8 @@ import (
 // with their edge lists, and the matching edge sample.
 func queryFingerprint(a *conflict.Analysis, exts [][]relation.AttrSet) string {
 	out := ""
-	for fi := range a.Sigma {
-		for ci := 0; ci < a.NumClusters(fi); ci++ {
-			out += fmt.Sprintf("fd=%d cluster=%v\n", fi, a.ClusterTuples(fi, ci))
-		}
+	for _, ref := range a.Clusters() {
+		out += fmt.Sprintf("fd=%d cluster=%v\n", ref.FD, a.ClusterTuples(int(ref.FD), int(ref.Cluster)))
 	}
 	out += fmt.Sprintf("permmatch=%d\n", a.PermanentMatching())
 	for _, ext := range exts {

@@ -76,10 +76,11 @@ type (
 	FDSet = fd.Set
 	// Repair is one suggested (Σ′, I′) pair with its bookkeeping.
 	Repair = repair.Repair
-	// DataRepair is a data-only repair: the V-instance and its changed
-	// cells for a fixed FD set. The V-instance shares its unrewritten rows
-	// with the repaired input and is read-only; a later Repairer may take
-	// it as input.
+	// DataRepair is a data-only repair: its changed cells for a fixed FD
+	// set, their new values (Value), and the V-instance (Instance, built
+	// on first call). The V-instance shares its unrewritten rows with the
+	// repaired input and is read-only; a later Repairer may take it as
+	// input.
 	DataRepair = repair.DataRepair
 	// SearchStats reports the effort of the FD-modification search.
 	SearchStats = search.Stats

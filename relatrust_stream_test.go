@@ -59,8 +59,8 @@ func equalRepair(a, b *relatrust.Repair) bool {
 		if ca != cb {
 			return false
 		}
-		va := a.Data.Instance().Tuples[ca.Tuple][ca.Attr]
-		vb := b.Data.Instance().Tuples[cb.Tuple][cb.Attr]
+		va := a.Data.Value(ca)
+		vb := b.Data.Value(cb)
 		if va.IsVar() != vb.IsVar() || (!va.IsVar() && !va.Equal(vb)) {
 			return false
 		}
