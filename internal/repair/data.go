@@ -48,9 +48,7 @@ type DataRepair struct {
 	Changed []relation.CellRef
 	Cover   []int32
 
-	in    *relation.Instance
-	ids   []int32        // the rewritten tuples, ascending
-	cells relation.Tuple // their rows, in ids order, width cells each
+	out *rows // without pos: rows are found by binary search in ids
 
 	once sync.Once
 	inst *relation.Instance
@@ -63,10 +61,10 @@ func (d *DataRepair) NumChanges() int { return len(d.Changed) }
 // for a tuple in the cover, the input's otherwise. Reading a changed
 // cell's new value this way builds no instance.
 func (d *DataRepair) Value(c relation.CellRef) relation.Value {
-	if i, ok := slices.BinarySearch(d.ids, int32(c.Tuple)); ok {
-		return d.cells[i*d.in.Schema.Width()+c.Attr]
+	if i, ok := slices.BinarySearch(d.out.ids, int32(c.Tuple)); ok {
+		return d.out.arena(i)[c.Attr]
 	}
-	return d.in.Tuples[c.Tuple][c.Attr]
+	return d.out.in.Tuples[c.Tuple][c.Attr]
 }
 
 // Instance returns the repaired V-instance, building it on the first call.
@@ -74,12 +72,11 @@ func (d *DataRepair) Value(c relation.CellRef) relation.Value {
 // read-only: Clone it before changing a cell.
 func (d *DataRepair) Instance() *relation.Instance {
 	d.once.Do(func() {
-		width := d.in.Schema.Width()
-		tuples := slices.Clone(d.in.Tuples)
-		for i, t := range d.ids {
-			tuples[t] = d.cells[i*width : (i+1)*width : (i+1)*width]
+		tuples := slices.Clone(d.out.in.Tuples)
+		for i, t := range d.out.ids {
+			tuples[t] = d.out.arena(i)
 		}
-		d.inst = &relation.Instance{Schema: d.in.Schema, Tuples: tuples}
+		d.inst = &relation.Instance{Schema: d.out.in.Schema, Tuples: tuples}
 	})
 	return d.inst
 }
@@ -261,26 +258,26 @@ func Rewrite(eng *session.Engine, cons []Constraint, order []int32, pins map[int
 		}
 		ci.add(t, codes, ti)
 	}
-	return &DataRepair{Changed: changed, Cover: cover, in: in, ids: out.ids, cells: out.cells}, nil
+	out.pos = nil // n entries; the repair keeps only cover-sized state
+	return &DataRepair{Changed: changed, Cover: cover, out: out}, nil
 }
 
-// rows is the output of one Rewrite as the loop sees it: the input's rows,
-// with the rewritten ones read from a cover-sized arena instead.
+// rows is the output of one Rewrite: the input's rows, with the rewritten
+// ones read from a cover-sized arena instead.
 type rows struct {
-	in    []relation.Tuple
-	width int
+	in *relation.Instance
 	// pos[t] is 1 + row t's index in the arena, or 0 for a row read from
 	// the input.
 	pos   []int32
 	ids   []int32        // the arena's tuples, ascending
-	cells relation.Tuple // the arena: ids' rows, width cells each
+	cells relation.Tuple // the arena: ids' rows, in order, width cells each
 }
 
 // newRows copies the rows of the tuples in order into a fresh arena. It
 // also returns those tuples without repeats, in order of first appearance.
 func newRows(in *relation.Instance, order []int32) (*rows, []int32) {
 	width := in.Schema.Width()
-	r := &rows{in: in.Tuples, width: width, pos: make([]int32, in.N())}
+	r := &rows{in: in, pos: make([]int32, in.N())}
 	uniq := make([]int32, 0, len(order))
 	for _, t := range order {
 		if r.pos[t] == 0 {
@@ -298,13 +295,18 @@ func newRows(in *relation.Instance, order []int32) (*rows, []int32) {
 	return r, uniq
 }
 
+// arena returns the arena's row i.
+func (r *rows) arena(i int) relation.Tuple {
+	w := r.in.Schema.Width()
+	return r.cells[i*w : (i+1)*w : (i+1)*w]
+}
+
 // row returns row t of the output.
 func (r *rows) row(t int32) relation.Tuple {
 	if p := r.pos[t]; p > 0 {
-		i := int(p-1) * r.width
-		return r.cells[i : i+r.width : i+r.width]
+		return r.arena(int(p - 1))
 	}
-	return r.in[t]
+	return r.in.Tuples[t]
 }
 
 // perm fills p with the permutation rng.Perm(len(p)) returns, drawing the
@@ -441,7 +443,7 @@ func (ci *cleanIndex) constCode(i int) int32 {
 		}
 	}
 	v := relation.Const(c.Const)
-	for t, row := range ci.out.in {
+	for t, row := range ci.out.in.Tuples {
 		if row[c.RHS].Equal(v) {
 			return ci.cols[c.RHS][t]
 		}

@@ -102,7 +102,7 @@ func TestRepairSignatureSeparatesDistinctRepairs(t *testing.T) {
 		if err := in.AppendConsts("a", "b"); err != nil {
 			t.Fatal(err)
 		}
-		rep := &DataRepair{in: in}
+		rep := &DataRepair{out: &rows{in: in}}
 		for _, c := range []relation.CellRef{{Tuple: 0, Attr: 0}, {Tuple: 0, Attr: 1}} {
 			if v, ok := cells[c]; ok {
 				in.Tuples[0][c.Attr] = v
