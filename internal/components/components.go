@@ -137,11 +137,10 @@ const (
 	memoCap     = 2048
 )
 
-// coverMemoCovers sizes the goal-cover memo: it holds at most this many
-// covers of the largest possible size (every violating tuple), so at most
-// 4·coverMemoCovers bytes of tuple ids per violating tuple, and clears
-// itself when full. A cover is charged its length plus its key's length
-// in int32 words.
+// coverMemoCovers bounds the goal-cover memo to this many covers of the
+// largest possible size (every violating tuple): about 4·coverMemoCovers
+// bytes per violating tuple. A cover is charged its length plus its key's
+// length in int32 words, and the memo clears itself when full.
 const coverMemoCovers = 64
 
 // Counters reports an evaluator's lifetime effort. Monotonic; safe to read
@@ -409,7 +408,7 @@ func (e *Evaluator) CoverSize(an *conflict.Analysis, ext []relation.AttrSet) int
 
 // Cover returns C2opt(Σ′, I), the cover tuples in increasing order:
 // an.Cover(ext) on any fork of the decomposed analysis, memoized per goal
-// state under the bound coverMemoCovers states. The result is the
+// state (coverMemoCovers bounds the memo). The result is a copy, the
 // caller's to keep and modify.
 func (e *Evaluator) Cover(an *conflict.Analysis, ext []relation.AttrSet) []int32 {
 	var keyArr [128]byte
