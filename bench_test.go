@@ -430,7 +430,7 @@ func BenchmarkRepairData(b *testing.B) {
 	in, sigma := benchWorkload(b, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repair.RepairData(in, sigma, nil, int64(i), nil); err != nil {
+		if _, err := repair.RepairDataPinned(in, sigma, nil, int64(i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

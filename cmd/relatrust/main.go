@@ -149,6 +149,7 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 	fmt.Fprintf(stdout, "δP(Σ, I) = %d (cell-change budget for a pure data repair)\n\n", dp)
 
 	var repairs []*relatrust.Repair
+	sw := report.NewSpectrumWriter(stdout)
 	if cli.tau >= 0 {
 		r, err := rp.RepairWithBudget(ctx, cli.tau)
 		if errors.Is(err, relatrust.ErrNoRepairInBudget) {
@@ -159,14 +160,13 @@ func repairMain(ctx context.Context, cli cliConfig, stdout, stderr io.Writer) er
 			return err
 		}
 		repairs = []*relatrust.Repair{r}
-		if err := report.Spectrum(stdout, in, repairs); err != nil {
+		if err := sw.Row(in, r); err != nil {
 			return err
 		}
 	} else {
 		// Stream the frontier: each row appears the moment its trust level
 		// finishes, so slow sweeps show progress and a Ctrl-C keeps the
 		// partial spectrum.
-		sw := report.NewSpectrumWriter(stdout)
 		for r, err := range rp.Frontier(ctx) {
 			if err != nil {
 				if errors.Is(err, context.Canceled) {

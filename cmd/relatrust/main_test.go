@@ -144,8 +144,12 @@ func TestProgressFlag(t *testing.T) {
 func TestSingleTauAndInfeasible(t *testing.T) {
 	data := writeFixture(t)
 	code, stdout, _ := runCLI(t, "-data", data, "-fds", citiesFDs, "-tau", "100")
-	if code != 0 || !strings.Contains(stdout, "FD modification") {
-		t.Errorf("tau=100: code %d\n%s", code, stdout)
+	// The one row is rendered like a frontier row: fixed-width columns.
+	table := "" +
+		"level  tau     FD modification                           dist_c   cell changes  bound δP\n" +
+		"1      100     City->ZIP; City->State                    0        3             4\n"
+	if code != 0 || !strings.HasSuffix(stdout, "\n\n"+table) {
+		t.Errorf("tau=100: code %d\n%s\nwant the table\n%s", code, stdout, table)
 	}
 
 	// An unextendable two-attribute schema at τ=0 has no repair; the CLI

@@ -83,10 +83,7 @@ func Repair(in *relation.Instance, sigma fd.Set, cfg Config) (*Result, error) {
 	an := eng.Acquire(sigma)
 	defer eng.Release(an)
 	width := in.Schema.Width()
-	alpha := width - 1
-	if len(sigma) < alpha {
-		alpha = len(sigma)
-	}
+	alpha := sigma.Alpha(width)
 
 	ext := make([]relation.AttrSet, len(sigma))
 	fdPenalty := 0.0

@@ -91,13 +91,7 @@ func RepairWithBudget(ctx context.Context, in *relation.Instance, set Set, tau i
 	defer eng.Release(an)
 
 	singles := singleViolators(in, set)
-	alpha := in.Schema.Width() - 1
-	if len(set) < alpha {
-		alpha = len(set)
-	}
-	if alpha < 1 {
-		alpha = 1
-	}
+	alpha := embedded.Alpha(in.Schema.Width())
 	searchBudget := tau - alpha*len(singles)
 	if searchBudget < 0 {
 		return nil, nil // even relaxing everything cannot fit the budget

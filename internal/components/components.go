@@ -305,11 +305,7 @@ func (e *Evaluator) mergeAffected(ext []relation.AttrSet) []int32 {
 	}
 	// First-appearance order depends on FD order; sort for a canonical
 	// ascending result.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -226,7 +226,7 @@ func TestTheorem3EndToEnd(t *testing.T) {
 		if len(sigma) < alpha {
 			alpha = len(sigma)
 		}
-		rep, err := repair.RepairData(in, sigma, nil, int64(trial), nil)
+		rep, err := repair.RepairDataPinned(in, sigma, nil, int64(trial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,10 +196,3 @@ func FormatFigure8(rows []Fig8Row) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

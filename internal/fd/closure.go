@@ -43,43 +43,3 @@ func (set Set) ImpliesSet(other Set) bool {
 func (set Set) IsRelaxationOf(other Set) bool {
 	return other.ImpliesSet(set)
 }
-
-// MinimalCover returns a minimal cover of the set in the sense of [1]
-// (Abiteboul et al.): every FD has a single RHS attribute (already our
-// normal form), no LHS attribute is redundant, and no FD is redundant.
-// The result is a new set; the receiver is unchanged.
-func (set Set) MinimalCover() Set {
-	cover := set.Clone()
-	// Remove extraneous LHS attributes: A is extraneous in X→B if
-	// (X\{A})⁺ under the current cover still contains B.
-	for i := range cover {
-		for {
-			reduced := false
-			for _, a := range cover[i].LHS.Attrs() {
-				smaller := cover[i].LHS.Remove(a)
-				// A is extraneous iff B ∈ (X\{A})⁺ under the current
-				// cover, with the unreduced FD still in place: X→B only
-				// fires during that closure if A itself is derivable.
-				if cover.Closure(smaller).Contains(cover[i].RHS) {
-					cover[i] = FD{LHS: smaller, RHS: cover[i].RHS}
-					reduced = true
-					break
-				}
-			}
-			if !reduced {
-				break
-			}
-		}
-	}
-	// Remove redundant FDs: f is redundant if cover\{f} implies f.
-	out := cover[:0:0]
-	for i := range cover {
-		rest := make(Set, 0, len(cover)-1)
-		rest = append(rest, out...)
-		rest = append(rest, cover[i+1:]...)
-		if !rest.Implies(cover[i]) {
-			out = append(out, cover[i])
-		}
-	}
-	return out
-}

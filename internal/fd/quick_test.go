@@ -61,19 +61,6 @@ func TestQuickClosureProperties(t *testing.T) {
 	}
 }
 
-// TestQuickMinimalCoverEquivalence: the minimal cover is always equivalent
-// to the input and never larger.
-func TestQuickMinimalCoverEquivalence(t *testing.T) {
-	f := func(g fdSetGen) bool {
-		set := g.Set
-		mc := set.MinimalCover()
-		return mc.EquivalentTo(set) && len(mc) <= len(set)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickRelaxationImplication: any LHS extension of any FD of a set is
 // implied by the set (the premise of the paper's repair space S(Σ)).
 func TestQuickRelaxationImplication(t *testing.T) {

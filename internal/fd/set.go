@@ -66,6 +66,12 @@ func MustParseSet(s *relation.Schema, specs string) Set {
 // Clone returns a copy of the set.
 func (set Set) Clone() Set { return append(Set(nil), set...) }
 
+// Alpha returns α = min{|R|−1, |Σ|}, at least 1, for a schema of the given
+// width |R|: Theorem 3's bound on the cells Algorithm 4 changes per
+// rewritten tuple, so a repair over a vertex cover C changes at most α·|C|
+// cells.
+func (set Set) Alpha(width int) int { return max(1, min(width-1, len(set))) }
+
 // Equal reports position-wise equality.
 func (set Set) Equal(other Set) bool {
 	if len(set) != len(other) {

@@ -147,3 +147,18 @@ func (set Set) AttrsUsed() relation.AttrSet {
 	}
 	return s
 }
+
+// TestAlpha: α = min{|R|−1, |Σ|}, clamped to at least 1.
+func TestAlpha(t *testing.T) {
+	one := MustParseSet(schemaABCD, "A->B")
+	three := MustParseSet(schemaABCD, "A->B; B->C; C->D")
+	for _, c := range []struct {
+		set   Set
+		width int
+		want  int
+	}{{one, 4, 1}, {three, 4, 3}, {three, 3, 2}, {three, 1, 1}, {nil, 4, 1}} {
+		if got := c.set.Alpha(c.width); got != c.want {
+			t.Errorf("%v.Alpha(%d) = %d, want %d", c.set, c.width, got, c.want)
+		}
+	}
+}

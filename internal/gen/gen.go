@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -242,7 +243,7 @@ func derivationOrder(sigma fd.Set, width int) ([]int, error) {
 		}
 	}
 	// Deterministic order among independent derivations.
-	sortInts(order)
+	slices.Sort(order)
 	return orderRespectingDeps(order, byRHS), nil
 }
 
@@ -275,12 +276,4 @@ func orderRespectingDeps(sorted []int, byRHS map[int]fd.FD) []int {
 		}
 	}
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

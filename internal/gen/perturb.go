@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -104,7 +105,7 @@ func injectRHS(in *relation.Instance, sigma fd.Set, rng *rand.Rand, touched map[
 		}
 		t := candidates[rng.Intn(len(candidates))]
 		old := in.Tuples[t][f.RHS].Str()
-		in.Tuples[t][f.RHS] = relation.Const(old + "#err" + itoa(rng.Intn(1<<30)))
+		in.Tuples[t][f.RHS] = relation.Const(old + "#err" + strconv.Itoa(rng.Intn(1<<30)))
 		in.InvalidateCodes()
 		return &relation.CellRef{Tuple: t, Attr: f.RHS}
 	}
@@ -200,15 +201,4 @@ func PerturbFDs(sigma fd.Set, rate float64, seed int64) (FDPerturbation, error) 
 		out.Removed[i] = removed
 	}
 	return out, nil
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for ; i > 0; i /= 10 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-	}
-	return string(b)
 }

@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"relatrust/internal/fd"
@@ -78,7 +79,7 @@ func oracleInjectRHS(in *relation.Instance, sigma fd.Set, rng *rand.Rand, touche
 		}
 		t := candidates[rng.Intn(len(candidates))]
 		old := in.Tuples[t][f.RHS].Str()
-		in.Tuples[t][f.RHS] = relation.Const(old + "#err" + itoa(rng.Intn(1<<30)))
+		in.Tuples[t][f.RHS] = relation.Const(old + "#err" + strconv.Itoa(rng.Intn(1<<30)))
 		in.InvalidateCodes()
 		return &relation.CellRef{Tuple: t, Attr: f.RHS}
 	}

@@ -22,14 +22,14 @@
 // # Group maintenance
 //
 // Per engine root (FD set) the table keeps, per FD, a map from the LHS
-// projection code (relation.ProjCoder over table-shared dictionaries) to
-// the group of rows carrying that projection, with a per-group multiset
-// of RHS codes. A group is a violation cluster iff it has ≥2 members and
-// ≥2 distinct RHS codes. The cluster list of every FD is kept in the
-// canonical order conflict.NewFiltered produces — ascending by leading
-// member — which makes the spliced analysis bit-identical to a rebuild
-// from scratch (conflict.NewFromClusters), including the order-sensitive
-// capped samplers. Deletes renumber by swap-remove (the last row takes
+// projection, packed as the value codes of the table-shared dictionaries,
+// to the group of rows carrying that projection, with a per-group
+// multiset of RHS codes. A group is a violation cluster iff it has ≥2
+// members and ≥2 distinct RHS codes. The cluster list of every FD is kept
+// in the canonical order conflict.NewFiltered produces — ascending by
+// leading member — which makes the spliced analysis bit-identical to a
+// rebuild from scratch (conflict.NewFromClusters), including the
+// order-sensitive capped samplers. Deletes renumber by swap-remove (the last row takes
 // the deleted row's index), and the renumbering is applied to the moved
 // row's groups as part of the batch; Result.Moves reports it to callers.
 //
@@ -46,6 +46,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -410,17 +411,30 @@ func (g *liveGroup) removeMember(row int32) {
 
 // fdGroups is the live group state of one FD of one root set.
 type fdGroups struct {
-	f     fd.FD
-	coder *relation.ProjCoder
-	// groups maps the LHS projection code to the group carrying it. Groups
-	// are kept (possibly empty) once created — a later insert may refill
-	// them.
-	groups   map[int32]*liveGroup
+	f   fd.FD
+	lhs []int // f.LHS's attributes
+	// groups maps the LHS projection, packed by keyOf, to the group
+	// carrying it. Groups are kept (possibly empty) once created — a later
+	// insert may refill them.
+	groups   map[string]*liveGroup
 	clusters []*liveGroup // violating groups, ascending by leading member
+	key      []byte       // keyOf's scratch
 
 	// per-batch scratch
 	dirty        []*liveGroup
 	oldDirtyReps []int32
+}
+
+// keyOf packs tup's LHS value codes into the scratch key, which the next
+// call overwrites. The dictionaries give equal values equal codes, so two
+// tuples get the same key iff they agree on every LHS attribute.
+func (fg *fdGroups) keyOf(tup relation.Tuple, dicts []*relation.Dict) []byte {
+	k := fg.key[:0]
+	for _, a := range fg.lhs {
+		k = binary.LittleEndian.AppendUint32(k, uint32(dicts[a].Code(tup[a])))
+	}
+	fg.key = k
+	return k
 }
 
 // touch registers the group as dirtied by the current batch: on the first
@@ -458,8 +472,8 @@ func newSigmaState(in *relation.Instance, sigma fd.Set, dicts []*relation.Dict) 
 	for _, f := range sigma {
 		fg := &fdGroups{
 			f:      f,
-			coder:  relation.NewProjCoder(f.LHS, dicts),
-			groups: make(map[int32]*liveGroup),
+			lhs:    f.LHS.Attrs(),
+			groups: make(map[string]*liveGroup),
 		}
 		part.BeginAll()
 		part.RefineSet(f.LHS)
@@ -474,7 +488,7 @@ func newSigmaState(in *relation.Instance, sigma fd.Set, dicts []*relation.Dict) 
 			for _, row := range g {
 				lg.rhs[dicts[f.RHS].Code(in.Tuples[row][f.RHS])]++
 			}
-			fg.groups[fg.coder.Code(in.Tuples[g[0]])] = lg
+			fg.groups[string(fg.keyOf(in.Tuples[g[0]], dicts))] = lg
 			if lg.violating() {
 				fg.clusters = append(fg.clusters, lg)
 			}
@@ -502,7 +516,7 @@ func (st *sigmaState) replay(log []normOp, dicts []*relation.Dict, batch int64) 
 		case OpDelete:
 			st.remove(op.row, op.oldTuple, dicts, batch)
 			if op.moved != nil {
-				st.move(op.movedFrom, op.row, op.moved, batch)
+				st.move(op.movedFrom, op.row, op.moved, dicts, batch)
 			}
 		}
 	}
@@ -510,11 +524,11 @@ func (st *sigmaState) replay(log []normOp, dicts []*relation.Dict, batch int64) 
 
 func (st *sigmaState) add(row int32, tup relation.Tuple, dicts []*relation.Dict, batch int64) {
 	for _, fg := range st.fds {
-		key := fg.coder.Code(tup)
-		g := fg.groups[key]
+		key := fg.keyOf(tup, dicts)
+		g := fg.groups[string(key)]
 		if g == nil {
 			g = &liveGroup{idx: -1, rhs: make(map[int32]int, 2)}
-			fg.groups[key] = g
+			fg.groups[string(key)] = g
 		}
 		fg.touch(g, batch)
 		g.insertMember(row)
@@ -524,7 +538,7 @@ func (st *sigmaState) add(row int32, tup relation.Tuple, dicts []*relation.Dict,
 
 func (st *sigmaState) remove(row int32, tup relation.Tuple, dicts []*relation.Dict, batch int64) {
 	for _, fg := range st.fds {
-		g := fg.groups[fg.coder.Code(tup)]
+		g := fg.groups[string(fg.keyOf(tup, dicts))]
 		fg.touch(g, batch)
 		g.removeMember(row)
 		rc := dicts[fg.f.RHS].Code(tup[fg.f.RHS])
@@ -536,9 +550,9 @@ func (st *sigmaState) remove(row int32, tup relation.Tuple, dicts []*relation.Di
 
 // move renumbers one member (content tup) from index from to index to in
 // every group containing it; the RHS multiset is unchanged.
-func (st *sigmaState) move(from, to int32, tup relation.Tuple, batch int64) {
+func (st *sigmaState) move(from, to int32, tup relation.Tuple, dicts []*relation.Dict, batch int64) {
 	for _, fg := range st.fds {
-		g := fg.groups[fg.coder.Code(tup)]
+		g := fg.groups[string(fg.keyOf(tup, dicts))]
 		fg.touch(g, batch)
 		g.removeMember(from)
 		g.insertMember(to)

@@ -11,11 +11,10 @@
 // The package also provides the dictionary-encoding layer the hot paths of
 // the system are built on (codes.go): per-attribute int32 code columns on
 // Instance, an allocation-free code-indexed Partitioner for grouping tuples
-// by projection equality, a ProjCoder interning projections of
-// standalone tuples, and per-instance KeyTables giving every row a dense
-// id of its projection on an attribute set (keys.go). Consumers (conflict
-// analysis, clean indexes, FD discovery, weightings) group by codes
-// instead of building string keys.
+// by projection equality, and per-instance KeyTables giving every row a
+// dense id of its projection on an attribute set (keys.go). Consumers
+// (conflict analysis, clean indexes, FD discovery, weightings) group by
+// codes instead of building string keys.
 package relation
 
 import (

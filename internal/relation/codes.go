@@ -16,9 +16,6 @@ package relation
 //     code indexing — a radix-style scatter into epoch-versioned scratch
 //     arrays, no hashing — and is allocation-free once its buffers have
 //     grown to the working-set size.
-//   - ProjCoder interns projections of standalone tuples (tuples under
-//     construction, not rows of an instance) to a single int32 via pair
-//     interning; the live tier keys its per-FD groups with it.
 //   - KeyTables (keys.go) give every row of an instance a dense id of its
 //     projection on an attribute set, built once per instance and set;
 //     the data repair (Algorithm 4) keys its clean index by them.
@@ -48,13 +45,6 @@ func (d *Dict) Code(v Value) int32 {
 	c := int32(len(d.m))
 	d.m[v] = c
 	return c
-}
-
-// Lookup returns the code of v without interning; ok is false if v has
-// never been seen.
-func (d *Dict) Lookup(v Value) (int32, bool) {
-	c, ok := d.m[v]
-	return c, ok
 }
 
 // Len returns the number of distinct values interned.
@@ -384,83 +374,11 @@ func (p *Partitioner) scatter(dst *partBuf, g []int32, col []int32) {
 }
 
 // NewDicts returns a fresh slice of per-attribute dictionaries for a schema
-// of the given width, for sharing across the ProjCoders of one index.
+// of the given width.
 func NewDicts(width int) []*Dict {
 	dicts := make([]*Dict, width)
 	for a := range dicts {
 		dicts[a] = &Dict{}
 	}
 	return dicts
-}
-
-// ProjCoder interns the projection of standalone tuples on a fixed
-// attribute set X to a single int32: two tuples receive the same code iff
-// they agree (cell-wise Equal) on every attribute of X. It replaces the
-// string keys of the data repair's clean index. Coding folds per-attribute value
-// codes through a pair-interning table, so a code computation is |X| map
-// probes of comparable keys — no string building, no allocation.
-//
-// Final codes are only meaningful relative to the coder that produced them
-// (and only for full-length projections; prefix path codes share the same
-// space internally).
-type ProjCoder struct {
-	attrs []int
-	dicts []*Dict // indexed by attribute position; may be shared
-	paths map[[2]int32]int32
-}
-
-// NewProjCoder returns a coder for X. dicts, when non-nil, supplies shared
-// per-attribute dictionaries (indexed by attribute position, covering at
-// least X.Max()+1 entries); a nil dicts gives the coder private ones.
-func NewProjCoder(X AttrSet, dicts []*Dict) *ProjCoder {
-	if dicts == nil {
-		dicts = NewDicts(X.Max() + 1)
-	}
-	return &ProjCoder{
-		attrs: X.Attrs(),
-		dicts: dicts,
-		paths: make(map[[2]int32]int32),
-	}
-}
-
-// Code returns the projection code of t on the coder's attribute set,
-// interning any unseen values or paths. All tuples code to 0 under an
-// empty attribute set.
-func (c *ProjCoder) Code(t Tuple) int32 {
-	k := int32(-1)
-	for _, a := range c.attrs {
-		vc := c.dicts[a].Code(t[a])
-		pk := [2]int32{k, vc}
-		nk, ok := c.paths[pk]
-		if !ok {
-			nk = int32(len(c.paths))
-			c.paths[pk] = nk
-		}
-		k = nk
-	}
-	if k < 0 {
-		return 0
-	}
-	return k
-}
-
-// Lookup returns the projection code of t without interning. ok is false
-// when some cell or path has never been coded — in which case no previously
-// coded tuple agrees with t on the attribute set.
-func (c *ProjCoder) Lookup(t Tuple) (int32, bool) {
-	k := int32(-1)
-	for _, a := range c.attrs {
-		vc, ok := c.dicts[a].Lookup(t[a])
-		if !ok {
-			return 0, false
-		}
-		k, ok = c.paths[[2]int32{k, vc}]
-		if !ok {
-			return 0, false
-		}
-	}
-	if k < 0 {
-		return 0, true
-	}
-	return k, true
 }

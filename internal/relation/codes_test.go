@@ -200,72 +200,6 @@ func TestQuickPluralityMatchesSplit(t *testing.T) {
 	}
 }
 
-// keyOfRef mirrors the legacy standalone-tuple projection key.
-func keyOfRef(t Tuple, x AttrSet) string {
-	key := ""
-	x.ForEach(func(a int) bool {
-		key += t[a].Key() + "\x1f"
-		return true
-	})
-	return key
-}
-
-// TestQuickProjCoderMatchesKeys: ProjCoder codes agree with legacy string
-// keys on standalone tuples, and Lookup is consistent with Code.
-func TestQuickProjCoderMatchesKeys(t *testing.T) {
-	f := func(seed int64, setRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		width := 4
-		x := AttrSet(setRaw) & FullSet(width)
-		c := NewProjCoder(x, nil)
-		var g VarGen
-		shared := []Value{g.Fresh(), g.Fresh()}
-		mk := func() Tuple {
-			tp := make(Tuple, width)
-			for a := range tp {
-				switch rng.Intn(8) {
-				case 0:
-					tp[a] = shared[rng.Intn(len(shared))]
-				case 1:
-					tp[a] = g.Fresh()
-				default:
-					tp[a] = Const(string(rune('a' + rng.Intn(3))))
-				}
-			}
-			return tp
-		}
-		var tuples []Tuple
-		var codes []int32
-		for i := 0; i < 25; i++ {
-			tp := mk()
-			// Lookup before coding must agree with the string-keyed history.
-			k, ok := c.Lookup(tp)
-			code := c.Code(tp)
-			if ok && k != code {
-				return false
-			}
-			tuples = append(tuples, tp)
-			codes = append(codes, code)
-			// After interning, Lookup must find the same code.
-			if k2, ok2 := c.Lookup(tp); !ok2 || k2 != code {
-				return false
-			}
-		}
-		for i := range tuples {
-			for j := range tuples {
-				want := keyOfRef(tuples[i], x) == keyOfRef(tuples[j], x)
-				if (codes[i] == codes[j]) != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestCodesAppendInvalidates: appending tuples after a column was built
 // rebuilds it; in-place mutation requires InvalidateCodes.
 func TestCodesAppendInvalidates(t *testing.T) {

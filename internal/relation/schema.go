@@ -65,9 +65,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// All returns the set of all attributes {0, …, Width-1}.
-func (s *Schema) All() AttrSet { return FullSet(len(s.names)) }
-
 // String renders the schema as "R(A, B, C)".
 func (s *Schema) String() string {
 	return "R(" + strings.Join(s.names, ", ") + ")"

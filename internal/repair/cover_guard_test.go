@@ -38,9 +38,8 @@ func TestRepairDataAcceptsExactlyVertexCovers(t *testing.T) {
 		in := testkit.RandomInstance(rng, n, 5, 2+rng.Intn(2))
 		sigma := testkit.RandomFDs(rng, 5, 1+rng.Intn(3), 2)
 		viols := sigma.Violations(in, 0)
-		// A nil cover means "compute the cover", so every candidate,
-		// even an empty one, is a non-nil slice.
-		cover := append([]int32{}, conflict.New(in, sigma).Cover(nil)...)
+		// An empty cover is nil: RepairData takes nil as the empty cover.
+		cover := conflict.New(in, sigma).Cover(nil)
 		cands := [][]int32{cover}
 		if len(cover) > 0 {
 			i := rng.Intn(len(cover))

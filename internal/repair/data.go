@@ -82,24 +82,22 @@ func (d *DataRepair) Instance() *relation.Instance {
 }
 
 // RepairData implements Algorithm 4: it returns an instance that satisfies
-// sigma, obtained from in by rewriting only tuples of a vertex cover of the
-// conflict graph, changing at most min{|R|−1, |Σ|} cells per rewritten
-// tuple (Theorem 3). If cover is nil, a 2-approximate minimum vertex cover
-// is computed here; callers holding a cover from the FD search should pass
-// it so the δP ≤ τ accounting matches exactly.
+// sigma, obtained from in by rewriting only the tuples of cover, a vertex
+// cover of the conflict graph, changing at most min{|R|−1, |Σ|} cells per
+// rewritten tuple (Theorem 3). The cover is the caller's: the FD search
+// sized it, so the δP ≤ τ accounting matches exactly. A nil cover is the
+// empty one, which suits a sigma the instance already satisfies; a cover
+// that misses a conflict is an error. To have a cover computed, call
+// RepairDataPinned with no pins.
 //
 // The seed drives the random tuple and attribute orders the algorithm
 // prescribes; fixed seeds give reproducible repairs. A non-nil eng (it
-// must be bound to in) shares its warm conflict-analysis arenas for the
-// cover computation and its cached key tables for the clean index; nil
-// uses a private engine.
+// must be bound to in) shares its cached key tables for the clean index;
+// nil uses a private engine.
 func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, eng *session.Engine) (*DataRepair, error) {
 	eng, err := session.For(eng, in)
 	if err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
-	}
-	if cover == nil {
-		cover = coverOf(eng, sigma, nil)
 	}
 	return repairFDs(eng, sigma, cover, nil, seed)
 }
@@ -113,10 +111,11 @@ func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, 
 // assignment exists even before any free attribute is fixed), the repair
 // is infeasible and an error identifies the tuple.
 //
-// Pinning also constrains the vertex cover: it keeps pinned tuples out
-// whenever a valid cover allows it, and a conflict edge between two
-// fully-pinned tuples cannot be repaired at all. With no pins the result
-// is RepairData's.
+// RepairDataPinned computes its own vertex cover: a 2-approximate minimum
+// cover of sigma's conflict graph. Pinning constrains it: it keeps pinned
+// tuples out whenever a valid cover allows it, and a conflict edge between
+// two fully-pinned tuples cannot be repaired at all. With no pins it is
+// RepairData over that cover.
 //
 // A non-nil eng shares its warm conflict-analysis arenas and key tables
 // (it must be bound to in); nil uses a private engine.

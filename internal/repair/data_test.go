@@ -16,7 +16,7 @@ func TestRepairDataPaperExample(t *testing.T) {
 	// the repair changes at most α·|C2opt| = 2 cells, all in t2.
 	in, _ := testkit.Paper4x4()
 	sigma := fd.MustParseSet(in.Schema, "C,A->B; C->D")
-	rep, err := RepairData(in, sigma, nil, 1, nil)
+	rep, err := RepairDataPinned(in, sigma, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRepairDataProperties(t *testing.T) {
 		width := 4 + rng.Intn(2)
 		in := testkit.RandomInstance(rng, 8+rng.Intn(8), width, 2)
 		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(2), 2)
-		rep, err := RepairData(in, sigma, nil, int64(trial), nil)
+		rep, err := RepairDataPinned(in, sigma, nil, int64(trial), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nΣ=%v\n%s", trial, err, sigma, in)
 		}
@@ -90,7 +90,7 @@ func TestRepairDataPerTupleChangeBound(t *testing.T) {
 		width := 5
 		in := testkit.RandomInstance(rng, 12, width, 2)
 		sigma := testkit.RandomFDs(rng, width, 2, 2)
-		rep, err := RepairData(in, sigma, nil, 0, nil)
+		rep, err := RepairDataPinned(in, sigma, nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,9 +133,12 @@ func TestRepairDataRejectsNonCover(t *testing.T) {
 		{"1", "x"}, {"1", "y"},
 	})
 	sigma := fd.MustParseSet(in.Schema, "A->B")
-	// An empty "cover" cannot license a repair of a violated instance.
-	if _, err := RepairData(in, sigma, []int32{}, 0, nil); err == nil {
-		t.Error("non-cover must be rejected")
+	// An empty "cover" cannot license a repair of a violated instance, and
+	// a nil cover is the empty one.
+	for _, cover := range [][]int32{{}, nil} {
+		if _, err := RepairData(in, sigma, cover, 0, nil); err == nil {
+			t.Errorf("non-cover %#v must be rejected", cover)
+		}
 	}
 }
 
@@ -165,11 +168,11 @@ func TestRepairDataRejectsPartialCover(t *testing.T) {
 func TestRepairDataDeterministicPerSeed(t *testing.T) {
 	in, _ := testkit.Paper4x4()
 	sigma := fd.MustParseSet(in.Schema, "A->B; C->D")
-	a, err := RepairData(in, sigma, nil, 42, nil)
+	a, err := RepairDataPinned(in, sigma, nil, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RepairData(in, sigma, nil, 42, nil)
+	b, err := RepairDataPinned(in, sigma, nil, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestRepairDataSatisfiedInputUntouched(t *testing.T) {
 		{"1", "x"}, {"2", "y"},
 	})
 	sigma := fd.MustParseSet(in.Schema, "A->B")
-	rep, err := RepairData(in, sigma, nil, 0, nil)
+	rep, err := RepairDataPinned(in, sigma, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestRepairDataUsesVariablesOnlyWhenFree(t *testing.T) {
 		{"1", "x", "c1"}, {"1", "y", "c2"}, {"2", "z", "c3"},
 	})
 	sigma := fd.MustParseSet(in.Schema, "A->B")
-	rep, err := RepairData(in, sigma, nil, 7, nil)
+	rep, err := RepairDataPinned(in, sigma, nil, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestRepairDataStressLarger(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	in := testkit.RandomInstance(rng, 400, 6, 3)
 	sigma := testkit.RandomFDs(rng, 6, 3, 2)
-	rep, err := RepairData(in, sigma, nil, 9, nil)
+	rep, err := RepairDataPinned(in, sigma, nil, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +251,14 @@ func TestRepairDataFreshVariablesAvoidInputVariables(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		width := 3 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 6+rng.Intn(12), width, 2+rng.Intn(2))
-		first, err := RepairData(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
+		first, err := RepairDataPinned(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
 		if err != nil {
 			t.Fatalf("trial %d: first repair: %v", trial, err)
 		}
 		vin := first.Instance()
 		for round := 0; round < 3; round++ {
 			sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2)
-			rep, err := RepairData(vin, sigma, nil, int64(round), nil)
+			rep, err := RepairDataPinned(vin, sigma, nil, int64(round), nil)
 			if err != nil {
 				t.Fatalf("trial %d round %d: re-repair of a V-instance under %s: %v", trial, round, sigma.Format(vin.Schema), err)
 			}
@@ -294,7 +297,7 @@ func TestValueMatchesInstance(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		width := 3 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 6+rng.Intn(20), width, 2+rng.Intn(2))
-		rep, err := RepairData(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
+		rep, err := RepairDataPinned(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

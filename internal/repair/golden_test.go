@@ -78,15 +78,17 @@ func TestPinnedRepairGolden(t *testing.T) {
 	checkGolden(t, "pinned.golden", []byte(b.String()))
 }
 
-// TestRepairDataGolden pins plain RepairData byte for byte: the cover, the
-// changed cells in order and the rendered V-instance (variable numbering
-// included) over seeded const-only random instances, a small blocked shape
-// (violations inside 4-row blocks) and a small census-like shape.
+// TestRepairDataGolden pins the unpinned data repair (RepairDataPinned
+// with no pins, which computes the root's cover) byte for byte: the cover,
+// the changed cells in order and the rendered V-instance (variable
+// numbering included) over seeded const-only random instances, a small
+// blocked shape (violations inside 4-row blocks) and a small census-like
+// shape.
 func TestRepairDataGolden(t *testing.T) {
 	var b strings.Builder
 	emit := func(name string, in *relation.Instance, sigma fd.Set, seed int64) {
 		fmt.Fprintf(&b, "== %s: %s seed=%d\n", name, sigma.Format(in.Schema), seed)
-		rep, err := RepairData(in, sigma, nil, seed, nil)
+		rep, err := RepairDataPinned(in, sigma, nil, seed, nil)
 		if err != nil {
 			fmt.Fprintf(&b, "error: %v\n", err)
 			return

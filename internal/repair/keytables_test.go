@@ -60,7 +60,7 @@ func TestFrontierIdenticalAcrossKeyTableCaches(t *testing.T) {
 		in := testkit.RandomInstance(rng, 12+rng.Intn(20), width, 2+rng.Intn(2))
 		if trial%2 == 1 {
 			// A V-instance: the repair of the instance under another Σ.
-			first, err := RepairData(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
+			first, err := RepairDataPinned(in, testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2), nil, int64(trial), nil)
 			if err != nil {
 				t.Fatalf("trial %d: first repair: %v", trial, err)
 			}

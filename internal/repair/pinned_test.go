@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
 	"relatrust/internal/testkit"
@@ -82,14 +83,15 @@ func TestPinnedInfeasibleDetected(t *testing.T) {
 
 // TestPinnedNoPinsEquivalentToPlainRepair pins what the facade's
 // RepairDataOnly relies on: with no pins, RepairDataPinned is RepairData
-// byte for byte — same cover, same changed cells, same V-instance.
+// over the root's 2-approximate cover byte for byte — same cover, same
+// changed cells, same V-instance.
 func TestPinnedNoPinsEquivalentToPlainRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		width := 3 + rng.Intn(3)
 		in := testkit.RandomInstance(rng, 6+rng.Intn(12), width, 2+rng.Intn(2))
 		sigma := testkit.RandomFDs(rng, width, 1+rng.Intn(3), 2)
-		want, err := RepairData(in, sigma, nil, int64(trial), nil)
+		want, err := RepairData(in, sigma, conflict.New(in, sigma).Cover(nil), int64(trial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,57 @@ import (
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
 	"relatrust/internal/search"
+	"relatrust/internal/session"
 	"relatrust/internal/testkit"
 )
+
+// TestSweepsOverOneEngineBuildOneRoot: a full sweep ends at a goal whose
+// Σ′ the data satisfies (δP = 0), so that goal's cover is empty. Its data
+// repair takes the empty cover as given, so repeated sweeps over one
+// engine build the root once and acquire it once per sweep.
+func TestSweepsOverOneEngineBuildOneRoot(t *testing.T) {
+	in, sigma := testkit.Paper4x4()
+	eng := session.New(in)
+	for sweep := int64(1); sweep <= 2; sweep++ {
+		s, err := NewSession(in, sigma, Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last *Repair
+		err = s.StreamRange(context.Background(), 0, s.DeltaPOriginal(), func(r *Repair) error {
+			last = r
+			return nil
+		})
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == nil || last.DeltaP != 0 || len(last.Data.Cover) != 0 {
+			t.Fatalf("sweep %d does not end at a conflict-free goal: %v", sweep, last)
+		}
+		if st := eng.Stats(); st.Builds != 1 || st.Acquires != sweep {
+			t.Errorf("after sweep %d: %+v, want 1 build and %d acquires", sweep, st, sweep)
+		}
+	}
+}
+
+// TestRepairDataNilCoverIsEmpty: a nil cover is the empty one. On a Σ′ the
+// data satisfies it changes no cell and builds no analysis.
+func TestRepairDataNilCoverIsEmpty(t *testing.T) {
+	in, _ := testkit.Paper4x4()
+	sigma := fd.MustParseSet(in.Schema, "A,C,D->B; A,B,C->D")
+	eng := session.New(in)
+	rep, err := RepairData(in, sigma, nil, 0, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumChanges() != 0 || len(rep.Cover) != 0 {
+		t.Errorf("repair of a satisfied Σ′: %d changes, cover %v", rep.NumChanges(), rep.Cover)
+	}
+	if st := eng.Stats(); st != (session.Stats{}) {
+		t.Errorf("engine stats %+v, want no acquire and no build", st)
+	}
+}
 
 func TestRunPaperExample(t *testing.T) {
 	in, sigma := testkit.Paper4x4()

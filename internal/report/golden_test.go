@@ -65,31 +65,3 @@ func TestRowJSONGolden(t *testing.T) {
 	}
 	checkGolden(t, "rows.ndjson.golden", []byte(b.String()))
 }
-
-// TestSpectrumMatchesWriter: the batch table and the streaming writer
-// render the same cells (the batch form right-sizes columns, so compare
-// field-wise, not byte-wise).
-func TestSpectrumMatchesWriter(t *testing.T) {
-	s, reps := spectrumFixture(t)
-	var batch strings.Builder
-	if err := Spectrum(&batch, s.In, reps); err != nil {
-		t.Fatal(err)
-	}
-	var stream strings.Builder
-	sw := NewSpectrumWriter(&stream)
-	for _, r := range reps {
-		if err := sw.Row(s.In, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bl := strings.Split(strings.TrimRight(batch.String(), "\n"), "\n")
-	sl := strings.Split(strings.TrimRight(stream.String(), "\n"), "\n")
-	if len(bl) != len(sl) {
-		t.Fatalf("batch renders %d lines, stream %d", len(bl), len(sl))
-	}
-	for i := range bl {
-		if got, want := strings.Fields(sl[i]), strings.Fields(bl[i]); strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Errorf("line %d: stream %q vs batch %q", i, got, want)
-		}
-	}
-}

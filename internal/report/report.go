@@ -1,6 +1,8 @@
 // Package report renders repairs as human-readable summaries: the trust
-// spectrum as a table, per-repair cell-change listings, and a side-by-side
-// diff of the touched tuples. The CLI uses it; library users can too.
+// spectrum as a fixed-width table streamed one frontier point at a time
+// (SpectrumWriter), the wire row every spectrum surface encodes (Row), and
+// per-repair cell-change listings (Changes). The CLI uses it; library
+// users can too.
 package report
 
 import (
@@ -13,7 +15,7 @@ import (
 )
 
 // Row is the wire form of one frontier point, shared by every renderer of
-// the trust spectrum: the CLI's table writers and the HTTP server's
+// the trust spectrum: the CLI's table writer and the HTTP server's
 // NDJSON/SSE streams all encode exactly these fields, so the two surfaces
 // cannot drift apart. Level is 1-based in frontier order ("trust the FDs"
 // first); Sigma is the modified FD set rendered against the instance's
@@ -51,7 +53,7 @@ func (r Row) cells() []string {
 	}
 }
 
-// spectrumHeader is the shared column header of the spectrum renderers.
+// spectrumHeader is the spectrum table's column header.
 var spectrumHeader = []string{"level", "tau", "FD modification", "dist_c", "cell changes", "bound δP"}
 
 // Options tunes rendering.
@@ -67,22 +69,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Spectrum renders the full list of suggested repairs as a table: one row
-// per trust level with the FD modification, its cost, and the data cost.
-func Spectrum(w io.Writer, in *relation.Instance, repairs []*repair.Repair) error {
-	tw := newTable(spectrumHeader...)
-	for i, r := range repairs {
-		tw.row(RowOf(in, i+1, r).cells()...)
-	}
-	_, err := io.WriteString(w, tw.String())
-	return err
-}
-
 // SpectrumWriter renders the trust spectrum one row at a time, for
 // streaming consumers (the CLI prints each frontier point as the sweep
-// yields it, so a cancelled sweep still shows the partial frontier).
-// Unlike Spectrum it cannot right-size columns to the data, so it uses
-// fixed widths sized for typical FD renderings.
+// yields it, so a cancelled sweep still shows the partial frontier). It
+// cannot right-size columns to rows it has not seen, so it uses fixed
+// widths sized for typical FD renderings.
 type SpectrumWriter struct {
 	w     io.Writer
 	n     int
@@ -136,43 +127,4 @@ func Changes(w io.Writer, in *relation.Instance, r *repair.Repair, opt Options) 
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// table is a minimal aligned-column writer.
-type table struct {
-	header []string
-	rows   [][]string
-}
-
-func newTable(header ...string) *table { return &table{header: header} }
-
-func (t *table) row(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) String() string {
-	width := make([]int, len(t.header))
-	for i, h := range t.header {
-		width[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", width[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return b.String()
 }

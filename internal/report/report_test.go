@@ -30,26 +30,6 @@ func spectrumFixture(t *testing.T) (*repair.Session, []*repair.Repair) {
 	return s, reps
 }
 
-func TestSpectrumTable(t *testing.T) {
-	s, reps := spectrumFixture(t)
-	var b strings.Builder
-	if err := Spectrum(&b, s.In, reps); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "FD modification") {
-		t.Error("missing header")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != len(reps)+1 {
-		t.Errorf("table has %d lines, want %d", len(lines), len(reps)+1)
-	}
-	// Columns align: every line at least as long as the header's prefix.
-	if len(lines[1]) < len("level") {
-		t.Error("row rendering broken")
-	}
-}
-
 func TestChangesListing(t *testing.T) {
 	s, reps := spectrumFixture(t)
 	first := reps[0] // pure data repair: has changes

@@ -122,13 +122,7 @@ type Searcher struct {
 func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 	opt = opt.withDefaults()
 	width := an.In.Schema.Width()
-	alpha := width - 1
-	if len(an.Sigma) < alpha {
-		alpha = len(an.Sigma)
-	}
-	if alpha < 1 {
-		alpha = 1
-	}
+	alpha := an.Sigma.Alpha(width)
 	decomp := opt.Decomp
 	if decomp == nil {
 		decomp = components.NewEvaluator(an)

@@ -499,10 +499,14 @@ func TestWarmSessionEviction(t *testing.T) {
 		t.Fatalf("after second dataset: warm=%d evicted=%d, want 1/1", body.WarmSessions, body.SessionsEvicted)
 	}
 
-	// Paper sweeps again identically — through a rebuilt session.
+	// Paper sweeps again identically — through a rebuilt session, whose
+	// engine builds the one root of the sweep's FD set.
 	assertFullFrontier(t, http.DefaultClient, ts.URL, want, "rebuilt paper")
-	if d := srv.lookup("paper").statz(); d.SessionBuilds != 2 {
-		t.Errorf("paper session builds = %d, want 2 (evict then rebuild)", d.SessionBuilds)
+	if body := srv.statzBody(); body.SessionsEvicted != 2 {
+		t.Errorf("after the rebuild: evicted=%d, want 2 (cities lost its session in turn)", body.SessionsEvicted)
+	}
+	if d := srv.lookup("paper").statz(); d.SessionBuilds != 1 {
+		t.Errorf("paper session builds = %d, want 1 (one root on the rebuilt engine)", d.SessionBuilds)
 	}
 }
 

@@ -177,51 +177,50 @@ func For(eng *Engine, in *relation.Instance) (*Engine, error) {
 // byte-identical results — of conflict.New(e.In, sigma). A warm Acquire
 // (root cached, fork pool non-empty) allocates nothing.
 func (e *Engine) Acquire(sigma fd.Set) *conflict.Analysis {
-	return e.acquire(sigma, "", func() *conflict.Analysis {
-		return conflict.New(e.In, sigma)
-	})
+	return e.acquire(sigma, nil, "")
 }
 
 // AcquireFiltered is Acquire for filtered analyses (conditional
 // constraints restrict each FD to its pattern-matching tuples). Filters
 // are opaque functions, so the caller must supply the non-empty cache key
 // that identifies their semantics — for CFDs, a rendering of the full set
-// including patterns. An empty key disables root caching: the analysis is
-// built fresh (still through the engine, so construction stays on the one
-// path), and Release simply retires it.
+// including patterns. An empty key would name the unfiltered root, so it
+// panics.
 func (e *Engine) AcquireFiltered(sigma fd.Set, filters []func(relation.Tuple) bool, key string) *conflict.Analysis {
-	build := func() *conflict.Analysis { return conflict.NewFiltered(e.In, sigma, filters) }
 	if key == "" {
-		e.mu.Lock()
-		e.acquires++
-		e.builds++
-		e.mu.Unlock()
-		return build()
+		panic("session: AcquireFiltered needs a non-empty filter key")
 	}
-	return e.acquire(sigma, key, build)
+	return e.acquire(sigma, filters, key)
 }
 
 // acquire returns a fork of the root cached under (sigma, filterKey),
 // building the root on first use. Concurrent acquirers of the same set
 // wait for the first build, then fork it.
-func (e *Engine) acquire(sigma fd.Set, filterKey string, build func() *conflict.Analysis) *conflict.Analysis {
+func (e *Engine) acquire(sigma fd.Set, filters []func(relation.Tuple) bool, filterKey string) *conflict.Analysis {
 	e.mu.Lock()
 	e.acquires++
-	var root *conflict.Analysis
+	root := e.rootLocked(sigma, filters, filterKey).root
+	e.mu.Unlock()
+	return root.Fork()
+}
+
+// rootLocked returns the root entry cached under (sigma, filterKey),
+// building its analysis on first use. The caller holds e.mu; the entry
+// pointer is valid until the lock is released.
+func (e *Engine) rootLocked(sigma fd.Set, filters []func(relation.Tuple) bool, filterKey string) *rootEntry {
 	for i := range e.roots {
 		r := &e.roots[i]
 		if r.filterKey == filterKey && r.sigma.Equal(sigma) {
-			root = r.root
-			break
+			return r
 		}
 	}
-	if root == nil {
-		e.builds++
-		root = build()
-		e.roots = append(e.roots, rootEntry{sigma: sigma.Clone(), filterKey: filterKey, root: root})
-	}
-	e.mu.Unlock()
-	return root.Fork()
+	e.builds++
+	e.roots = append(e.roots, rootEntry{
+		sigma:     sigma.Clone(),
+		filterKey: filterKey,
+		root:      conflict.NewFiltered(e.In, sigma, filters),
+	})
+	return &e.roots[len(e.roots)-1]
 }
 
 // CoverEvaluator returns the component evaluator of the unfiltered root
@@ -233,23 +232,11 @@ func (e *Engine) acquire(sigma fd.Set, filterKey string, build func() *conflict.
 func (e *Engine) CoverEvaluator(sigma fd.Set) *components.Evaluator {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.roots {
-		r := &e.roots[i]
-		if r.filterKey == "" && r.sigma.Equal(sigma) {
-			if r.decomp == nil {
-				r.decomp = components.NewEvaluator(r.root)
-			}
-			return r.decomp
-		}
+	r := e.rootLocked(sigma, nil, "")
+	if r.decomp == nil {
+		r.decomp = components.NewEvaluator(r.root)
 	}
-	e.builds++
-	root := conflict.New(e.In, sigma)
-	e.roots = append(e.roots, rootEntry{
-		sigma:  sigma.Clone(),
-		root:   root,
-		decomp: components.NewEvaluator(root),
-	})
-	return e.roots[len(e.roots)-1].decomp
+	return r.decomp
 }
 
 // Release returns an acquired analysis to its root's pool for reuse by a

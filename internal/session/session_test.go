@@ -134,8 +134,7 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 }
 
 // TestAcquireFiltered: keyed filtered acquisitions cache their root and
-// answer identically to conflict.NewFiltered; an empty key builds fresh
-// every time.
+// answer identically to conflict.NewFiltered.
 func TestAcquireFiltered(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
 	// Restrict each FD to tuples whose first cell is "1" / everything.
@@ -155,14 +154,6 @@ func TestAcquireFiltered(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Builds != 1 {
 		t.Fatalf("keyed filtered acquire built %d roots, want 1", st.Builds)
-	}
-	a := eng.AcquireFiltered(sigma, filters, "")
-	if got := queryFingerprint(a, [][]relation.AttrSet{nil}); got != want {
-		t.Fatalf("unkeyed filtered analysis diverges")
-	}
-	eng.Release(a)
-	if st := eng.Stats(); st.Builds != 2 {
-		t.Fatalf("empty-key acquire must build fresh (builds=%d, want 2)", st.Builds)
 	}
 }
 
