@@ -42,7 +42,7 @@ func BenchmarkAblationWeights(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				an := conflict.New(w.Dirty, w.SigmaD)
-				s := search.NewSearcher(an, mk(), search.DefaultOptions())
+				s := search.NewSearcher(an, mk(), search.Options{})
 				if _, err := s.Find(context.Background(), s.DeltaPOriginal()/100); err != nil {
 					b.Fatal(err)
 				}

@@ -257,9 +257,7 @@ func BenchmarkFDSearch(b *testing.B) {
 	in, sigma := benchWorkload(b, 10000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := search.DefaultOptions()
-			opt.Workers = workers
-			s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), opt)
+			s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), search.Options{Workers: workers})
 			tau := s.DeltaPOriginal() / 10
 			var cold conflict.CoverStats
 			b.ResetTimer()
@@ -319,9 +317,7 @@ func BenchmarkComponentSweep(b *testing.B) {
 	}{{"census", cin, csigma}, {"blocked", bin, bsigma}}
 	for _, w := range workloads {
 		b.Run(w.name, func(b *testing.B) {
-			opt := search.DefaultOptions()
-			opt.Workers = 4
-			s := search.NewSearcher(conflict.New(w.in, w.sigma), weights.NewDistinctCount(w.in), opt)
+			s := search.NewSearcher(conflict.New(w.in, w.sigma), weights.NewDistinctCount(w.in), search.Options{Workers: 4})
 			dp := s.DeltaPOriginal()
 			var cold conflict.CoverStats
 			var coldCS search.ComponentStats
@@ -364,9 +360,7 @@ func BenchmarkComponentSweepXL(b *testing.B) {
 		b.Skip("set RELATRUST_BENCH_XL=1 to run the 1M-tuple sweep")
 	}
 	in, sigma := benchBlockWorkload(b, 1000000)
-	opt := search.DefaultOptions()
-	opt.Workers = 4
-	s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), opt)
+	s := search.NewSearcher(conflict.New(in, sigma), weights.NewDistinctCount(in), search.Options{Workers: 4})
 	dp := s.DeltaPOriginal()
 	var cold conflict.CoverStats
 	b.ResetTimer()

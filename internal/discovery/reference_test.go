@@ -91,8 +91,8 @@ func partitionBySet(p *relation.Partitioner, x relation.AttrSet) stripped {
 // stripped partition of X: each class splits by a's codes, and classes
 // collapsing to singletons drop out. Singleton classes of π(X) never
 // produce multi-tuple classes, so working on the stripped form is exact
-// (reference implementation; the miner derives level-k partitions by
-// Product instead).
+// (reference implementation, in the stripped representation; the miner's
+// partitionFor does the same with relation.Partitioner.RefineStripped).
 func refineStripped(p *relation.Partitioner, parent stripped, a int) stripped {
 	total := 0
 	for _, c := range parent.classes {

@@ -78,10 +78,10 @@ type StreamOptions struct {
 // Mining order is deterministic: levels ascend, LHS sets ascend within a
 // level, RHS attributes ascend per LHS. Each level's candidates are
 // evaluated on GOMAXPROCS workers, but their FDs are emitted in that
-// order, so the sequence is the same for every GOMAXPROCS. Level-k
-// partitions are built by the TANE product of their two level-(k−1)
-// prefix-join parents; g3 is computed by counting pluralities within the
-// cached stripped π(X) classes, never by repartitioning the instance.
+// order, so the sequence is the same for every GOMAXPROCS. A level-k
+// partition π(X) is built by refining its cached level-(k−1) parent
+// π(X − max X) by max X; g3 is computed by counting pluralities within
+// the cached stripped π(X) classes, never by repartitioning the instance.
 // Once level k is scanned, level k−1 partitions are evicted from the
 // store, bounding the working set to two lattice levels plus the
 // single-attribute row. Two levels are never evicted and stay in the
@@ -176,8 +176,8 @@ func Stream(ctx context.Context, in *relation.Instance, opt StreamOptions, emit 
 		} else {
 			level = nil
 		}
-		// Level size−1 partitions were only needed as product parents for
-		// level size; drop them. The single-attribute row stays cached, and
+		// Level size−1 partitions were only needed as the parents of level
+		// size; drop them. The single-attribute row stays cached, and
 		// the top level is never a parent, so both remain for the next run
 		// over the same store.
 		if size-1 >= 2 {
@@ -238,61 +238,27 @@ func scanLevel(ctx context.Context, level []relation.AttrSet, ps []*relation.Par
 	return fds, nil
 }
 
-// partitionFor returns the stripped partition of x, preferring the store,
-// then the product of x's two prefix-join parents (for |x| ≥ 2), then a
-// from-scratch refinement. Whatever path ran, the result is owned and
-// cached before returning; all three produce the same classes, so results
-// are deterministic regardless of which partitions the store still holds.
+// partitionFor returns the stripped partition of x from the store, or
+// builds it by refining the partition of x − max x, itself got the same
+// way down to π(∅) = every tuple in one class, and caches it. The
+// recursion also rebuilds a parent that a concurrent run sharing the
+// store has evicted. The classes are the same whichever partitions the
+// store still holds, so results do not depend on it.
 func partitionFor(p *relation.Partitioner, store *relation.PartitionStore, x relation.AttrSet) relation.Partition {
 	if pt, ok := store.Get(x); ok {
 		return pt
 	}
-	var pt relation.Partition
-	built := false
-	if x.Len() >= 2 {
-		a := x.Remove(x.Max()) // drop the largest attribute
-		b := x.Remove(a.Max()) // drop the second-largest
-		if pa, ok := store.Get(a); ok {
-			if pb, ok := store.Get(b); ok {
-				pt = p.Product(pa, pb)
-				built = true
-			}
-		}
+	a := x.Max()
+	var parent relation.Partition
+	if rest := x.Remove(a); rest.IsEmpty() {
+		p.BeginAll()
+		parent = p.Partition()
+	} else {
+		parent = partitionFor(p, store, rest)
 	}
-	if !built {
-		pt = strippedOf(p, x)
-	}
+	pt := p.RefineStripped(parent, a)
 	store.Put(x, pt)
 	return pt
-}
-
-// strippedOf computes the stripped partition of x by code-based refinement
-// from the whole tuple set, returning an owned copy safe to cache.
-func strippedOf(p *relation.Partitioner, x relation.AttrSet) relation.Partition {
-	p.BeginAll()
-	p.RefineSet(x)
-	pt := p.Partition()
-	total := 0
-	groups := 0
-	for gi := 0; gi < pt.NumGroups(); gi++ {
-		if g := pt.Group(gi); len(g) >= 2 {
-			total += len(g)
-			groups++
-		}
-	}
-	out := relation.Partition{
-		Tuples:  make([]int32, 0, total),
-		Offsets: make([]int32, 1, groups+1),
-	}
-	for gi := 0; gi < pt.NumGroups(); gi++ {
-		g := pt.Group(gi)
-		if len(g) < 2 {
-			continue
-		}
-		out.Tuples = append(out.Tuples, g...)
-		out.Offsets = append(out.Offsets, int32(len(out.Tuples)))
-	}
-	return out
 }
 
 // g3Split computes the g3 error of X → a from the cached stripped π(X):
@@ -316,8 +282,9 @@ func g3Split(p *relation.Partitioner, px relation.Partition, a, budget int) (int
 
 // prefixJoin generates level k+1 from the complete level k: two k-sets
 // sharing all attributes but their largest join into their union, and
-// every (k+1)-set is produced by exactly one such pair — its two
-// partitionFor parents. The scan sorts a copy by (prefix, max) so prefix
+// every (k+1)-set is produced by exactly one such pair. The member of the
+// pair that lacks the union's largest attribute is the union's
+// partitionFor parent. The scan sorts a copy by (prefix, max) so prefix
 // blocks are contiguous; the caller's level slice keeps its mining order.
 func prefixJoin(level []relation.AttrSet) []relation.AttrSet {
 	byPrefix := append([]relation.AttrSet(nil), level...)

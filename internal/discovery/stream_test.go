@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -220,12 +221,105 @@ func TestQuickG3SplitMatchesError(t *testing.T) {
 		}
 		dep := fd.MustNew(lhs, rhs)
 		p := relation.NewPartitioner(in)
-		px := strippedOf(p, lhs)
+		px := partitionFor(p, relation.NewPartitionStore(), lhs)
 		g3, ok := g3Split(p, px, rhs, in.N())
 		return ok && g3 == Error(in, dep)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPartitionForMissingParents: partitionFor derives the same classes as
+// a from-scratch refinement whichever of x's prefixes the store holds —
+// the state a concurrent run that shares the store and evicts levels
+// leaves behind.
+func TestPartitionForMissingParents(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 200; trial++ {
+		width := 4 + rng.Intn(3)
+		in := testkit.RandomInstance(rng, 2+rng.Intn(40), width, 2+rng.Intn(3))
+		perm := rng.Perm(width)[:1+rng.Intn(4)]
+		x := relation.NewAttrSet(perm...)
+		p := relation.NewPartitioner(in)
+		store := relation.NewPartitionStore()
+		for pre := relation.AttrSet(0); pre != x; {
+			pre = pre.Add(x.Diff(pre).Attrs()[0])
+			if rng.Intn(2) == 0 {
+				store.Put(pre, classesOf(partitionBySet(p, pre)))
+			}
+		}
+		got := canonClasses(groupsOf(partitionFor(p, store, x)))
+		want := canonClasses(partitionBySet(p, x).classes)
+		if !slices.EqualFunc(got, want, slices.Equal[[]int32]) {
+			t.Fatalf("trial %d: π(%v) = %v, want %v", trial, x, got, want)
+		}
+		if stored, ok := store.Get(x); !ok || !slices.EqualFunc(canonClasses(groupsOf(stored)), want, slices.Equal[[]int32]) {
+			t.Fatalf("trial %d: π(%v) not cached as computed", trial, x)
+		}
+	}
+}
+
+// classesOf converts a reference stripped partition to the flat form the
+// store holds.
+func classesOf(s stripped) relation.Partition {
+	out := relation.Partition{Offsets: []int32{0}}
+	for _, c := range s.classes {
+		out.Tuples = append(out.Tuples, c...)
+		out.Offsets = append(out.Offsets, int32(len(out.Tuples)))
+	}
+	return out
+}
+
+// groupsOf returns the classes of a flat partition.
+func groupsOf(pt relation.Partition) [][]int32 {
+	out := make([][]int32, pt.NumGroups())
+	for gi := range out {
+		out[gi] = pt.Group(gi)
+	}
+	return out
+}
+
+// TestConcurrentStreamsShareOneStore: runs at different MaxLHS over one
+// store at once — each evicting levels the others still read — emit
+// exactly the sequence each emits over a private store.
+func TestConcurrentStreamsShareOneStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	in := testkit.RandomInstance(rng, 3000, 6, 4)
+	maxLHS := []int{2, 3, 4}
+	want := make([][]Found, len(maxLHS))
+	for i, m := range maxLHS {
+		want[i] = streamAll(t, in, StreamOptions{MaxLHS: m, MaxError: 0.1})
+	}
+	store := relation.NewPartitionStore()
+	const goroutines, runs = 4, 3
+	errs := make(chan error, goroutines*runs)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < runs; r++ {
+				i := (g + r) % len(maxLHS)
+				var got []Found
+				err := Stream(context.Background(), in, StreamOptions{MaxLHS: maxLHS[i], MaxError: 0.1, Store: store}, func(f Found) error {
+					got = append(got, f)
+					return nil
+				})
+				if err == nil && !slices.Equal(got, want[i]) {
+					err = fmt.Errorf("goroutine %d run %d (MaxLHS %d): %d FDs, private store %d\ngot  %v\nwant %v",
+						g, r, maxLHS[i], len(got), len(want[i]), got, want[i])
+				}
+				errs <- err
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -443,10 +537,11 @@ func benchDiscoverInstance(b *testing.B) *relation.Instance {
 	return testkit.Build(names, rows)
 }
 
-// BenchmarkDiscoverProduct vs BenchmarkDiscoverRefine: a full mining pass
-// on a wide schema with the product/store miner against the pre-PR
+// BenchmarkDiscoverProduct vs BenchmarkDiscoverRefine: the full mining
+// pass of Stream on a wide schema, over a private store, against the
 // refine-everything reference — the level-k cost BENCH_discovery.json
-// records.
+// records. The name predates the parent refinement that replaced TANE's
+// partition product.
 func BenchmarkDiscoverProduct(b *testing.B) {
 	in := benchDiscoverInstance(b)
 	b.ReportAllocs()

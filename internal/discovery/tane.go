@@ -11,10 +11,10 @@
 // per-class count of tuples outside the plurality A-value. Both facts are
 // read off the stripped form directly.
 //
-// Two TANE techniques keep the lattice walk cheap. Level-k partitions are
-// built by the partition product π(X)·π(Y) of their two level-(k−1)
-// prefix-join parents (relation.Partitioner.Product) instead of refining
-// from scratch, and candidate generation is the matching prefix join.
+// The lattice walk stays cheap in two ways. A level-k partition π(X) is
+// built by refining one cached level-(k−1) parent, π(X − max X), by
+// max X (relation.Partitioner.RefineStripped), not from scratch, and
+// candidate generation is TANE's prefix join.
 // Partitions live in a relation.PartitionStore — shareable across runs via
 // session.Engine — and each level is evicted once the next is built, so
 // peak retention is two lattice levels plus the single-attribute row, not

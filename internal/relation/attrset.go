@@ -77,9 +77,6 @@ func (s AttrSet) Diff(t AttrSet) AttrSet { return s &^ t }
 // SubsetOf reports whether s ⊆ t.
 func (s AttrSet) SubsetOf(t AttrSet) bool { return s&^t == 0 }
 
-// ProperSubsetOf reports whether s ⊂ t.
-func (s AttrSet) ProperSubsetOf(t AttrSet) bool { return s != t && s.SubsetOf(t) }
-
 // Intersects reports whether s ∩ t is non-empty.
 func (s AttrSet) Intersects(t AttrSet) bool { return s&t != 0 }
 
@@ -88,14 +85,6 @@ func (s AttrSet) IsEmpty() bool { return s == 0 }
 
 // Len returns the number of attributes in s.
 func (s AttrSet) Len() int { return bits.OnesCount64(uint64(s)) }
-
-// Min returns the smallest attribute index in s, or -1 if s is empty.
-func (s AttrSet) Min() int {
-	if s == 0 {
-		return -1
-	}
-	return bits.TrailingZeros64(uint64(s))
-}
 
 // Max returns the largest attribute index in s, or -1 if s is empty.
 func (s AttrSet) Max() int {

@@ -22,6 +22,7 @@ package relation
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -149,7 +150,8 @@ func (in *Instance) SetCodes(a int, codes []int32, n int32) {
 // is Tuples[Offsets[i]:Offsets[i+1]]. The flat layout is deliberate — the
 // conflict analysis runs two-pointer sweeps across group boundaries
 // directly on Tuples. Partitions returned by Partitioner alias its scratch
-// and are valid only until the next call that produces one.
+// and are valid only until the next call that produces one, except those
+// of RefineStripped, which are owned.
 type Partition struct {
 	Tuples  []int32
 	Offsets []int32 // len = NumGroups()+1, starts at 0
@@ -194,16 +196,6 @@ type Partitioner struct {
 
 	cur, nxt partBuf // ping-pong buffers for Refine
 	split    partBuf // separate output for Split
-
-	// Product scratch (see product.go): a tuple→x-class probe table and
-	// per-x-class counters, both epoch-versioned so calls never clear them.
-	prodCls   []int32
-	prodEpoch []uint64
-	prodVer   uint64
-	pcCnt     []int32
-	pcPos     []int32
-	pcEpoch   []uint64
-	pcVer     uint64
 }
 
 // NewPartitioner returns a partitioner over the instance.
@@ -315,6 +307,40 @@ func (p *Partitioner) Split(g []int32, a int) Partition {
 		p.scatter(&p.split, g, col)
 	}
 	return Partition{Tuples: p.split.tuples, Offsets: p.split.offsets}
+}
+
+// RefineStripped returns the stripped partition of X ∪ {a} given px, a
+// partition of the tuples by X: every class of px is split by a, and
+// classes of one tuple are dropped. Singletons of X stay singletons of
+// X ∪ {a}, so px may itself be stripped, and refining π(X − max X) by
+// max X derives any stripped π(X). px may alias the current partition,
+// which Split does not disturb. Unlike Refine and Split results, the
+// partition returned is owned by the caller and sized exactly, so it is
+// safe to cache.
+func (p *Partitioner) RefineStripped(px Partition, a int) Partition {
+	// Stage in nxt: Refine uses it only as its output buffer, and px can
+	// alias only cur.
+	st := &p.nxt
+	if cap(st.tuples) < len(px.Tuples) {
+		st.tuples = make([]int32, 0, len(px.Tuples))
+	} else {
+		st.tuples = st.tuples[:0]
+	}
+	st.offsets = append(st.offsets[:0], 0)
+	for gi := 0; gi < px.NumGroups(); gi++ {
+		g := px.Group(gi)
+		if len(g) < 2 {
+			continue
+		}
+		sp := p.Split(g, a)
+		for si := 0; si < sp.NumGroups(); si++ {
+			if sg := sp.Group(si); len(sg) >= 2 {
+				st.tuples = append(st.tuples, sg...)
+				st.offsets = append(st.offsets, int32(len(st.tuples)))
+			}
+		}
+	}
+	return Partition{Tuples: slices.Clone(st.tuples), Offsets: slices.Clone(st.offsets)}
 }
 
 // Plurality returns the size of the largest subgroup Split(g, a) would

@@ -167,7 +167,7 @@ func TestQuickPluralityMatchesSplit(t *testing.T) {
 		p := NewPartitioner(in)
 		p.BeginAll()
 		p.Refine(rng.Intn(in.Schema.Width()))
-		before := p.Partition().Clone()
+		before := clonePartition(p.Partition())
 		for q := 0; q < 8; q++ {
 			var g []int32
 			switch rng.Intn(4) {

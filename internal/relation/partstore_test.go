@@ -3,13 +3,20 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// clonePartition returns an owned deep copy of pt, detached from any
+// partitioner scratch.
+func clonePartition(pt Partition) Partition {
+	return Partition{Tuples: slices.Clone(pt.Tuples), Offsets: slices.Clone(pt.Offsets)}
+}
+
 // strippedVia computes the stripped partition of X by a from-scratch
-// BeginAll + RefineSet pass — the oracle Product must agree with.
+// BeginAll + RefineSet pass — the oracle RefineStripped must agree with.
 func strippedVia(p *Partitioner, x AttrSet) Partition {
 	p.BeginAll()
 	p.RefineSet(x)
@@ -23,7 +30,7 @@ func strippedVia(p *Partitioner, x AttrSet) Partition {
 		out.Tuples = append(out.Tuples, g...)
 		out.Offsets = append(out.Offsets, int32(len(out.Tuples)))
 	}
-	return out.Clone()
+	return clonePartition(out)
 }
 
 // canonPartition renders a partition as a canonical class set: classes
@@ -58,10 +65,10 @@ func samePartition(a, b Partition) bool {
 	return true
 }
 
-// randProductInstance mirrors the duplicate-heavy shapes of the discovery
-// oracle tests: few distinct values per column, so partitions carry real
-// multi-tuple classes at several levels.
-func randProductInstance(rng *rand.Rand) *Instance {
+// randPartitionInstance mirrors the duplicate-heavy shapes of the
+// discovery oracle tests: few distinct values per column, so partitions
+// carry real multi-tuple classes at several levels.
+func randPartitionInstance(rng *rand.Rand) *Instance {
 	width := 3 + rng.Intn(4)
 	names := make([]string, width)
 	for i := range names {
@@ -79,28 +86,23 @@ func randProductInstance(rng *rand.Rand) *Instance {
 	return in
 }
 
-// TestQuickProductMatchesRefineSet: π(X)·π(Y) equals the from-scratch
-// stripped partition of X∪Y across random shapes, seeds, and overlapping
-// attribute sets (the prefix-join parents of discovery always overlap in
-// k−1 attributes, but the product is exact for any pair).
-func TestQuickProductMatchesRefineSet(t *testing.T) {
-	f := func(seed int64, xRaw, yRaw uint8) bool {
+// TestQuickRefineStrippedMatchesRefineSet: refining the stripped π(X) by
+// a equals the from-scratch stripped partition of X ∪ {a} across random
+// shapes, seeds, parents and attributes, a ∈ X included.
+func TestQuickRefineStrippedMatchesRefineSet(t *testing.T) {
+	f := func(seed int64, xRaw, aRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		in := randProductInstance(rng)
-		full := FullSet(in.Schema.Width())
-		x := AttrSet(xRaw) & full
-		y := AttrSet(yRaw) & full
+		in := randPartitionInstance(rng)
+		width := in.Schema.Width()
+		x := AttrSet(xRaw) & FullSet(width)
 		if x.IsEmpty() {
 			x = NewAttrSet(0)
 		}
-		if y.IsEmpty() {
-			y = NewAttrSet(in.Schema.Width() - 1)
-		}
+		a := int(aRaw) % width
 		p := NewPartitioner(in)
 		px := strippedVia(p, x)
-		py := strippedVia(p, y)
-		got := p.Product(px, py)
-		want := strippedVia(p, x.Union(y))
+		got := p.RefineStripped(px, a)
+		want := strippedVia(p, x.Add(a))
 		return samePartition(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -108,18 +110,25 @@ func TestQuickProductMatchesRefineSet(t *testing.T) {
 	}
 }
 
-// TestProductIsOwned: the result survives subsequent partitioner calls
-// that overwrite the scratch buffers — the property the store relies on.
-func TestProductIsOwned(t *testing.T) {
+// TestRefineStrippedIsOwned: the result survives subsequent partitioner
+// calls that overwrite the scratch buffers — the property the store
+// relies on — and refining the current partition leaves it intact.
+func TestRefineStrippedIsOwned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	in := randProductInstance(rng)
+	in := randPartitionInstance(rng)
 	p := NewPartitioner(in)
-	x, y := NewAttrSet(0), NewAttrSet(1)
-	px := strippedVia(p, x)
-	py := strippedVia(p, y)
-	got := p.Product(px, py)
-	snap := got.Clone()
-	// Churn every scratch path: refinement, split, and another product.
+	p.BeginAll()
+	p.Refine(0)
+	cur := clonePartition(p.Partition())
+	got := p.RefineStripped(p.Partition(), 1) // px aliases the current partition
+	if !samePartition(p.Partition(), cur) {
+		t.Fatal("RefineStripped disturbed the current partition")
+	}
+	if want := strippedVia(p, NewAttrSet(0, 1)); !samePartition(got, want) {
+		t.Fatal("refining the current partition gave the wrong classes")
+	}
+	snap := clonePartition(got)
+	// Churn every scratch path: refinement, split, and another refinement.
 	p.BeginAll()
 	p.RefineSet(FullSet(in.Schema.Width()))
 	if in.N() > 0 {
@@ -129,23 +138,26 @@ func TestProductIsOwned(t *testing.T) {
 		}
 		_ = p.Split(all, 0)
 	}
-	_ = p.Product(py, px)
+	_ = p.RefineStripped(got, 2)
 	if !samePartition(got, snap) {
-		t.Fatal("Product result aliases partitioner scratch")
+		t.Fatal("RefineStripped result aliases partitioner scratch")
 	}
 }
 
-func TestProductEmptyFactors(t *testing.T) {
+// TestRefineStrippedEmptyAndSingletonParents: an empty parent yields an
+// empty partition, and a parent of one-tuple classes yields no class.
+func TestRefineStrippedEmptyAndSingletonParents(t *testing.T) {
 	in := NewInstance(MustSchema("A", "B"))
+	_ = in.Append(Tuple{Const("1"), Const("2")})
 	_ = in.Append(Tuple{Const("1"), Const("2")})
 	p := NewPartitioner(in)
 	empty := Partition{Offsets: []int32{0}}
-	px := strippedVia(p, NewAttrSet(0))
-	if got := p.Product(empty, px); got.NumGroups() != 0 {
-		t.Errorf("empty · π(X) has %d groups", got.NumGroups())
+	if got := p.RefineStripped(empty, 0); got.NumGroups() != 0 || got.Len() != 0 {
+		t.Errorf("refining the empty partition gave %d groups", got.NumGroups())
 	}
-	if got := p.Product(px, empty); got.NumGroups() != 0 {
-		t.Errorf("π(X) · empty has %d groups", got.NumGroups())
+	singles := Partition{Tuples: []int32{0, 1}, Offsets: []int32{0, 1, 2}}
+	if got := p.RefineStripped(singles, 1); got.NumGroups() != 0 || got.Len() != 0 {
+		t.Errorf("refining singleton classes gave %d groups", got.NumGroups())
 	}
 }
 
@@ -179,12 +191,11 @@ func TestPartitionStoreLevelEviction(t *testing.T) {
 	}
 }
 
-// BenchmarkPartitionProduct vs BenchmarkPartitionRefineLevel measure the
-// two ways of building one level-k partition: the probe-table product of
-// two cached level-(k−1) parents against a from-scratch RefineSet — the
-// product-vs-refine cost BENCH_discovery.json records at the discovery
-// level.
-func benchProductInstance(b *testing.B) (*Instance, AttrSet, AttrSet) {
+// BenchmarkPartitionRefineStripped vs BenchmarkPartitionRefineLevel
+// measure the two ways of building one level-3 partition: refining the
+// cached stripped parent π({0,1}) by attribute 2 against a from-scratch
+// RefineSet of {0,1,2}.
+func benchPartitionInstance(b *testing.B) (*Instance, AttrSet, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(11))
 	names := make([]string, 8)
@@ -199,25 +210,24 @@ func benchProductInstance(b *testing.B) (*Instance, AttrSet, AttrSet) {
 		}
 		_ = in.Append(tp)
 	}
-	return in, NewAttrSet(0, 1), NewAttrSet(0, 2)
+	return in, NewAttrSet(0, 1), 2
 }
 
-func BenchmarkPartitionProduct(b *testing.B) {
-	in, x, y := benchProductInstance(b)
+func BenchmarkPartitionRefineStripped(b *testing.B) {
+	in, x, a := benchPartitionInstance(b)
 	p := NewPartitioner(in)
 	px := strippedVia(p, x)
-	py := strippedVia(p, y)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Product(px, py)
+		_ = p.RefineStripped(px, a)
 	}
 }
 
 func BenchmarkPartitionRefineLevel(b *testing.B) {
-	in, x, y := benchProductInstance(b)
+	in, x, a := benchPartitionInstance(b)
 	p := NewPartitioner(in)
-	union := x.Union(y)
+	union := x.Add(a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -66,10 +66,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultOptions returns the A* configuration used by the paper's
-// experiments.
-func DefaultOptions() Options { return Options{}.withDefaults() }
-
 // Stats reports search effort.
 type Stats struct {
 	Visited   int           // states popped from the open list
@@ -199,9 +195,6 @@ func (s *Searcher) Alpha() int { return s.alpha }
 // τr used throughout the experiments.
 func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.decomp.CoverSize(s.An, nil) }
 
-// DiffSetCount reports how many distinct difference sets were collected.
-func (s *Searcher) DiffSetCount() int { return len(s.ds) }
-
 // LastStats returns the final effort of the most recent Find or
 // FindRangeStream call on this searcher, including runs that ended in an
 // error or cancellation. Streaming callers use it to report whole-sweep
@@ -212,12 +205,6 @@ func (s *Searcher) LastStats() Stats { return s.lastStats }
 // evaluation workers, summed over every search run on this searcher since
 // construction, at every worker count.
 func (s *Searcher) CoverCacheStats() conflict.CoverStats { return s.coverStats }
-
-// FeasibilityFloor returns the smallest τ for which any repair can exist:
-// α times a maximal matching over conflict edges that no LHS extension
-// resolves (tuple pairs identical except on an FD's RHS). Find(tau) with
-// tau below this returns φ without searching.
-func (s *Searcher) FeasibilityFloor() int { return s.floor }
 
 // node is an open-list entry.
 type node struct {

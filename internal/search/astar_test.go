@@ -264,15 +264,15 @@ func TestInfeasibleTau(t *testing.T) {
 
 func TestDeltaPOriginalAndAlpha(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
-	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, DefaultOptions())
+	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
 	if s.Alpha() != 2 {
 		t.Errorf("α = %d, want min{3,2} = 2", s.Alpha())
 	}
 	if s.DeltaPOriginal() != 4 {
 		t.Errorf("δP(Σ,I) = %d, want 4", s.DeltaPOriginal())
 	}
-	if s.DiffSetCount() != 3 {
-		t.Errorf("difference sets = %d, want 3", s.DiffSetCount())
+	if len(s.ds) != 3 {
+		t.Errorf("difference sets = %d, want 3", len(s.ds))
 	}
 }
 

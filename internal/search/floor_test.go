@@ -23,9 +23,9 @@ func TestFeasibilityFloorDetectsPermanentConflicts(t *testing.T) {
 	sigma := testkit.RandomFDs(rand.New(rand.NewSource(1)), 3, 1, 1)
 	sigma[0].LHS = relation.NewAttrSet(0)
 	sigma[0].RHS = 2 // A->C
-	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, DefaultOptions())
-	if s.FeasibilityFloor() != 1 {
-		t.Fatalf("floor = %d, want 1 (α=1, one permanent pair)", s.FeasibilityFloor())
+	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
+	if s.floor != 1 {
+		t.Fatalf("floor = %d, want 1 (α=1, one permanent pair)", s.floor)
 	}
 	res, err := s.Find(context.Background(), 0)
 	if err != nil {
@@ -49,9 +49,9 @@ func TestFeasibilityFloorDetectsPermanentConflicts(t *testing.T) {
 // violations).
 func TestFeasibilityFloorZeroWhenResolvable(t *testing.T) {
 	in, sigma := testkit.Paper4x4()
-	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, DefaultOptions())
-	if s.FeasibilityFloor() != 0 {
-		t.Fatalf("floor = %d, want 0 (all pairs of the paper example are resolvable)", s.FeasibilityFloor())
+	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
+	if s.floor != 0 {
+		t.Fatalf("floor = %d, want 0 (all pairs of the paper example are resolvable)", s.floor)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestFeasibilityFloorConsistentWithSearch(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		in := testkit.RandomInstance(rng, 8, 4, 2)
 		sigma := testkit.RandomFDs(rng, 4, 1+rng.Intn(2), 2)
-		s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, DefaultOptions())
-		floor := s.FeasibilityFloor()
+		s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
+		floor := s.floor
 		for _, tau := range []int{0, 1, 2, floor - 1, floor, floor + 2} {
 			if tau < 0 {
 				continue

@@ -160,7 +160,7 @@ func TestKnapsackTightensWideDiffsets(t *testing.T) {
 	sigma := testkit.RandomFDs(rand.New(rand.NewSource(1)), 6, 1, 1)
 	sigma[0].LHS = relation.NewAttrSet(0)
 	sigma[0].RHS = 5
-	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, DefaultOptions())
+	s := NewSearcher(conflict.New(in, sigma), weights.AttrCount{}, Options{})
 	// All 10 pairs violate; τ=0 forces resolving all of them: at least
 	// one attribute must be appended, so gc(root) ≥ 1.
 	rootGC, _ := s.DiagGC(0, nil)

@@ -85,20 +85,6 @@ func (s State) Equal(t State) bool {
 	return true
 }
 
-// Extends reports whether s extends t: t[i] ⊆ s[i] for every i (the
-// dominance notion used for pruning and minimality in Section 5.1).
-func (s State) Extends(t State) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if !t[i].SubsetOf(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Union returns the union of all extension sets.
 func (s State) Union() relation.AttrSet {
 	var u relation.AttrSet

@@ -103,16 +103,30 @@ func TestChildrenNeverTouchFDAttrs(t *testing.T) {
 	walk(Root(2))
 }
 
+// extends reports whether s extends t: t[i] ⊆ s[i] for every i (the
+// dominance notion used for pruning and minimality in Section 5.1).
+func extends(s, t State) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for i := range s {
+		if !t[i].SubsetOf(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestExtendsAndUnion(t *testing.T) {
 	a := State{relation.NewAttrSet(2), 0}
 	b := State{relation.NewAttrSet(2, 3), relation.NewAttrSet(1)}
-	if !b.Extends(a) {
+	if !extends(b, a) {
 		t.Error("b extends a")
 	}
-	if a.Extends(b) {
+	if extends(a, b) {
 		t.Error("a does not extend b")
 	}
-	if !a.Extends(a) {
+	if !extends(a, a) {
 		t.Error("a extends itself (non-strict)")
 	}
 	if b.Union() != relation.NewAttrSet(1, 2, 3) {
