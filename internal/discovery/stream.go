@@ -238,12 +238,12 @@ func scanLevel(ctx context.Context, level []relation.AttrSet, ps []*relation.Par
 	return fds, nil
 }
 
-// partitionFor returns the stripped partition of x from the store, or
-// builds it by refining the partition of x − max x, itself got the same
-// way down to π(∅) = every tuple in one class, and caches it. The
-// recursion also rebuilds a parent that a concurrent run sharing the
-// store has evicted. The classes are the same whichever partitions the
-// store still holds, so results do not depend on it.
+// partitionFor returns the stripped partition of x from the store or, on
+// a miss, refines the partition of x − max x by max x and caches the
+// result. The parent comes from partitionFor in turn, down to π(∅), every
+// tuple in one class, so a parent that a concurrent run sharing the store
+// has evicted is rebuilt. The classes do not depend on which partitions
+// the store holds.
 func partitionFor(p *relation.Partitioner, store *relation.PartitionStore, x relation.AttrSet) relation.Partition {
 	if pt, ok := store.Get(x); ok {
 		return pt

@@ -540,8 +540,8 @@ func benchDiscoverInstance(b *testing.B) *relation.Instance {
 // BenchmarkDiscoverProduct vs BenchmarkDiscoverRefine: the full mining
 // pass of Stream on a wide schema, over a private store, against the
 // refine-everything reference — the level-k cost BENCH_discovery.json
-// records. The name predates the parent refinement that replaced TANE's
-// partition product.
+// records. It keeps its old name because BENCH_discovery.json and CI
+// refer to it.
 func BenchmarkDiscoverProduct(b *testing.B) {
 	in := benchDiscoverInstance(b)
 	b.ReportAllocs()

@@ -178,7 +178,8 @@ type partBuf struct {
 // clearing pass between groups), subgroup bases are laid out in
 // first-encounter order of the codes, and members are scattered stably —
 // subgroups preserve the relative tuple order of their parent. After the
-// buffers have grown to the working-set size, no call allocates.
+// buffers have grown to the working-set size, no call allocates except
+// RefineStripped, which returns an owned partition.
 //
 // A Partitioner is bound to one instance, whose tuples must not change
 // while the partitioner is in use. It is not safe for concurrent use.
